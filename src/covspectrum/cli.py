@@ -70,8 +70,8 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"covspectrum {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, fmt_choices=("csv", "json", "svg"), fmt_default="csv"):
-        sp.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+    def add_common(sp, fmt_choices=("csv", "json", "svg"), fmt_default="csv", seed_default=0):
+        sp.add_argument("--seed", type=int, default=seed_default, help="64-bit master seed")
         sp.add_argument("--threads", type=int, default=0, help="worker threads (0 = auto)")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--format", default=fmt_default, choices=fmt_choices)
@@ -113,7 +113,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("sweep", help="run an ExperimentConfig JSON")
     sp.add_argument("--config", required=True)
-    add_common(sp)
+    add_common(sp, seed_default=None)  # None keeps the config's master_seed
 
     sp = sub.add_parser("report", help="summaries and plots from a records CSV")
     sp.add_argument("--records", required=True)
@@ -140,7 +140,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     X = load_matrix(args.infile)
-    summary = spectral_summary(X, method=args.method, tol=args.tol)
+    summary = spectral_summary(X, method=args.method, tol=args.tol, max_iter=args.max_iter)
     out = {
         "p": X.p,
         "n": X.n,
@@ -231,7 +231,7 @@ def _cmd_moments(args) -> int:
 def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
         obj = json.load(fh)
-    if args.seed:
+    if args.seed is not None:
         obj["master_seed"] = args.seed
     config = ExperimentConfig.from_json(obj)
     out_dir = args.out if args.out is not None else os.environ.get(OUT_ENV_VAR, config.output_dir)

@@ -414,6 +414,8 @@ def load_matrix(path) -> DataMatrix:
         if len(raw) != 8 * p * n:
             raise ValidationError(f"{path}: truncated matrix payload")
     entries = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(int(p), int(n))
+    if not np.isfinite(entries).all():
+        raise ValidationError(f"{path}: matrix has non-finite entries")
     entries.setflags(write=False)
     return DataMatrix(shape=MatrixShape(int(p), int(n)), entries=entries)
 

@@ -24,10 +24,12 @@ class ResourceError(CovspectrumError):
 class ConvergenceError(CovspectrumError):
     """An iterative solver failed to converge within its iteration budget.
 
-    Carries the best iterate so callers can inspect partial progress.
+    Carries the best iterate, the iterations spent and the last residual
+    so callers can inspect partial progress.
     """
 
-    def __init__(self, message, best_value=None, iterations=None):
+    def __init__(self, message, best_value=None, iterations=None, residual=None):
         super().__init__(message)
         self.best_value = best_value
         self.iterations = iterations
+        self.residual = residual

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from covspectrum.ensemble import load_matrix
+from covspectrum.ensemble import DataMatrix, MatrixShape, load_matrix, save_matrix
 
 CLI = [sys.executable, "-m", "covspectrum"]
 
@@ -63,6 +63,26 @@ class TestGenAndSpectrum:
         lam_d = json.loads(dense.stdout)["lambda_max"]
         lam_m = json.loads(matfree.stdout)["lambda_max"]
         assert abs(lam_d - lam_m) <= 1e-9 * max(1.0, abs(lam_d))
+
+    def test_spectrum_max_iter_reaches_the_solver(self, tmp_path):
+        gen = run_cli(
+            "gen", "--dist", "gaussian", "--p", "20", "--n", "200",
+            "--seed", "5", "--out", str(tmp_path),
+        )
+        res = run_cli("spectrum", "--in", gen.stdout.strip(), "--method", "matfree", "--max-iter", "3")
+        assert res.returncode == 2
+        assert "3 operator applications" in res.stderr
+
+    def test_spectrum_rejects_non_finite_matrix(self, tmp_path):
+        entries = np.ones((3, 5))
+        entries[0, 1] = np.nan
+        path = tmp_path / "nan.bin"
+        save_matrix(DataMatrix(shape=MatrixShape(3, 5), entries=entries), path)
+        for method in ("dense", "matfree"):
+            res = run_cli("spectrum", "--in", str(path), "--method", method)
+            assert res.returncode == 1
+            assert res.stdout == ""
+            assert res.stderr.startswith("error:") and "non-finite" in res.stderr
 
     def test_esd_writes_spectrum_csv(self, tmp_path):
         gen = run_cli(
@@ -157,6 +177,17 @@ class TestSweepAndReport:
         assert (tmp_path / "t1" / "records.csv").read_bytes() == (
             tmp_path / "t8" / "records.csv"
         ).read_bytes()
+
+    def test_seed_zero_overrides_config_master_seed(self, tmp_path):
+        config = self._write_config(tmp_path)  # master_seed 21
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({**json.loads(config.read_text()), "master_seed": 0}))
+        run_cli("sweep", "--config", str(config), "--seed", "0", "--out", str(tmp_path / "flag"))
+        run_cli("sweep", "--config", str(zero), "--out", str(tmp_path / "zero"))
+        run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "own"))
+        flag = (tmp_path / "flag" / "records.csv").read_bytes()
+        assert flag == (tmp_path / "zero" / "records.csv").read_bytes()
+        assert flag != (tmp_path / "own" / "records.csv").read_bytes()
 
     def test_env_var_out_dir_honored_only_without_flag(self, tmp_path):
         config = self._write_config(tmp_path)

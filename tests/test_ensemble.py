@@ -240,6 +240,15 @@ class TestMatrixIO:
         with pytest.raises(ValidationError):
             load_matrix(path)
 
+    def test_non_finite_entries_rejected(self, tmp_path):
+        for bad in (np.nan, np.inf, -np.inf):
+            entries = np.zeros((2, 3))
+            entries[1, 2] = bad
+            path = tmp_path / "m.bin"
+            save_matrix(DataMatrix(shape=MatrixShape(2, 3), entries=entries), path)
+            with pytest.raises(ValidationError):
+                load_matrix(path)
+
     def test_csv_export(self, tmp_path):
         X = sample_matrix(gaussian(), MatrixShape(3, 4), SeedSpec(9), 0)
         path = tmp_path / "m.csv"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from covspectrum import spectral
 from covspectrum.ensemble import MatrixShape, SeedSpec, gaussian, rademacher, sample_matrix
 from covspectrum.errors import ConvergenceError, ValidationError
 from covspectrum.normalize import build_A, build_A1, build_B
@@ -204,6 +205,49 @@ class TestLambdaMaxMatfree:
             lambda_max_matfree(x, tol=1e-14, max_iter=3)
         assert err.value.best_value is not None
         assert err.value.iterations >= 3
+        # the last application went to the true residual of the best Ritz pair,
+        # which bounds its distance to the spectrum
+        eigs = eigvals_sym(build_A(x))
+        assert 0.0 < err.value.residual < 1.0
+        assert np.min(np.abs(eigs - err.value.best_value)) <= err.value.residual
+
+    def test_matches_dense_on_rank_deficient_and_repeated_rows(self):
+        rng = np.random.default_rng(40)
+        y = rng.standard_normal((15, 40))
+        cases = (
+            rng.standard_normal((60, 20)),  # n < p: eigenvalue -n/(2 sqrt(np)) of multiplicity p - n
+            np.vstack([y, y, y]),  # repeated rows
+            np.kron(np.eye(2), y),  # two disjoint copies: a doubled top eigenvalue
+        )
+        for x in cases:
+            dense = eigvals_sym(build_A(x))
+            lam, _ = lambda_max_matfree(x, tol=1e-12)
+            assert abs(lam - dense[-1]) <= 1e-10 * max(1.0, abs(dense[-1]))
+        assert dense[-1] - dense[-2] <= 1e-12
+
+    def test_restart_from_ritz_vector_at_basis_cap(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((80, 320))
+        dense = eigvals_sym(build_A(x))[-1]
+        _, unrestarted = lambda_max_matfree(x, tol=1e-10)
+        monkeypatch.setattr(spectral, "MAX_BASIS", 6)
+        lam, iters = lambda_max_matfree(x, tol=1e-10)
+        assert iters > unrestarted  # restarts from one Ritz vector cost applications
+        assert abs(lam - dense) <= 1e-10 * max(1.0, abs(dense))
+
+    def test_operator_applications_without_restarts(self):
+        # a solver restarting every 32 steps needed 99 applications on this
+        # matrix; the growing basis needs 52
+        X = sample_matrix(gaussian(), MatrixShape(200, 800), SeedSpec(33), 0)
+        _, iters = lambda_max_matfree(X)
+        assert iters <= 70
+
+    def test_non_finite_input_fails_at_once(self):
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((50, 200))
+        x[3, 7] = np.nan
+        with pytest.raises(ValidationError):
+            lambda_max_matfree(x)
 
     def test_tol_validation(self):
         with pytest.raises(ValidationError):
