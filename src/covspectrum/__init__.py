@@ -9,7 +9,7 @@ Modules:
 
 * ``ensemble``  -- seeded generation of standardized data matrices;
 * ``normalize`` -- the matrix constructions and the truncation pipeline;
-* ``spectral``  -- eigenvalues, semicircle reference, exact KS distances;
+* ``spectral``  -- eigenvalues, semicircle law, exact KS distances;
 * ``momentlab`` -- exact combinatorial oracles for trace moments;
 * ``harness``   -- reproducible Monte Carlo sweeps and statistics;
 * ``reports``   -- CSV/JSON/SVG emission;

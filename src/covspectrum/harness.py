@@ -32,19 +32,16 @@ from .normalize import (
     NormalizationParams,
     build_A,
     build_A1,
-    build_B,
-    build_S1,
-    build_S2,
     covariance_from_json,
     truncation_pipeline,
 )
 from .spectral import (
     DENSE_P_LIMIT,
+    covariance_error,
     diag_max_dev,
     eigvals_sym,
     ks_distance,
     lambda_max_matfree,
-    symmetric_operator_norm,
 )
 
 __all__ = [
@@ -145,7 +142,7 @@ class ExperimentConfig:
                 tasks=tuple(TaskSpec.from_json(t) for t in obj.get("tasks", ())),
                 output_dir=obj.get("output_dir"),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed experiment config: {exc}") from exc
 
     def to_json(self) -> dict:
@@ -223,11 +220,8 @@ def _execute_task(task: TaskSpec, X: DataMatrix, dist: DistributionSpec):
     if name == "diag_dev":
         return float(diag_max_dev(X)), {}
     if name == "cov_rate":
-        sigma = task.sigma.materialize(X.p)
-        err = symmetric_operator_norm(build_S2(X, task.sigma) - sigma)
-        sigma_norm = symmetric_operator_norm(sigma)
-        s1_dev = symmetric_operator_norm(build_S1(X) - np.eye(X.p))
-        return float(err), {"bound": float(s1_dev * sigma_norm), "sigma_norm": float(sigma_norm)}
+        err, bound, sigma_norm = covariance_error(X, task.sigma)
+        return err, {"bound": bound, "sigma_norm": sigma_norm}
     if name == "truncation_report":
         _, report = truncation_pipeline(X, NormalizationParams(), spec=dist)
         return float(report.fraction_truncated), {

@@ -54,8 +54,6 @@ __all__ = [
     "enumerate_canonical",
     "isomorphism_class_size",
     "bound_rhs_a13",
-    "bound_table",
-    "bound_table_csv",
     "check_schedule",
 ]
 
@@ -510,36 +508,6 @@ def bound_rhs_a13(p: int, n: int, k: int, delta: float) -> float:
     return math.exp(total)
 
 
-def bound_table(cases, moments) -> list:
-    """Rows (p, n, k, delta, bound, exact, ratio) for a list of cases."""
-    rows = []
-    for p, n, k, delta in cases:
-        bound = bound_rhs_a13(p, n, k, delta)
-        exact = exact_trace_moment(p, n, k, moments)
-        rows.append(
-            {
-                "p": p,
-                "n": n,
-                "k": k,
-                "delta": delta,
-                "bound": bound,
-                "exact": exact,
-                "ratio": bound / exact if exact != 0 else math.inf,
-            }
-        )
-    return rows
-
-
-def bound_table_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("p,n,k,delta,bound,exact,ratio\n")
-        for row in rows:
-            fh.write(
-                f"{row['p']},{row['n']},{row['k']},{row['delta']!r},"
-                f"{row['bound']!r},{row['exact']!r},{row['ratio']!r}\n"
-            )
-
-
 # ---------------------------------------------------------------------------
 # Proof-schedule feasibility diagnostics.
 
@@ -599,7 +567,7 @@ def _safe_exp(x: float) -> float:
     return math.exp(x)
 
 
-def check_schedule(p, n, delta: float, C1: float = 2.0) -> ScheduleReport:
+def check_schedule(p, delta: float, C1: float = 2.0) -> ScheduleReport:
     """Evaluate both proof schedules at concrete (p, delta) with h = kk = ceil(log^2 p).
 
     h-schedule: h/log p large, delta^2 h/log p small, delta^4 p / C1 >= sqrt(p).

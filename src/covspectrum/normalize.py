@@ -101,22 +101,19 @@ def build_A1(X) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormalizationParams:
-    """delta schedule ("default" or an explicit value) plus recenter mode."""
+    """Truncation delta (None selects ``default_delta``) plus recenter mode."""
 
-    delta_mode: str = "default"  # "default" or "explicit"
     delta: float | None = None
     recenter_mode: str = "empirical"  # "empirical" or "population"
 
     def __post_init__(self):
-        if self.delta_mode not in ("default", "explicit"):
-            raise ValidationError("delta_mode must be 'default' or 'explicit'")
-        if self.delta_mode == "explicit" and (self.delta is None or not self.delta > 0):
+        if self.delta is not None and not self.delta > 0:
             raise ValidationError("explicit delta must be > 0")
         if self.recenter_mode not in ("empirical", "population"):
             raise ValidationError("recenter_mode must be 'empirical' or 'population'")
 
     def resolve_delta(self, shape: MatrixShape) -> float:
-        if self.delta_mode == "default":
+        if self.delta is None:
             return default_delta(shape)
         if self.delta * (shape.n * shape.p) ** 0.25 <= 1.0:
             raise ValidationError(

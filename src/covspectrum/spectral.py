@@ -1,4 +1,4 @@
-"""Eigenvalues, the semicircle reference law, and spectral diagnostics.
+"""Eigenvalues and spectral diagnostics of the normalized Gram matrix.
 
 Dense spectra come from LAPACK (the oracle of record up to p = 2000).
 ``lambda_max_matfree`` gets the top eigenvalue of the normalized Gram
@@ -10,35 +10,29 @@ it is restarted only when it reaches ``MAX_BASIS`` vectors.
 Distribution comparisons are exact: the Kolmogorov-Smirnov statistic is
 evaluated with the two-sided jump formula (no grid discretization), and
 the sup distance of two empirical spectral distributions is computed
-over the merged jump set.
+over the merged jump set.  ``covariance_error`` is the operator-norm
+error of S2 against a population Sigma, next to its factorized bound.
 """
 
-import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .ensemble import DataMatrix
 from .errors import ConvergenceError, ValidationError
-from .normalize import build_A
+from .normalize import build_S1, build_S2
 
 __all__ = [
-    "SemicircleRef",
-    "SEMICIRCLE",
-    "SpectralSummary",
-    "EmpiricalCdf",
     "semicircle_pdf",
     "semicircle_cdf",
     "eigvals_sym",
     "symmetric_operator_norm",
-    "esd",
     "ks_distance",
     "esd_sup_diff",
     "diag_max_dev",
+    "covariance_error",
     "lambda_max_matfree",
-    "spectral_summary",
     "spectrum_to_csv",
 ]
 
@@ -66,17 +60,6 @@ def semicircle_cdf(x):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class SemicircleRef:
-    """Reference law on [-1, 1]; density and cdf are module functions."""
-
-    density: callable = field(default=semicircle_pdf)
-    cdf: callable = field(default=semicircle_cdf)
-
-
-SEMICIRCLE = SemicircleRef()
-
-
 def eigvals_sym(M, atol: float = 1e-10) -> np.ndarray:
     """Full ascending spectrum of a symmetric matrix.
 
@@ -97,31 +80,8 @@ def symmetric_operator_norm(M) -> float:
     return float(max(abs(w[0]), abs(w[-1])))
 
 
-class EmpiricalCdf:
-    """Right-continuous step function x -> (1/p) #{i : lambda_i <= x}."""
-
-    def __init__(self, eigenvalues):
-        eigs = np.asarray(eigenvalues, dtype=float)
-        if eigs.ndim != 1 or eigs.size == 0:
-            raise ValidationError("need a nonempty 1-d eigenvalue vector")
-        if np.any(np.diff(eigs) < 0):
-            raise ValidationError("eigenvalues must be sorted ascending")
-        self.eigenvalues = eigs
-        self.p = eigs.size
-
-    def __call__(self, x):
-        counts = np.searchsorted(self.eigenvalues, np.asarray(x, dtype=float), side="right")
-        out = counts / self.p
-        return out if out.ndim else float(out)
-
-
-def esd(eigenvalues) -> EmpiricalCdf:
-    """Empirical spectral distribution of a sorted eigenvalue vector."""
-    return EmpiricalCdf(eigenvalues)
-
-
-def ks_distance(eigenvalues, ref: SemicircleRef = SEMICIRCLE) -> float:
-    """Exact KS statistic between an ESD and a continuous reference CDF.
+def ks_distance(eigenvalues) -> float:
+    """Exact KS statistic between an ESD and the semicircle CDF.
 
     sup over jump points of max(|i/p - F(lam_i)|, |(i-1)/p - F(lam_i)|).
     """
@@ -129,7 +89,7 @@ def ks_distance(eigenvalues, ref: SemicircleRef = SEMICIRCLE) -> float:
     p = eigs.size
     if p == 0:
         raise ValidationError("need at least one eigenvalue")
-    F = np.asarray(ref.cdf(eigs), dtype=float)
+    F = np.asarray(semicircle_cdf(eigs), dtype=float)
     i = np.arange(1, p + 1, dtype=float)
     return float(max(np.max(np.abs(i / p - F)), np.max(np.abs((i - 1) / p - F))))
 
@@ -152,6 +112,20 @@ def diag_max_dev(X) -> float:
     p, n = x.shape
     row_sums = np.einsum("ij,ij->i", x, x) - n
     return float(np.max(np.abs(row_sums))) / math.sqrt(n * p)
+
+
+def covariance_error(X, sigma):
+    """(||S2 - Sigma||, ||S1 - I|| * ||Sigma||, ||Sigma||) in operator norm.
+
+    ``sigma`` is a ``CovarianceSpec``; the second value is the factorized
+    bound that ||S2 - Sigma|| = ||Sigma^{1/2} (S1 - I) Sigma^{1/2}|| obeys.
+    """
+    p = (X.entries if isinstance(X, DataMatrix) else np.asarray(X)).shape[0]
+    S = sigma.materialize(p)
+    err = symmetric_operator_norm(build_S2(X, sigma) - S)
+    sigma_norm = symmetric_operator_norm(S)
+    s1_dev = symmetric_operator_norm(build_S1(X) - np.eye(p))
+    return err, s1_dev * sigma_norm, sigma_norm
 
 
 # ---------------------------------------------------------------------------
@@ -256,63 +230,9 @@ def lambda_max_matfree(X, tol: float = 1e-10, max_iter: int = 20000):
     )
 
 
-# ---------------------------------------------------------------------------
-# Per-matrix summary.
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Spectrum-level diagnostics of one data matrix."""
-
-    eigenvalues: np.ndarray | None
-    lambda_max: float
-    ks_to_semicircle: float | None
-    diag_max_dev: float
-    method: str
-
-    def to_json(self) -> dict:
-        return {
-            "eigenvalues": None if self.eigenvalues is None else [float(v) for v in self.eigenvalues],
-            "lambda_max": self.lambda_max,
-            "ks_to_semicircle": self.ks_to_semicircle,
-            "diag_max_dev": self.diag_max_dev,
-            "method": self.method,
-        }
-
-
-def spectral_summary(X, method: str = "dense", tol: float = 1e-10, max_iter: int = 20000) -> SpectralSummary:
-    """Full dense summary, or matfree lambda_max only (for p beyond dense reach)."""
-    if method == "dense":
-        p = (X.entries if isinstance(X, DataMatrix) else np.asarray(X)).shape[0]
-        if p > DENSE_P_LIMIT:
-            raise ValidationError(f"dense summaries are limited to p <= {DENSE_P_LIMIT}")
-        eigs = eigvals_sym(build_A(X))
-        return SpectralSummary(
-            eigenvalues=eigs,
-            lambda_max=float(eigs[-1]),
-            ks_to_semicircle=ks_distance(eigs),
-            diag_max_dev=diag_max_dev(X),
-            method="dense",
-        )
-    if method == "matfree":
-        lam, _ = lambda_max_matfree(X, tol=tol, max_iter=max_iter)
-        return SpectralSummary(
-            eigenvalues=None,
-            lambda_max=lam,
-            ks_to_semicircle=None,
-            diag_max_dev=diag_max_dev(X),
-            method="matfree",
-        )
-    raise ValidationError("method must be 'dense' or 'matfree'")
-
-
 def spectrum_to_csv(eigenvalues, path) -> None:
     """CSV export with columns (index, eigenvalue)."""
     with open(path, "w", newline="") as fh:
         fh.write("index,eigenvalue\n")
         for i, v in enumerate(np.asarray(eigenvalues, dtype=float)):
             fh.write(f"{i},{float(v)!r}\n")
-
-
-def summary_to_json_str(summary: SpectralSummary) -> str:
-    return json.dumps(summary.to_json(), sort_keys=True)

@@ -1,5 +1,6 @@
 """End-to-end tests of the covspectrum command-line tool."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
+from covspectrum import cli
 from covspectrum.ensemble import DataMatrix, MatrixShape, load_matrix, save_matrix
+from covspectrum.reports import read_records
 
 CLI = [sys.executable, "-m", "covspectrum"]
 
@@ -84,6 +87,17 @@ class TestGenAndSpectrum:
             assert res.stdout == ""
             assert res.stderr.startswith("error:") and "non-finite" in res.stderr
 
+    def test_dense_guard(self, tmp_path):
+        path = tmp_path / "tall.bin"
+        save_matrix(DataMatrix(shape=MatrixShape(2001, 1), entries=np.zeros((2001, 1))), path)
+        for res in (
+            run_cli("spectrum", "--in", str(path), "--method", "dense"),
+            run_cli("esd", "--in", str(path), "--out", str(tmp_path)),
+        ):
+            assert res.returncode == 1
+            assert res.stderr.startswith("error:") and "p <= 2000" in res.stderr
+        assert not (tmp_path / "spectrum.csv").exists()
+
     def test_esd_writes_spectrum_csv(self, tmp_path):
         gen = run_cli(
             "gen", "--dist", "gaussian", "--p", "10", "--n", "100",
@@ -140,6 +154,37 @@ class TestCovtestAndMoments:
         assert res.returncode == 1
 
 
+class TestOneCodePath:
+    def test_cli_and_sweep_give_identical_numbers(self, tmp_path):
+        seed = 9
+        sigma = {"kind": "toeplitz", "rho": 0.5}
+        gen = run_cli(
+            "gen", "--dist", "gaussian", "--p", "8", "--n", "400",
+            "--seed", str(seed), "--out", str(tmp_path),
+        )
+        path = gen.stdout.strip()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "distribution": "gaussian",
+            "grid": [[8, 400]],
+            "replicates": 1,
+            "master_seed": seed,
+            "tasks": ["esd_ks", {"name": "cov_rate", "sigma": sigma}],
+        }))
+        sweep = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
+        assert sweep.returncode == 0, sweep.stderr
+        records = {r.task: r for r in read_records(json.loads(sweep.stdout)["records_csv"])}
+
+        cov = json.loads(run_cli("covtest", "--in", path, "--sigma", json.dumps(sigma)).stdout)
+        rate = records["cov_rate"]
+        assert (cov["norm_error"], cov["factorized_bound"], cov["sigma_norm"]) == (
+            rate.value, rate.aux["bound"], rate.aux["sigma_norm"]
+        )
+        spectrum = json.loads(run_cli("spectrum", "--in", path, "--method", "dense").stdout)
+        ks = records["esd_ks"]
+        assert (spectrum["lambda_max"], spectrum["ks_to_semicircle"]) == (ks.aux["lambda_max"], ks.value)
+
+
 class TestSweepAndReport:
     @staticmethod
     def _write_config(tmp_path):
@@ -189,6 +234,18 @@ class TestSweepAndReport:
         assert flag == (tmp_path / "zero" / "records.csv").read_bytes()
         assert flag != (tmp_path / "own" / "records.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", json.dumps({"distribution": "gaussian", "grid": [[10, 100]], "replicates": "x"})],
+        ids=["not-json", "bad-replicates"],
+    )
+    def test_malformed_config_is_validation_error(self, tmp_path, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        res = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
     def test_env_var_out_dir_honored_only_without_flag(self, tmp_path):
         config = self._write_config(tmp_path)
         env_dir = tmp_path / "from_env"
@@ -232,3 +289,29 @@ class TestExitCodes:
         res = run_cli("--version")
         assert res.returncode == 0
         assert "covspectrum" in res.stdout
+
+
+class TestParser:
+    OPTIONS = {
+        "gen": {"--dist", "--p", "--n", "--replicate", "--name", "--seed", "--format", "--out"},
+        "spectrum": {"--in", "--method", "--tol", "--max-iter"},
+        "esd": {"--in", "--out"},
+        "covtest": {"--in", "--sigma"},
+        "moments": {"--circuit", "--p", "--n", "--k", "--delta", "--c1", "--dist"},
+        "sweep": {"--config", "--seed", "--threads", "--out"},
+        "report": {"--records", "--format", "--out"},
+    }
+
+    def test_each_subcommand_declares_only_what_it_reads(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        found = {
+            name: {opt for action in sp._actions for opt in action.option_strings} - {"-h", "--help"}
+            for name, sp in sub.choices.items()
+        }
+        assert found == self.OPTIONS
+
+    def test_flag_a_subcommand_does_not_read_is_rejected(self, tmp_path):
+        res = run_cli("spectrum", "--in", str(tmp_path / "missing.bin"), "--threads", "2")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and "--threads" in res.stderr

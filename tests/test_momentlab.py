@@ -12,7 +12,6 @@ from covspectrum.momentlab import (
     EdgeLabel,
     IndexCircuit,
     bound_rhs_a13,
-    bound_table,
     check_schedule,
     circuits,
     classify,
@@ -393,32 +392,20 @@ class TestBoundRhs:
         with pytest.raises(ResourceError):
             bound_rhs_a13(2, 2, 25, 1.0)
 
-    def test_bound_table(self, tmp_path):
-        from covspectrum.momentlab import bound_table_csv
-
-        rows = bound_table([(3, 9, 2, 0.5), (3, 9, 3, 0.5)], RADEMACHER_MOMENTS)
-        assert [r["k"] for r in rows] == [2, 3]
-        assert all(r["bound"] > r["exact"] for r in rows)
-        path = tmp_path / "table.csv"
-        bound_table_csv(rows, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "p,n,k,delta,bound,exact,ratio"
-        assert len(lines) == 3
-
 
 class TestCheckSchedule:
     def test_all_conditions_pass_at_huge_synthetic_p(self):
         # p = e^300, delta = p^{-1/16}: every inequality of both schedules
         # holds (frozen from direct evaluation)
         p = math.exp(300.0)
-        report = check_schedule(p, 1, p ** (-1.0 / 16.0))
+        report = check_schedule(p, p ** (-1.0 / 16.0))
         assert report.params.h == report.params.kk == 90000
         assert report.feasible
         assert all(c.passed for c in report.conditions)
 
     def test_small_p_always_fails_something(self):
         for delta in (0.1, 0.5, 0.9):
-            report = check_schedule(10, 100, delta)
+            report = check_schedule(10, delta)
             assert not report.feasible
 
     def test_honest_outcome_at_e100(self):
@@ -426,7 +413,7 @@ class TestCheckSchedule:
         # k-schedule fails: delta^{1/3} k / log p = 12.45 and
         # delta^2 p^{1/4} / k^3 = 2.7e-7
         p = math.exp(100.0)
-        report = check_schedule(p, 1, p ** (-1.0 / 16.0))
+        report = check_schedule(p, p ** (-1.0 / 16.0))
         assert report.h_feasible
         assert not report.k_feasible
         values = {c.name: c.value for c in report.conditions}
@@ -435,12 +422,12 @@ class TestCheckSchedule:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            check_schedule(10, 100, 0.0)
+            check_schedule(10, 0.0)
         with pytest.raises(ValidationError):
-            check_schedule(1, 100, 0.5)
+            check_schedule(1, 0.5)
 
     def test_report_json(self):
-        report = check_schedule(100, 1000, 0.2)
+        report = check_schedule(100, 0.2)
         payload = report.to_json()
         assert {c["name"] for c in payload["conditions"]} == {
             "h_growth",

@@ -308,13 +308,13 @@ class TestPipeline:
 
     def test_explicit_delta_must_clear_one(self):
         X = sample_matrix(gaussian(), MatrixShape(4, 4), SeedSpec(0), 0)
-        params = NormalizationParams(delta_mode="explicit", delta=0.01)
+        params = NormalizationParams(delta=0.01)
         with pytest.raises(ValidationError):
             truncation_pipeline(X, params)
 
     def test_params_validation(self):
         with pytest.raises(ValidationError):
-            NormalizationParams(delta_mode="explicit")
+            NormalizationParams(delta=0.0)
         with pytest.raises(ValidationError):
             NormalizationParams(recenter_mode="mystery")
 

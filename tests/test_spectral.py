@@ -1,6 +1,5 @@
 """Tests for eigenvalue machinery, the semicircle law, and KS distances."""
 
-import json
 import math
 
 import numpy as np
@@ -12,16 +11,13 @@ from covspectrum.ensemble import MatrixShape, SeedSpec, gaussian, rademacher, sa
 from covspectrum.errors import ConvergenceError, ValidationError
 from covspectrum.normalize import build_A, build_A1, build_B
 from covspectrum.spectral import (
-    SEMICIRCLE,
     diag_max_dev,
     eigvals_sym,
-    esd,
     esd_sup_diff,
     ks_distance,
     lambda_max_matfree,
     semicircle_cdf,
     semicircle_pdf,
-    spectral_summary,
     spectrum_to_csv,
     symmetric_operator_norm,
 )
@@ -88,31 +84,6 @@ class TestSemicircle:
         F = semicircle_cdf(x)
         assert F.shape == x.shape
         assert np.all(np.diff(F) >= 0)
-
-
-class TestEsd:
-    def test_direct_count(self):
-        F = esd(np.array([1.0, 2.0, 3.0]))
-        assert F(2.0) == pytest.approx(2 / 3)
-        assert F(0.0) == 0.0
-        assert F(3.0) == 1.0  # mass at the top eigenvalue is exact
-
-    def test_right_continuity(self):
-        F = esd(np.array([0.0, 0.0, 1.0]))
-        assert F(0.0) == pytest.approx(2 / 3)
-        assert F(-1e-12) == 0.0
-
-    def test_against_naive_counting_oracle(self):
-        rng = np.random.default_rng(23)
-        eigs = np.sort(rng.standard_normal(57))
-        F = esd(eigs)
-        for x in rng.uniform(-3, 3, size=100):
-            naive = sum(1 for v in eigs if v <= x) / eigs.size
-            assert F(x) == pytest.approx(naive, abs=0)
-
-    def test_requires_sorted(self):
-        with pytest.raises(ValidationError):
-            esd(np.array([2.0, 1.0]))
 
 
 class TestKsDistance:
@@ -284,34 +255,6 @@ class TestSpectralIdentities:
 
 
 class TestSummaryAndExport:
-    def test_dense_summary_fields(self):
-        X = sample_matrix(gaussian(), MatrixShape(10, 80), SeedSpec(32), 0)
-        s = spectral_summary(X)
-        assert s.method == "dense"
-        assert s.eigenvalues.shape == (10,)
-        assert s.lambda_max == s.eigenvalues[-1]
-        assert 0.0 <= s.ks_to_semicircle <= 1.0
-        payload = json.loads(json.dumps(s.to_json()))
-        assert payload["method"] == "dense"
-        assert len(payload["eigenvalues"]) == 10
-
-    def test_matfree_summary(self):
-        X = sample_matrix(gaussian(), MatrixShape(10, 80), SeedSpec(32), 0)
-        s = spectral_summary(X, method="matfree", tol=1e-10)
-        assert s.eigenvalues is None
-        assert s.ks_to_semicircle is None
-        dense = spectral_summary(X).lambda_max
-        assert s.lambda_max == pytest.approx(dense, abs=1e-9)
-
-    def test_dense_guard(self):
-        entries = np.zeros((2001, 1))
-        entries.setflags(write=False)
-        from covspectrum.ensemble import DataMatrix
-
-        X = DataMatrix(shape=MatrixShape(2001, 1), entries=entries)
-        with pytest.raises(ValidationError):
-            spectral_summary(X, method="dense")
-
     def test_spectrum_csv(self, tmp_path):
         path = tmp_path / "spec.csv"
         spectrum_to_csv(np.array([-1.0, 0.5]), path)
