@@ -3,8 +3,10 @@
 Subcommands: gen, spectrum, esd, covtest, moments, sweep, report.  Each
 declares only the flags it reads: --seed on gen and sweep, --threads on
 sweep, --format on gen and report, --out on the commands that write files
-(gen, esd, sweep, report).  spectrum, esd, covtest and sweep compute each
-quantity through the same spectral functions.
+(gen, esd, sweep, report); each moments mode (classify, exact, bound,
+schedule) is its own subcommand with its own flags.  spectrum, esd,
+covtest and sweep compute each quantity through the same spectral
+functions.
 Exit codes: 0 success, 1 validation error, 2 resource/convergence error,
 3 I/O error.  The output directory comes from --out, falling back to the
 COVSPECTRUM_OUT environment variable, then the current directory.
@@ -107,15 +109,24 @@ def build_parser() -> _Parser:
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--sigma", required=True, help="covariance JSON spec")
 
-    sp = sub.add_parser("moments", help="combinatorial oracles: classify, exact, bound")
-    sp.add_argument("mode", choices=("classify", "exact", "bound", "schedule"))
-    sp.add_argument("--circuit", default=None, help="circuit JSON for classify")
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--c1", type=float, default=2.0)
-    sp.add_argument("--dist", default="rademacher", help="moments source for exact")
+    sp = sub.add_parser("moments", help="combinatorial oracles: classify, exact, bound, schedule")
+    modes = sp.add_subparsers(dest="mode", required=True)
+    mp = modes.add_parser("classify", help="edge taxonomy of one circuit")
+    mp.add_argument("--circuit", required=True, help="circuit JSON")
+    mp = modes.add_parser("exact", help="exact E tr(B^k) by enumeration")
+    mp.add_argument("--p", type=int, required=True)
+    mp.add_argument("--n", type=int, required=True)
+    mp.add_argument("--k", type=int, required=True)
+    mp.add_argument("--dist", default="rademacher", help="entry law whose moments are used")
+    mp = modes.add_parser("bound", help="the sextuple-sum bound on E tr(B^k)")
+    mp.add_argument("--p", type=int, required=True)
+    mp.add_argument("--n", type=int, required=True)
+    mp.add_argument("--k", type=int, required=True)
+    mp.add_argument("--delta", type=float, required=True)
+    mp = modes.add_parser("schedule", help="the proof's conditions on the truncation schedule")
+    mp.add_argument("--p", type=int, required=True)
+    mp.add_argument("--delta", type=float, required=True)
+    mp.add_argument("--c1", type=float, default=2.0)
 
     sp = sub.add_parser("sweep", help="run an ExperimentConfig JSON")
     sp.add_argument("--config", required=True)
@@ -201,25 +212,16 @@ def _cmd_covtest(args) -> int:
     return 0
 
 
-def _require(args, *names) -> None:
-    missing = [name for name in names if getattr(args, name) is None]
-    if missing:
-        raise ValidationError(f"moments {args.mode} requires --{', --'.join(missing)}")
-
-
 def _cmd_moments(args) -> int:
     if args.mode == "classify":
-        _require(args, "circuit")
         print(json.dumps(classify_json(circuit_from_json_str(args.circuit)), sort_keys=True))
         return 0
     if args.mode == "exact":
-        _require(args, "p", "n", "k")
         moments = moment_sequence(_dist_arg(args.dist), 2 * args.k)
         value = exact_trace_moment(args.p, args.n, args.k, moments)
         print(json.dumps({"p": args.p, "n": args.n, "k": args.k, "exact": value}, sort_keys=True))
         return 0
     if args.mode == "bound":
-        _require(args, "p", "n", "k", "delta")
         value = bound_rhs_a13(args.p, args.n, args.k, args.delta)
         print(
             json.dumps(
@@ -228,7 +230,6 @@ def _cmd_moments(args) -> int:
             )
         )
         return 0
-    _require(args, "p", "delta")
     report = check_schedule(args.p, args.delta, C1=args.c1)
     print(json.dumps(report.to_json(), sort_keys=True))
     return 0

@@ -58,13 +58,12 @@ class DistributionSpec:
     """A standardized entry distribution with known closed-form moments.
 
     ``kind`` selects the family; ``df`` parametrizes student-t (df > 2 so
-    the variance exists), ``a``/``q`` parametrize the asymmetric two-point
-    law (value a with probability q before standardization).
+    the variance exists) and ``q`` the two-point law, whose upper atom
+    sqrt((1-q)/q) has probability q.
     """
 
     kind: str
     df: float | None = None
-    a: float | None = None
     q: float | None = None
 
     def __post_init__(self):
@@ -74,12 +73,10 @@ class DistributionSpec:
             if self.df is None or not self.df > 2:
                 raise ValidationError("student-t requires df > 2")
         elif self.kind == "two-point":
-            if self.a is None or self.a == 0:
-                raise ValidationError("two-point requires a != 0")
             if self.q is None or not 0 < self.q < 1:
                 raise ValidationError("two-point requires probability q in (0, 1)")
         else:
-            if self.df is not None or self.a is not None or self.q is not None:
+            if self.df is not None or self.q is not None:
                 raise ValidationError(f"{self.kind} takes no parameters")
 
     @property
@@ -136,55 +133,19 @@ class DistributionSpec:
         )
         return raw / (df / (df - 2.0)) ** (order / 2)
 
-    def pdf(self, x):
-        """Density of the standardized law (continuous kinds only)."""
-        x = np.asarray(x, dtype=float)
-        kind = self.kind
-        if kind == "gaussian":
-            return np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-        if kind == "uniform-symmetric":
-            return np.where(np.abs(x) <= _UNIFORM_HALF_WIDTH, 1.0 / (2 * _UNIFORM_HALF_WIDTH), 0.0)
-        if kind == "centered-exponential":
-            return np.where(x >= -1.0, np.exp(-(x + 1.0)), 0.0)
-        if kind == "student-t":
-            df = self.df
-            s = math.sqrt(df / (df - 2.0))
-            t = x * s
-            coef = math.gamma((df + 1) / 2) / (math.sqrt(df * math.pi) * math.gamma(df / 2))
-            return s * coef * (1.0 + t * t / df) ** (-(df + 1) / 2)
-        raise ValidationError(f"{kind} is discrete; use atoms()")
-
     def atoms(self):
-        """Support points and weights (discrete kinds only)."""
-        if self.kind == "rademacher":
-            return ((-1.0, 0.5), (1.0, 0.5))
-        if self.kind == "two-point":
-            x_hi = math.sqrt((1.0 - self.q) / self.q)
-            x_lo = -math.sqrt(self.q / (1.0 - self.q))
-            return ((x_lo, 1.0 - self.q), (x_hi, self.q))
-        raise ValidationError(f"{self.kind} is continuous; use pdf()")
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.kind in ("rademacher", "two-point")
-
-    @property
-    def support(self):
-        """(lo, hi) of the standardized law (continuous kinds only)."""
-        if self.kind == "uniform-symmetric":
-            return (-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH)
-        if self.kind == "centered-exponential":
-            return (-1.0, math.inf)
-        if self.kind in ("gaussian", "student-t"):
-            return (-math.inf, math.inf)
-        raise ValidationError(f"{self.kind} is discrete; use atoms()")
+        """(value, weight) pairs of the two-point law, lower atom first."""
+        if self.kind != "two-point":
+            raise ValidationError(f"{self.kind} is not the two-point law")
+        x_hi = math.sqrt((1.0 - self.q) / self.q)
+        x_lo = -math.sqrt(self.q / (1.0 - self.q))
+        return ((x_lo, 1.0 - self.q), (x_hi, self.q))
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
         if self.kind == "student-t":
             out["df"] = self.df
         elif self.kind == "two-point":
-            out["a"] = self.a
             out["q"] = self.q
         return out
 
@@ -209,8 +170,8 @@ def student_t(df: float) -> DistributionSpec:
     return DistributionSpec("student-t", df=df)
 
 
-def two_point(a: float, q: float) -> DistributionSpec:
-    return DistributionSpec("two-point", a=a, q=q)
+def two_point(q: float) -> DistributionSpec:
+    return DistributionSpec("two-point", q=q)
 
 
 def distribution_from_json(obj) -> DistributionSpec:
@@ -219,10 +180,10 @@ def distribution_from_json(obj) -> DistributionSpec:
         obj = {"kind": obj}
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("distribution spec must be a kind name or a dict with 'kind'")
-    extra = set(obj) - {"kind", "df", "a", "q"}
+    extra = set(obj) - {"kind", "df", "q"}
     if extra:
         raise ValidationError(f"unknown distribution fields {sorted(extra)}")
-    return DistributionSpec(obj["kind"], df=obj.get("df"), a=obj.get("a"), q=obj.get("q"))
+    return DistributionSpec(obj["kind"], df=obj.get("df"), q=obj.get("q"))
 
 
 def _double_factorial(m: int) -> int:
@@ -268,6 +229,11 @@ def moment_sequence(spec: DistributionSpec, max_order: int) -> tuple:
     return tuple(spec.moment(s) for s in range(1, max_order + 1))
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON true/false must not pass as 1/0)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MatrixShape:
     """Dimension p and sample count n of a p x n data matrix."""
@@ -276,9 +242,9 @@ class MatrixShape:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and self.p >= 1):
+        if not (_is_int(self.p) and self.p >= 1):
             raise ValidationError("p must be a positive integer")
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (_is_int(self.n) and self.n >= 1):
             raise ValidationError("n must be a positive integer")
 
     def ratio(self) -> Fraction:
@@ -303,7 +269,7 @@ class SeedSpec:
     master_seed: int
 
     def __post_init__(self):
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed <= _MASK64:
+        if not _is_int(self.master_seed) or not 0 <= self.master_seed <= _MASK64:
             raise ValidationError("master_seed must be a 64-bit unsigned integer")
 
     def derive(self, p: int, n: int, replicate: int) -> int:

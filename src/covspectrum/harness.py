@@ -29,7 +29,6 @@ from .errors import ValidationError
 from .momentlab import exact_trace_moment
 from .normalize import (
     CovarianceSpec,
-    NormalizationParams,
     build_A,
     build_A1,
     covariance_from_json,
@@ -69,6 +68,7 @@ TASK_NAMES = (
 )
 
 DEFAULT_TAIL_EPS = 0.3
+WILSON_Z = 1.96  # two-sided 95% normal quantile
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.grid) == 0:
             raise ValidationError("grid must be nonempty")
-        if self.replicates < 1:
-            raise ValidationError("replicates must be >= 1")
+        if isinstance(self.replicates, bool) or not isinstance(self.replicates, int) or self.replicates < 1:
+            raise ValidationError("replicates must be an integer >= 1")
+        SeedSpec(self.master_seed)  # a bool, a float or an out-of-range seed fails here
         names = [t.name for t in self.tasks]
         if len(names) != len(set(names)):
             raise ValidationError("duplicate task names would break record uniqueness")
@@ -133,12 +134,11 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, obj) -> "ExperimentConfig":
         try:
-            grid = tuple(MatrixShape(int(p), int(n)) for p, n in obj["grid"])
             return cls(
                 distribution=distribution_from_json(obj["distribution"]),
-                grid=grid,
-                replicates=int(obj.get("replicates", 1)),
-                master_seed=int(obj.get("master_seed", 0)),
+                grid=tuple(MatrixShape(p, n) for p, n in obj["grid"]),
+                replicates=obj.get("replicates", 1),
+                master_seed=obj.get("master_seed", 0),
                 tasks=tuple(TaskSpec.from_json(t) for t in obj.get("tasks", ())),
                 output_dir=obj.get("output_dir"),
             )
@@ -223,7 +223,7 @@ def _execute_task(task: TaskSpec, X: DataMatrix, dist: DistributionSpec):
         err, bound, sigma_norm = covariance_error(X, task.sigma)
         return err, {"bound": bound, "sigma_norm": sigma_norm}
     if name == "truncation_report":
-        _, report = truncation_pipeline(X, NormalizationParams(), spec=dist)
+        _, report = truncation_pipeline(X)
         return float(report.fraction_truncated), {
             "threshold": report.threshold,
             "post_mean": report.post_mean,
@@ -358,7 +358,8 @@ class TailRow:
     wilson_high: float
 
 
-def _wilson(successes: int, total: int, z: float = 1.96):
+def _wilson(successes: int, total: int):
+    z = WILSON_Z
     if total == 0:
         return 0.0, 1.0
     phat = successes / total

@@ -101,9 +101,6 @@ class IndexCircuit:
         ):
             raise ValidationError("star circuit has equal cyclically adjacent I-indices")
 
-    def satisfies_star(self) -> bool:
-        return all(self.i_seq[a] != self.i_seq[(a + 1) % self.k] for a in range(self.k))
-
     def to_json(self) -> dict:
         return {"k": self.k, "i": list(self.i_seq), "j": list(self.j_seq)}
 

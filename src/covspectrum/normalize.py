@@ -9,24 +9,22 @@ Builds every matrix the analysis needs from a p x n data matrix X:
 * ``build_A1`` -- (1/2) sqrt(n/p) (S1 - I), the centered analogue of A;
 * ``build_S2`` -- Sigma^{1/2} S1 Sigma^{1/2} for a population covariance.
 
-Truncation replaces entries exceeding delta * (np)^{1/4} by zero
-(indicator truncation, not winsorizing), then recenters/rescales either
-empirically (exact at finite size) or by population moments of the
-truncated variable (numerical integration).
+``truncation_pipeline`` is the truncation step of the proof, with one
+fixed delta = ``default_delta`` = (np)^{-1/8}: entries exceeding
+delta * (np)^{1/4} become zero (indicator truncation, not winsorizing),
+then the matrix is recentred and rescaled by its own sample mean and sd.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .ensemble import DataMatrix, DistributionSpec, MatrixShape, load_matrix
+from .ensemble import DataMatrix, MatrixShape, load_matrix
 from .errors import DegenerateInputError, ValidationError
 
 __all__ = [
     "CovarianceSpec",
-    "NormalizationParams",
     "TruncationReport",
     "identity_cov",
     "diagonal_cov",
@@ -39,9 +37,6 @@ __all__ = [
     "build_S1",
     "build_A1",
     "default_delta",
-    "truncate",
-    "recenter_rescale",
-    "truncated_population_moments",
     "truncation_pipeline",
     "sqrt_psd",
     "build_S2",
@@ -100,29 +95,6 @@ def build_A1(X) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NormalizationParams:
-    """Truncation delta (None selects ``default_delta``) plus recenter mode."""
-
-    delta: float | None = None
-    recenter_mode: str = "empirical"  # "empirical" or "population"
-
-    def __post_init__(self):
-        if self.delta is not None and not self.delta > 0:
-            raise ValidationError("explicit delta must be > 0")
-        if self.recenter_mode not in ("empirical", "population"):
-            raise ValidationError("recenter_mode must be 'empirical' or 'population'")
-
-    def resolve_delta(self, shape: MatrixShape) -> float:
-        if self.delta is None:
-            return default_delta(shape)
-        if self.delta * (shape.n * shape.p) ** 0.25 <= 1.0:
-            raise ValidationError(
-                "explicit delta too small: delta*(np)^{1/4} must exceed 1 for this shape"
-            )
-        return self.delta
-
-
-@dataclass(frozen=True)
 class TruncationReport:
     threshold: float
     fraction_truncated: float
@@ -135,19 +107,23 @@ def default_delta(shape: MatrixShape) -> float:
     return float(shape.n * shape.p) ** (-0.125)
 
 
-def truncate(X: DataMatrix, delta: float):
-    """Zero out entries with |x| > delta*(np)^{1/4}; report what happened.
+def truncation_pipeline(X):
+    """Truncate at default_delta * (np)^{1/4}, then standardize empirically.
 
-    post_mean / post_sigma2 are the empirical mean and variance of the
-    truncated entries (finite-size stand-ins for the truncated-law moments).
+    Entries with |x| above the threshold become 0; the kept matrix is
+    centred and scaled by its own sample mean and sd, so the output has
+    entrywise mean 0 and variance 1 to machine precision.  The report
+    gives the threshold, the truncated fraction and the output's moments.
     """
-    if not delta > 0:
-        raise ValidationError("delta must be > 0")
     x = _entries(X)
-    p, n = x.shape
-    threshold = delta * float(n * p) ** 0.25
+    shape = MatrixShape(*x.shape)
+    threshold = default_delta(shape) * float(shape.n * shape.p) ** 0.25
     mask = np.abs(x) > threshold
-    out = np.where(mask, 0.0, x)
+    kept = np.where(mask, 0.0, x)
+    scale = float(kept.std())
+    if scale == 0.0 or not math.isfinite(scale):
+        raise DegenerateInputError("zero variance after truncation")
+    out = (kept - float(kept.mean())) / scale
     out.setflags(write=False)
     report = TruncationReport(
         threshold=threshold,
@@ -155,78 +131,7 @@ def truncate(X: DataMatrix, delta: float):
         post_mean=float(out.mean()),
         post_sigma2=float(out.var()),
     )
-    return DataMatrix(shape=MatrixShape(p, n), entries=out, spec=X.spec if isinstance(X, DataMatrix) else None), report
-
-
-def truncated_population_moments(spec: DistributionSpec, threshold: float):
-    """(center, scale) of X * 1{|X| <= threshold} by numerical integration.
-
-    center = E[X 1{|X|<=thr}], scale = sd of the truncated variable.
-    Discrete kinds are summed exactly over their atoms.
-    """
-    if not threshold > 0:
-        raise ValidationError("threshold must be > 0")
-    if spec.is_discrete:
-        m1 = sum(w * x for x, w in spec.atoms() if abs(x) <= threshold)
-        m2 = sum(w * x * x for x, w in spec.atoms() if abs(x) <= threshold)
-    else:
-        lo_s, hi_s = spec.support
-        lo, hi = max(-threshold, lo_s), min(threshold, hi_s)
-        m1, _ = integrate.quad(lambda t: t * spec.pdf(t), lo, hi, limit=200)
-        m2, _ = integrate.quad(lambda t: t * t * spec.pdf(t), lo, hi, limit=200)
-    var = m2 - m1 * m1
-    if var <= 0:
-        raise DegenerateInputError("truncated variable has zero variance")
-    return float(m1), float(math.sqrt(var))
-
-
-def recenter_rescale(
-    Xhat: DataMatrix,
-    mode: str = "empirical",
-    spec: DistributionSpec | None = None,
-    threshold: float | None = None,
-) -> DataMatrix:
-    """(Xhat - center) / scale.
-
-    empirical mode uses the sample mean/sd of the entries (output has
-    entrywise mean 0 and variance 1 to machine precision); population
-    mode uses the truncated-law moments, which requires the distribution
-    and the truncation threshold.
-    """
-    x = _entries(Xhat)
-    if mode == "empirical":
-        center = float(x.mean())
-        scale = float(x.std())
-        if scale == 0.0 or not math.isfinite(scale):
-            raise DegenerateInputError("zero variance after truncation")
-    elif mode == "population":
-        if spec is None or threshold is None:
-            raise ValidationError("population mode requires the distribution spec and threshold")
-        center, scale = truncated_population_moments(spec, threshold)
-    else:
-        raise ValidationError("mode must be 'empirical' or 'population'")
-    out = (x - center) / scale
-    out.setflags(write=False)
-    shape = Xhat.shape if isinstance(Xhat, DataMatrix) else MatrixShape(*x.shape)
-    return DataMatrix(shape=shape, entries=out, spec=spec)
-
-
-def truncation_pipeline(
-    X: DataMatrix, params: NormalizationParams = NormalizationParams(), spec: DistributionSpec | None = None
-):
-    """truncate then recenter/rescale; the report describes the final matrix."""
-    shape = X.shape if isinstance(X, DataMatrix) else MatrixShape(*_entries(X).shape)
-    delta = params.resolve_delta(shape)
-    truncated, report = truncate(X, delta)
-    spec = spec if spec is not None else getattr(X, "spec", None)
-    out = recenter_rescale(truncated, params.recenter_mode, spec=spec, threshold=report.threshold)
-    final = TruncationReport(
-        threshold=report.threshold,
-        fraction_truncated=report.fraction_truncated,
-        post_mean=float(out.entries.mean()),
-        post_sigma2=float(out.entries.var()),
-    )
-    return out, final
+    return DataMatrix(shape=shape, entries=out), report
 
 
 # ---------------------------------------------------------------------------

@@ -145,18 +145,18 @@ def _svg_scatter(points, medians, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_report(records, fmt: str, out_dir, basename: str = "report") -> list:
+def emit_report(records, fmt: str, out_dir) -> list:
     """Write records in the requested format; returns the written paths."""
     from .harness import summarize  # local import to avoid a cycle
 
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     if fmt == "csv":
-        rec_path = os.path.join(out_dir, f"{basename}_records.csv")
+        rec_path = os.path.join(out_dir, "report_records.csv")
         records_to_csv(records, rec_path)
         paths.append(rec_path)
         if records:
-            sum_path = os.path.join(out_dir, f"{basename}_summary.csv")
+            sum_path = os.path.join(out_dir, "report_summary.csv")
             summary_to_csv(summarize(records), sum_path)
             paths.append(sum_path)
         return paths
@@ -190,7 +190,7 @@ def emit_report(records, fmt: str, out_dir, basename: str = "report") -> list:
                 }
                 for s in summarize(records)
             ]
-        path = os.path.join(out_dir, f"{basename}.json")
+        path = os.path.join(out_dir, "report.json")
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -210,7 +210,7 @@ def emit_report(records, fmt: str, out_dir, basename: str = "report") -> list:
             medians = sorted(
                 (ratio, sorted(vals)[(len(vals) - 1) // 2]) for ratio, vals in med.items()
             )
-            path = os.path.join(out_dir, f"{basename}_{task}.svg")
+            path = os.path.join(out_dir, f"report_{task}.svg")
             with open(path, "w") as fh:
                 fh.write(_svg_scatter(points, medians, task))
             paths.append(path)

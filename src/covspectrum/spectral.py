@@ -40,6 +40,8 @@ DENSE_P_LIMIT = 2000
 # Lanczos basis vectors kept before a restart: 8.6 MB at p = 2100, next to
 # the 134 MB of a p x 4p input.  A solve at the spectral edge needs ~100-250.
 MAX_BASIS = 512
+# Largest entrywise asymmetry eigvals_sym accepts as rounding.
+SYMMETRY_ATOL = 1e-10
 
 
 def semicircle_pdf(x):
@@ -60,16 +62,16 @@ def semicircle_cdf(x):
     return out if out.ndim else float(out)
 
 
-def eigvals_sym(M, atol: float = 1e-10) -> np.ndarray:
+def eigvals_sym(M) -> np.ndarray:
     """Full ascending spectrum of a symmetric matrix.
 
-    Rejects matrices whose asymmetry exceeds ``atol``; the remaining
+    Rejects matrices whose asymmetry exceeds ``SYMMETRY_ATOL``; the remaining
     rounding asymmetry is symmetrized away before the decomposition.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {M.shape}")
-    if M.shape[0] > 1 and float(np.max(np.abs(M - M.T))) > atol:
+    if M.shape[0] > 1 and float(np.max(np.abs(M - M.T))) > SYMMETRY_ATOL:
         raise ValidationError("matrix is not symmetric within tolerance")
     return np.linalg.eigvalsh((M + M.T) / 2.0)
 

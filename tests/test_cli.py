@@ -46,6 +46,15 @@ class TestGenAndSpectrum:
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip().endswith(".csv")
 
+    def test_gen_rejects_two_point_a(self, tmp_path):
+        res = run_cli(
+            "gen", "--dist", '{"kind": "two-point", "a": 1, "q": 0.3}', "--p", "3", "--n", "6",
+            "--out", str(tmp_path),
+        )
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and "'a'" in res.stderr
+        assert not list(tmp_path.iterdir())
+
     def test_gen_determinism(self, tmp_path):
         args = ["gen", "--dist", "gaussian", "--p", "5", "--n", "8", "--seed", "3"]
         run_cli(*args, "--out", str(tmp_path / "a"))
@@ -152,6 +161,7 @@ class TestCovtestAndMoments:
     def test_missing_required_knob_is_validation_error(self):
         res = run_cli("moments", "exact", "--p", "3")
         assert res.returncode == 1
+        assert res.stderr.startswith("error:") and "--n" in res.stderr
 
 
 class TestOneCodePath:
@@ -236,8 +246,29 @@ class TestSweepAndReport:
 
     @pytest.mark.parametrize(
         "text",
-        ["{not json", json.dumps({"distribution": "gaussian", "grid": [[10, 100]], "replicates": "x"})],
-        ids=["not-json", "bad-replicates"],
+        ["{not json"]
+        + [
+            json.dumps({"distribution": "gaussian", "grid": [[10, 100]], **fields})
+            for fields in (
+                {"replicates": "x"},
+                {"grid": [[10.7, 100]]},
+                {"grid": [[10, True]]},
+                {"replicates": 2.5},
+                {"replicates": True},
+                {"master_seed": 1.5},
+                {"master_seed": True},
+            )
+        ],
+        ids=[
+            "not-json",
+            "bad-replicates",
+            "float-grid",
+            "bool-grid",
+            "float-replicates",
+            "bool-replicates",
+            "float-master-seed",
+            "bool-master-seed",
+        ],
     )
     def test_malformed_config_is_validation_error(self, tmp_path, text):
         config = tmp_path / "config.json"
@@ -291,27 +322,51 @@ class TestExitCodes:
         assert "covspectrum" in res.stdout
 
 
+def _declared_options(parser, prefix=""):
+    """Subcommand path -> option strings, walking nested subparsers."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sp in action.choices.items():
+                path = f"{prefix} {name}".strip()
+                out[path] = {opt for a in sp._actions for opt in a.option_strings} - {"-h", "--help"}
+                out.update(_declared_options(sp, path))
+    return out
+
+
 class TestParser:
     OPTIONS = {
         "gen": {"--dist", "--p", "--n", "--replicate", "--name", "--seed", "--format", "--out"},
         "spectrum": {"--in", "--method", "--tol", "--max-iter"},
         "esd": {"--in", "--out"},
         "covtest": {"--in", "--sigma"},
-        "moments": {"--circuit", "--p", "--n", "--k", "--delta", "--c1", "--dist"},
+        "moments": set(),
+        "moments classify": {"--circuit"},
+        "moments exact": {"--p", "--n", "--k", "--dist"},
+        "moments bound": {"--p", "--n", "--k", "--delta"},
+        "moments schedule": {"--p", "--delta", "--c1"},
         "sweep": {"--config", "--seed", "--threads", "--out"},
         "report": {"--records", "--format", "--out"},
     }
 
     def test_each_subcommand_declares_only_what_it_reads(self):
-        parser = cli.build_parser()
-        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        found = {
-            name: {opt for action in sp._actions for opt in action.option_strings} - {"-h", "--help"}
-            for name, sp in sub.choices.items()
-        }
-        assert found == self.OPTIONS
+        assert _declared_options(cli.build_parser()) == self.OPTIONS
 
     def test_flag_a_subcommand_does_not_read_is_rejected(self, tmp_path):
         res = run_cli("spectrum", "--in", str(tmp_path / "missing.bin"), "--threads", "2")
         assert res.returncode == 1
         assert res.stderr.startswith("error:") and "--threads" in res.stderr
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bound", "--p", "3", "--n", "9", "--k", "1", "--delta", "0.5", "--circuit", "junk"], "--circuit"),
+            (["bound", "--p", "3", "--n", "9", "--k", "1", "--delta", "0.5", "--dist", "nonsense"], "--dist"),
+            (["schedule", "--p", "1000", "--delta", "0.2", "--n", "5"], "--n"),
+        ],
+        ids=["bound-circuit", "bound-dist", "schedule-n"],
+    )
+    def test_moments_mode_rejects_flags_it_does_not_read(self, argv, flag):
+        res = run_cli("moments", *argv)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and flag in res.stderr

@@ -69,12 +69,12 @@ class TestStandardizedMoments:
         assert gaussian().moment(8) == 105.0
 
     def test_two_point_symmetric_reduces_to_rademacher(self):
-        m = standardized_moments(two_point(a=1.0, q=0.5))
+        m = standardized_moments(two_point(q=0.5))
         assert (m.m1, m.m2, m.m3, m.m4) == (0.0, 1.0, 0.0, 1.0)
 
     def test_two_point_asymmetric(self):
         q = 0.2
-        m = standardized_moments(two_point(a=3.0, q=q))
+        m = standardized_moments(two_point(q=q))
         assert m.m1 == pytest.approx(0.0, abs=1e-15)
         assert m.m2 == pytest.approx(1.0, abs=1e-15)
         # closed forms for the standardized two-point law
@@ -91,9 +91,7 @@ class TestStandardizedMoments:
         with pytest.raises(ValidationError):
             student_t(2.0)
         with pytest.raises(ValidationError):
-            two_point(a=0.0, q=0.5)
-        with pytest.raises(ValidationError):
-            two_point(a=1.0, q=1.0)
+            two_point(q=1.0)
         with pytest.raises(ValidationError):
             DistributionSpec("lognormal")
         with pytest.raises(ValidationError):
@@ -105,7 +103,7 @@ class TestStandardizedMoments:
             moment_sequence(rademacher(), 0)
 
     def test_json_round_trip(self):
-        for spec in (gaussian(), student_t(5), two_point(a=2.0, q=0.25)):
+        for spec in (gaussian(), student_t(5), two_point(q=0.25)):
             assert distribution_from_json(spec.to_json()) == spec
         assert distribution_from_json("rademacher") == rademacher()
         with pytest.raises(ValidationError):
@@ -150,7 +148,7 @@ class TestSampling:
         assert not np.array_equal(a.entries, b.entries)
 
     def test_two_point_support(self):
-        X = sample_matrix(two_point(a=1.0, q=0.5), MatrixShape(10, 50), SeedSpec(3), 0)
+        X = sample_matrix(two_point(q=0.5), MatrixShape(10, 50), SeedSpec(3), 0)
         assert set(np.unique(X.entries)) <= {-1.0, 1.0}
 
     def test_gaussian_empirical_moments_clt_sized(self):
@@ -168,7 +166,7 @@ class TestSampling:
             uniform_symmetric(),
             centered_exponential(),
             student_t(5),
-            two_point(a=1.0, q=0.3),
+            two_point(q=0.3),
         ):
             X = sample_matrix(spec, shape, SeedSpec(99), 0)
             report = empirical_moment_report(X)

@@ -4,23 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
 
 from covspectrum.ensemble import (
     DataMatrix,
     MatrixShape,
     SeedSpec,
     gaussian,
-    rademacher,
     sample_matrix,
     student_t,
-    two_point,
     uniform_symmetric,
 )
 from covspectrum.errors import DegenerateInputError, ValidationError
 from covspectrum.normalize import (
     CovarianceSpec,
-    NormalizationParams,
     build_A,
     build_A1,
     build_B,
@@ -31,11 +27,8 @@ from covspectrum.normalize import (
     diagonal_cov,
     explicit_cov,
     identity_cov,
-    recenter_rescale,
     sqrt_psd,
     toeplitz_cov,
-    truncate,
-    truncated_population_moments,
     truncation_pipeline,
 )
 
@@ -179,144 +172,71 @@ class TestDefaultDelta:
 
 
 class TestTruncate:
+    """The truncation step of ``truncation_pipeline``: |x| > (np)^{1/8} becomes 0."""
+
     def test_no_op_below_threshold(self):
+        # threshold = (np)^{1/8} = 4^{1/8} > 1 for p = n = 2: nothing truncated
         X = _as_matrix([[0.5, -0.25], [0.1, 0.0]])
-        out, report = truncate(X, delta=10.0)
-        assert np.array_equal(out.entries, X.entries)
+        out, report = truncation_pipeline(X)
         assert report.fraction_truncated == 0.0
+        expected = (X.entries - X.entries.mean()) / X.entries.std()
+        assert np.array_equal(out.entries, expected)
 
     def test_indicator_truncation_to_zero(self):
-        # threshold = delta * (np)^{1/4} = 1 for p=1, n=2, delta = 2^{-1/4}
-        X = _as_matrix([[10.0, 0.1]])
-        out, report = truncate(X, delta=2.0**-0.25)
-        assert report.threshold == pytest.approx(1.0, rel=1e-15)
-        np.testing.assert_allclose(out.entries, [[0.0, 0.1]], atol=0)
-        assert report.fraction_truncated == 0.5
+        # threshold = (np)^{1/8} = 2^{1/4} for p=1, n=4: only 10.0 exceeds it
+        out, report = truncation_pipeline(_as_matrix([[10.0, 1.0, -1.0, 0.0]]))
+        assert report.threshold == pytest.approx(2.0**0.25, rel=1e-15)
+        assert report.fraction_truncated == 0.25
+        # kept entries [0, 1, -1, 0] have mean 0 and sd 1/sqrt(2)
+        np.testing.assert_allclose(out.entries, [[0.0, math.sqrt(2), -math.sqrt(2), 0.0]], rtol=1e-15, atol=0)
+        assert not out.entries.flags.writeable
 
     def test_gaussian_default_delta_truncates_almost_nothing(self):
         X = sample_matrix(gaussian(), MatrixShape(200, 20000), SeedSpec(123), 0)
-        out, report = truncate(X, default_delta(X.shape))
+        _, report = truncation_pipeline(X)
         # threshold ~ 6.69 sd; the expected exceedance count is ~1e-4 entries
         assert report.fraction_truncated <= 1e-6
 
-    def test_idempotent(self):
-        X = sample_matrix(student_t(5), MatrixShape(50, 200), SeedSpec(8), 0)
-        delta = 0.5
-        once, r1 = truncate(X, delta)
-        twice, r2 = truncate(once, delta)
-        assert np.array_equal(once.entries, twice.entries)
-        assert r2.fraction_truncated == 0.0
-
-    def test_delta_validation(self):
-        with pytest.raises(ValidationError):
-            truncate(_as_matrix([[1.0]]), 0.0)
-
 
 class TestRecenterRescale:
+    """The empirical standardization step of ``truncation_pipeline``."""
+
     def test_fixed_point_when_already_standardized(self):
+        # threshold = 2^{1/8} > 1 for p=1, n=2: nothing truncated
         X = _as_matrix([[-1.0, 1.0]])
-        out = recenter_rescale(X, "empirical")
+        out, _ = truncation_pipeline(X)
         assert np.array_equal(out.entries, X.entries)
 
     def test_two_entry_example(self):
-        out = recenter_rescale(_as_matrix([[1.0, 3.0]]), "empirical")
-        np.testing.assert_allclose(out.entries, [[-1.0, 1.0]], atol=0)
+        # 3.0 exceeds the threshold 2^{1/8}; [1, 0] standardizes to [1, -1]
+        out, _ = truncation_pipeline(_as_matrix([[1.0, 3.0]]))
+        np.testing.assert_allclose(out.entries, [[1.0, -1.0]], atol=0)
 
     def test_empirical_exactness(self):
         X = sample_matrix(uniform_symmetric(), MatrixShape(30, 100), SeedSpec(10), 0)
-        out = recenter_rescale(X, "empirical")
+        out, report = truncation_pipeline(X)
+        assert report.fraction_truncated == 0.0  # the support ends at sqrt(3) < 3000^{1/8}
         assert abs(float(out.entries.mean())) <= 1e-15
         assert abs(float(out.entries.var() - 1.0)) <= 1e-12
 
     def test_degenerate_input(self):
         with pytest.raises(DegenerateInputError):
-            recenter_rescale(_as_matrix([[2.0, 2.0], [2.0, 2.0]]), "empirical")
-
-    def test_population_mode_needs_spec_and_threshold(self):
-        X = _as_matrix([[0.1, -0.2]])
-        with pytest.raises(ValidationError):
-            recenter_rescale(X, "population")
-
-    def test_population_gaussian_near_identity_at_default_threshold(self):
-        thr = (200 * 20000) ** 0.125  # ~6.687
-        center, scale = truncated_population_moments(gaussian(), thr)
-        # closed-form oracle: E[X 1] = 0 by symmetry,
-        # E[X^2 1{|X|<=t}] = erf(t/sqrt(2)) - 2 t phi(t)
-        oracle_scale = math.sqrt(
-            special.erf(thr / math.sqrt(2)) - 2 * thr * stats.norm.pdf(thr)
-        )
-        assert abs(center) <= 1e-9
-        assert abs(scale - 1.0) <= 1e-9
-        assert scale == pytest.approx(oracle_scale, abs=1e-12)
-
-
-class TestTruncatedPopulationMoments:
-    def test_student_t5_against_scipy_oracle(self):
-        sd = math.sqrt(5.0 / 3.0)
-        thr = 6.687
-        m1_oracle, _ = integrate.quad(
-            lambda x: x * stats.t.pdf(x * sd, 5) * sd, -thr, thr, limit=400
-        )
-        m2_oracle, _ = integrate.quad(
-            lambda x: x * x * stats.t.pdf(x * sd, 5) * sd, -thr, thr, limit=400
-        )
-        center, scale = truncated_population_moments(student_t(5), thr)
-        assert center == pytest.approx(m1_oracle, abs=1e-10)
-        assert scale == pytest.approx(math.sqrt(m2_oracle - m1_oracle**2), abs=1e-10)
-
-    def test_uniform_unaffected_beyond_support(self):
-        center, scale = truncated_population_moments(uniform_symmetric(), 2.0)
-        assert center == pytest.approx(0.0, abs=1e-12)
-        assert scale == pytest.approx(1.0, abs=1e-10)
-
-    def test_exponential_against_scipy_oracle(self):
-        from covspectrum.ensemble import centered_exponential
-
-        thr = 3.0
-        m1_oracle, _ = integrate.quad(lambda x: x * stats.expon.pdf(x + 1), -1, thr)
-        m2_oracle, _ = integrate.quad(lambda x: x * x * stats.expon.pdf(x + 1), -1, thr)
-        center, scale = truncated_population_moments(centered_exponential(), thr)
-        assert center == pytest.approx(m1_oracle, abs=1e-10)
-        assert scale == pytest.approx(math.sqrt(m2_oracle - m1_oracle**2), abs=1e-10)
-
-    def test_discrete_atoms_summed_exactly(self):
-        center, scale = truncated_population_moments(rademacher(), 1.5)
-        assert (center, scale) == (0.0, 1.0)
-        spec = two_point(a=1.0, q=0.2)  # atoms at -0.5 and 2.0
-        center, scale = truncated_population_moments(spec, 1.0)
-        # only the -0.5 atom survives truncation at 1.0
-        assert center == pytest.approx(0.8 * -0.5)
+            truncation_pipeline(_as_matrix([[2.0, 2.0], [2.0, 2.0]]))  # every entry truncated
         with pytest.raises(DegenerateInputError):
-            truncated_population_moments(spec, 0.4)  # every atom truncated
+            truncation_pipeline(_as_matrix([[0.5, 0.5]]))  # constant, nothing truncated
 
 
 class TestPipeline:
     def test_empirical_pipeline_machine_precision(self):
         X = sample_matrix(student_t(5), MatrixShape(60, 400), SeedSpec(11), 0)
-        out, report = truncation_pipeline(X, NormalizationParams())
+        out, report = truncation_pipeline(X)
+        assert report.threshold == pytest.approx(default_delta(X.shape) * (60 * 400) ** 0.25)
+        assert 0.0 < report.fraction_truncated < 0.05
+        # the report describes the returned matrix
+        assert report.post_mean == float(out.entries.mean())
+        assert report.post_sigma2 == float(out.entries.var())
         assert abs(report.post_mean) <= 1e-15
         assert abs(report.post_sigma2 - 1.0) <= 1e-12
-        assert report.threshold == pytest.approx(default_delta(X.shape) * (60 * 400) ** 0.25)
-
-    def test_population_pipeline(self):
-        X = sample_matrix(gaussian(), MatrixShape(50, 500), SeedSpec(12), 0)
-        params = NormalizationParams(recenter_mode="population")
-        out, report = truncation_pipeline(X, params, spec=gaussian())
-        # gaussian at this threshold: scale ~ 1 - 1e-5, so output is near input
-        assert abs(report.post_mean) <= 0.05
-        assert abs(report.post_sigma2 - 1.0) <= 0.1
-
-    def test_explicit_delta_must_clear_one(self):
-        X = sample_matrix(gaussian(), MatrixShape(4, 4), SeedSpec(0), 0)
-        params = NormalizationParams(delta=0.01)
-        with pytest.raises(ValidationError):
-            truncation_pipeline(X, params)
-
-    def test_params_validation(self):
-        with pytest.raises(ValidationError):
-            NormalizationParams(delta=0.0)
-        with pytest.raises(ValidationError):
-            NormalizationParams(recenter_mode="mystery")
 
 
 class TestSqrtPsd:
