@@ -98,8 +98,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("spectrum", help="largest eigenvalue of one matrix, dense or matrix-free")
     sp.add_argument("--in", dest="infile", required=True, help="matrix file from gen")
     sp.add_argument("--method", default="dense", choices=("dense", "matfree"))
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--max-iter", type=int, default=20000)
+    sp.add_argument("--tol", type=float, default=None, help="matfree only (default: the solver's)")
+    sp.add_argument("--max-iter", type=int, default=None, help="matfree only (default: the solver's)")
 
     sp = sub.add_parser("esd", help="full spectrum plus KS distance to the semicircle law")
     sp.add_argument("--in", dest="infile", required=True)
@@ -160,20 +160,24 @@ def _cmd_gen(args) -> int:
 
 def _dense_spectrum(X):
     """Ascending eigenvalues of build_A(X), for p within dense reach."""
-    if X.p > DENSE_P_LIMIT:
+    if X.shape[0] > DENSE_P_LIMIT:
         raise ValidationError(f"dense spectra are limited to p <= {DENSE_P_LIMIT}")
     return eigvals_sym(build_A(X))
 
 
 def _cmd_spectrum(args) -> int:
+    solver = {key: value for key, value in (("tol", args.tol), ("max_iter", args.max_iter)) if value is not None}
+    if args.method == "dense" and solver:
+        raise ValidationError("--tol and --max-iter apply only to --method matfree")
     X = load_matrix(args.infile)
-    out = {"p": X.p, "n": X.n, "method": args.method}
+    p, n = X.shape
+    out = {"p": p, "n": n, "method": args.method}
     if args.method == "dense":
         eigs = _dense_spectrum(X)
         out["lambda_max"] = float(eigs[-1])
         out["ks_to_semicircle"] = ks_distance(eigs)
     else:
-        out["lambda_max"], _ = lambda_max_matfree(X, tol=args.tol, max_iter=args.max_iter)
+        out["lambda_max"], _ = lambda_max_matfree(X, **solver)
     out["diag_max_dev"] = diag_max_dev(X)
     print(json.dumps(out, sort_keys=True))
     return 0

@@ -1,18 +1,21 @@
 """Deterministic generation of i.i.d. data matrices from standardized laws.
 
-Every built-in distribution is standardized in closed form (location and
-scale chosen analytically), so the population mean is exactly 0 and the
-population variance exactly 1 -- no post-hoc sample standardization.
-Sampling is a pure function of (distribution, shape, seed, replicate):
-the per-matrix stream seed is derived by avalanche mixing, which makes
-sweeps parallelizable with scheduling-independent output.
+A data matrix is a read-only float64 ``(p, n)`` ndarray: ``sample_matrix``
+and ``load_matrix`` return one, and every consumer reads p and n from its
+``shape``.  Every built-in distribution is standardized in closed form
+(location and scale chosen analytically), so the population mean is
+exactly 0 and the population variance exactly 1 -- no post-hoc sample
+standardization.  Sampling is a pure function of (distribution, shape,
+seed, replicate): the per-matrix stream seed is derived by avalanche
+mixing, which makes sweeps parallelizable with scheduling-independent
+output.
 """
 
 import csv
 import math
+import numbers
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,9 +25,6 @@ __all__ = [
     "DistributionSpec",
     "MatrixShape",
     "SeedSpec",
-    "DataMatrix",
-    "StandardizedMoments",
-    "EmpiricalMomentReport",
     "gaussian",
     "rademacher",
     "uniform_symmetric",
@@ -32,10 +32,8 @@ __all__ = [
     "student_t",
     "two_point",
     "distribution_from_json",
-    "standardized_moments",
     "moment_sequence",
     "sample_matrix",
-    "empirical_moment_report",
     "save_matrix",
     "load_matrix",
     "matrix_to_csv",
@@ -70,20 +68,14 @@ class DistributionSpec:
         if self.kind not in KINDS:
             raise ValidationError(f"unknown distribution kind {self.kind!r}")
         if self.kind == "student-t":
-            if self.df is None or not self.df > 2:
-                raise ValidationError("student-t requires df > 2")
+            if not (_is_real(self.df) and self.df > 2):
+                raise ValidationError("student-t requires a finite number df > 2")
         elif self.kind == "two-point":
-            if self.q is None or not 0 < self.q < 1:
-                raise ValidationError("two-point requires probability q in (0, 1)")
+            if not (_is_real(self.q) and 0 < self.q < 1):
+                raise ValidationError("two-point requires a probability q in (0, 1)")
         else:
             if self.df is not None or self.q is not None:
                 raise ValidationError(f"{self.kind} takes no parameters")
-
-    @property
-    def fourth_moment_finite(self) -> bool:
-        if self.kind == "student-t":
-            return self.df > 4
-        return True
 
     def moment(self, order: int) -> float:
         """Population moment E[X^order] of the standardized law.
@@ -202,26 +194,6 @@ def _subfactorial(s: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class StandardizedMoments:
-    m1: float
-    m2: float
-    m3: float
-    m4: float
-    m4_finite: bool
-
-
-def standardized_moments(spec: DistributionSpec) -> StandardizedMoments:
-    """First four closed-form moments of the standardized law."""
-    return StandardizedMoments(
-        m1=spec.moment(1),
-        m2=spec.moment(2),
-        m3=spec.moment(3),
-        m4=spec.moment(4),
-        m4_finite=spec.fourth_moment_finite,
-    )
-
-
 def moment_sequence(spec: DistributionSpec, max_order: int) -> tuple:
     """(m1, ..., m_max_order) as needed by the trace-moment oracles."""
     if max_order < 1:
@@ -232,6 +204,11 @@ def moment_sequence(spec: DistributionSpec, max_order: int) -> tuple:
 def _is_int(value) -> bool:
     """An int that is not a bool (JSON true/false must not pass as 1/0)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -246,10 +223,6 @@ class MatrixShape:
             raise ValidationError("p must be a positive integer")
         if not (_is_int(self.n) and self.n >= 1):
             raise ValidationError("n must be a positive integer")
-
-    def ratio(self) -> Fraction:
-        """p/n as an exact rational."""
-        return Fraction(self.p, self.n)
 
 
 _MASK64 = (1 << 64) - 1
@@ -284,35 +257,13 @@ class SeedSpec:
         return h
 
 
-@dataclass(frozen=True)
-class DataMatrix:
-    """A p x n real matrix together with its generation provenance."""
-
-    shape: MatrixShape
-    entries: np.ndarray
-    spec: DistributionSpec | None = None
-    seed: SeedSpec | None = None
-    replicate: int | None = None
-
-    def __post_init__(self):
-        if self.entries.shape != (self.shape.p, self.shape.n):
-            raise ValidationError(
-                f"entries shape {self.entries.shape} != declared ({self.shape.p}, {self.shape.n})"
-            )
-
-    @property
-    def p(self) -> int:
-        return self.shape.p
-
-    @property
-    def n(self) -> int:
-        return self.shape.n
-
-
 def sample_matrix(
     spec: DistributionSpec, shape: MatrixShape, seed: SeedSpec, replicate: int = 0
-) -> DataMatrix:
-    """Draw p*n i.i.d. standardized entries; bit-identical for identical inputs."""
+) -> np.ndarray:
+    """Draw p*n i.i.d. standardized entries as a read-only (p, n) array.
+
+    Bit-identical for identical inputs.
+    """
     if replicate < 0:
         raise ValidationError("replicate index must be >= 0")
     rng = np.random.default_rng(seed.derive(shape.p, shape.n, replicate))
@@ -332,28 +283,7 @@ def sample_matrix(
         (x_lo, w_lo), (x_hi, _) = spec.atoms()
         entries = np.where(rng.random(size=size) < w_lo, x_lo, x_hi)
     entries.setflags(write=False)
-    return DataMatrix(shape=shape, entries=entries, spec=spec, seed=seed, replicate=replicate)
-
-
-@dataclass(frozen=True)
-class EmpiricalMomentReport:
-    m1: float
-    m2: float
-    m3: float
-    m4: float
-    max_abs: float
-
-
-def empirical_moment_report(X: DataMatrix) -> EmpiricalMomentReport:
-    """First four empirical moments and the largest |entry|."""
-    e = X.entries
-    return EmpiricalMomentReport(
-        m1=float(np.mean(e)),
-        m2=float(np.mean(e**2)),
-        m3=float(np.mean(e**3)),
-        m4=float(np.mean(e**4)),
-        max_abs=float(np.max(np.abs(e))) if e.size else 0.0,
-    )
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -362,33 +292,36 @@ def empirical_moment_report(X: DataMatrix) -> EmpiricalMomentReport:
 _MAGIC = b"COVSPEC-MAT-v01\n"  # 16 bytes, magic + version
 
 
-def save_matrix(X: DataMatrix, path) -> None:
+def save_matrix(X: np.ndarray, path) -> None:
     """Binary dump: 16-byte header, p and n as u64 LE, then row-major f64 LE."""
+    p, n = X.shape
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<QQ", X.p, X.n))
-        fh.write(np.ascontiguousarray(X.entries, dtype="<f8").tobytes())
+        fh.write(struct.pack("<QQ", p, n))
+        fh.write(np.ascontiguousarray(X, dtype="<f8").tobytes())
 
 
-def load_matrix(path) -> DataMatrix:
+def load_matrix(path) -> np.ndarray:
+    """Read a save_matrix file back as a read-only float64 (p, n) array."""
     with open(path, "rb") as fh:
         magic = fh.read(16)
         if magic != _MAGIC:
             raise ValidationError(f"{path}: not a covspectrum matrix file")
         p, n = struct.unpack("<QQ", fh.read(16))
+        MatrixShape(p, n)  # p, n >= 1
         raw = fh.read(8 * p * n)
         if len(raw) != 8 * p * n:
             raise ValidationError(f"{path}: truncated matrix payload")
-    entries = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(int(p), int(n))
+    entries = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(p, n)
     if not np.isfinite(entries).all():
         raise ValidationError(f"{path}: matrix has non-finite entries")
     entries.setflags(write=False)
-    return DataMatrix(shape=MatrixShape(int(p), int(n)), entries=entries)
+    return entries
 
 
-def matrix_to_csv(X: DataMatrix, path) -> None:
+def matrix_to_csv(X: np.ndarray, path) -> None:
     """CSV export, one line per matrix row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        for row in X.entries:
+        for row in X:
             writer.writerow([repr(float(v)) for v in row])

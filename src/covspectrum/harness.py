@@ -17,10 +17,10 @@ import numpy as np
 
 from . import reports
 from .ensemble import (
-    DataMatrix,
     DistributionSpec,
     MatrixShape,
     SeedSpec,
+    _is_int,
     distribution_from_json,
     moment_sequence,
     sample_matrix,
@@ -84,8 +84,8 @@ class TaskSpec:
             raise ValidationError(f"unknown task {self.name!r}")
         if self.name == "cov_rate" and self.sigma is None:
             raise ValidationError("cov_rate requires a covariance spec")
-        if self.name == "moment_check" and (self.k is None or self.k < 1):
-            raise ValidationError("moment_check requires k >= 1")
+        if self.name == "moment_check" and not (_is_int(self.k) and self.k >= 1):
+            raise ValidationError("moment_check requires an integer k >= 1")
 
     @classmethod
     def from_json(cls, obj) -> "TaskSpec":
@@ -116,7 +116,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.grid) == 0:
             raise ValidationError("grid must be nonempty")
-        if isinstance(self.replicates, bool) or not isinstance(self.replicates, int) or self.replicates < 1:
+        if not (_is_int(self.replicates) and self.replicates >= 1):
             raise ValidationError("replicates must be an integer >= 1")
         SeedSpec(self.master_seed)  # a bool, a float or an out-of-range seed fails here
         names = [t.name for t in self.tasks]
@@ -201,10 +201,11 @@ def _run_tasks(config: ExperimentConfig, shape: MatrixShape, replicate: int) -> 
     return records
 
 
-def _execute_task(task: TaskSpec, X: DataMatrix, dist: DistributionSpec):
+def _execute_task(task: TaskSpec, X: np.ndarray, dist: DistributionSpec):
     name = task.name
+    p, n = X.shape
     if name == "lambda_max":
-        if X.p <= DENSE_P_LIMIT:
+        if p <= DENSE_P_LIMIT:
             A = build_A(X)
             lam = float(eigvals_sym(A)[-1])
             np.fill_diagonal(A, 0.0)
@@ -231,7 +232,7 @@ def _execute_task(task: TaskSpec, X: DataMatrix, dist: DistributionSpec):
         }
     # moment_check
     moments = moment_sequence(dist, 2 * task.k)
-    return float(exact_trace_moment(X.p, X.n, task.k, moments)), {"k": task.k}
+    return float(exact_trace_moment(p, n, task.k, moments)), {"k": task.k}
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 0, out_dir: str | None = None) -> list:

@@ -36,6 +36,7 @@ from fractions import Fraction
 
 from scipy.special import logsumexp
 
+from .ensemble import _is_int
 from .errors import ResourceError, ValidationError
 
 __all__ = [
@@ -90,11 +91,11 @@ class IndexCircuit:
     star: bool = False
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError("k must be >= 1")
+        if not (_is_int(self.k) and self.k >= 1):
+            raise ValidationError("k must be an integer >= 1")
         if len(self.i_seq) != self.k or len(self.j_seq) != self.k:
             raise ValidationError("i_seq and j_seq must both have length k")
-        if any((not isinstance(v, int)) or v < 1 for v in self.i_seq + self.j_seq):
+        if not all(_is_int(v) and v >= 1 for v in self.i_seq + self.j_seq):
             raise ValidationError("indices must be integers >= 1")
         if self.star and any(
             self.i_seq[a] == self.i_seq[(a + 1) % self.k] for a in range(self.k)
@@ -107,7 +108,7 @@ class IndexCircuit:
     @classmethod
     def from_json(cls, obj, star: bool = False) -> "IndexCircuit":
         try:
-            return cls(int(obj["k"]), tuple(obj["i"]), tuple(obj["j"]), star=star)
+            return cls(obj["k"], tuple(obj["i"]), tuple(obj["j"]), star=star)
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed circuit JSON: {exc}") from exc
 

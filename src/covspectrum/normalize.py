@@ -1,6 +1,7 @@
 """Matrix constructions and the truncation/recentering pipeline.
 
-Builds every matrix the analysis needs from a p x n data matrix X:
+Builds every matrix the analysis needs from a p x n data matrix X, a
+float64 ndarray (read-only when it comes from ``ensemble``):
 
 * ``build_A``  -- (X X' - n I) / (2 sqrt(np)), the normalized Gram matrix
   whose spectrum concentrates on [-1, 1];
@@ -12,7 +13,8 @@ Builds every matrix the analysis needs from a p x n data matrix X:
 ``truncation_pipeline`` is the truncation step of the proof, with one
 fixed delta = ``default_delta`` = (np)^{-1/8}: entries exceeding
 delta * (np)^{1/4} become zero (indicator truncation, not winsorizing),
-then the matrix is recentred and rescaled by its own sample mean and sd.
+then the matrix is recentred and rescaled by its own sample mean and sd;
+the result is again a read-only (p, n) array.
 """
 
 import math
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import DataMatrix, MatrixShape, load_matrix
+from .ensemble import MatrixShape, _is_real, load_matrix
 from .errors import DegenerateInputError, ValidationError
 
 __all__ = [
@@ -43,19 +45,14 @@ __all__ = [
 ]
 
 
-def _entries(X) -> np.ndarray:
-    return X.entries if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
-
-
 def _sym(M: np.ndarray) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
 def build_A(X) -> np.ndarray:
     """(X X' - n I) / (2 sqrt(np)), symmetrized to kill rounding asymmetry."""
-    x = _entries(X)
-    p, n = x.shape
-    M = x @ x.T
+    p, n = X.shape
+    M = X @ X.T
     M[np.diag_indices(p)] -= n
     return _sym(M / (2.0 * math.sqrt(n * p)))
 
@@ -69,23 +66,20 @@ def build_B(X) -> np.ndarray:
 
 def build_S(X) -> np.ndarray:
     """Uncentered sample covariance X X' / n."""
-    x = _entries(X)
-    n = x.shape[1]
-    return _sym(x @ x.T / n)
+    n = X.shape[1]
+    return _sym(X @ X.T / n)
 
 
 def build_S1(X) -> np.ndarray:
     """Centered sample covariance, computed as S - sbar sbar' in one pass."""
-    x = _entries(X)
-    sbar = x.mean(axis=1)
-    return _sym(build_S(x) - np.outer(sbar, sbar))
+    sbar = X.mean(axis=1)
+    return _sym(build_S(X) - np.outer(sbar, sbar))
 
 
 def build_A1(X) -> np.ndarray:
     """(1/2) sqrt(n/p) (S1 - I)."""
-    x = _entries(X)
-    p, n = x.shape
-    S1 = build_S1(x)
+    p, n = X.shape
+    S1 = build_S1(X)
     S1[np.diag_indices(p)] -= 1.0
     return _sym(0.5 * math.sqrt(n / p) * S1)
 
@@ -115,11 +109,10 @@ def truncation_pipeline(X):
     entrywise mean 0 and variance 1 to machine precision.  The report
     gives the threshold, the truncated fraction and the output's moments.
     """
-    x = _entries(X)
-    shape = MatrixShape(*x.shape)
+    shape = MatrixShape(*X.shape)
     threshold = default_delta(shape) * float(shape.n * shape.p) ** 0.25
-    mask = np.abs(x) > threshold
-    kept = np.where(mask, 0.0, x)
+    mask = np.abs(X) > threshold
+    kept = np.where(mask, 0.0, X)
     scale = float(kept.std())
     if scale == 0.0 or not math.isfinite(scale):
         raise DegenerateInputError("zero variance after truncation")
@@ -131,7 +124,7 @@ def truncation_pipeline(X):
         post_mean=float(out.mean()),
         post_sigma2=float(out.var()),
     )
-    return DataMatrix(shape=shape, entries=out), report
+    return out, report
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +144,11 @@ class CovarianceSpec:
         if self.kind == "identity":
             pass
         elif self.kind == "diagonal":
-            if self.d is None or len(self.d) == 0 or any(v < 0 for v in self.d):
-                raise ValidationError("diagonal covariance needs entries d_i >= 0")
+            if not (isinstance(self.d, tuple) and self.d and all(_is_real(v) and v >= 0 for v in self.d)):
+                raise ValidationError("diagonal covariance needs a list of finite numbers d_i >= 0")
         elif self.kind == "toeplitz":
-            if self.rho is None or not -1 < self.rho < 1:
-                raise ValidationError("toeplitz covariance needs rho in (-1, 1)")
+            if not (_is_real(self.rho) and -1 < self.rho < 1):
+                raise ValidationError("toeplitz covariance needs a number rho in (-1, 1)")
         elif self.kind == "explicit":
             m = self.matrix
             if m is None or m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -194,7 +187,7 @@ def identity_cov() -> CovarianceSpec:
 
 
 def diagonal_cov(d) -> CovarianceSpec:
-    return CovarianceSpec("diagonal", d=tuple(float(v) for v in d))
+    return CovarianceSpec("diagonal", d=tuple(d) if np.iterable(d) else d)
 
 
 def toeplitz_cov(rho: float) -> CovarianceSpec:
@@ -213,13 +206,13 @@ def covariance_from_json(obj) -> CovarianceSpec:
     if kind == "identity":
         return identity_cov()
     if kind == "diagonal":
-        return diagonal_cov(obj["d"])
+        return diagonal_cov(obj.get("d"))
     if kind == "toeplitz":
-        return toeplitz_cov(obj["rho"])
+        return toeplitz_cov(obj.get("rho"))
     if kind == "explicit":
         if "path" not in obj:
             raise ValidationError("explicit covariance needs a 'path' to a matrix file")
-        return explicit_cov(load_matrix(obj["path"]).entries)
+        return explicit_cov(load_matrix(obj["path"]))
     raise ValidationError(f"unknown covariance kind {kind!r}")
 
 
@@ -236,7 +229,5 @@ def sqrt_psd(sigma, p: int) -> np.ndarray:
 
 def build_S2(X, sigma) -> np.ndarray:
     """Sigma^{1/2} S1 Sigma^{1/2}: sample covariance of Sigma^{1/2} s_j."""
-    x = _entries(X)
-    p = x.shape[0]
-    root = sqrt_psd(sigma, p)
-    return _sym(root @ build_S1(x) @ root)
+    root = sqrt_psd(sigma, X.shape[0])
+    return _sym(root @ build_S1(X) @ root)

@@ -1,6 +1,8 @@
 """Eigenvalues and spectral diagnostics of the normalized Gram matrix.
 
-Dense spectra come from LAPACK (the oracle of record up to p = 2000).
+``diag_max_dev``, ``covariance_error`` and ``lambda_max_matfree`` read the
+data matrix X as a (p, n) ndarray.  Dense spectra come from LAPACK (the
+oracle of record up to p = 2000).
 ``lambda_max_matfree`` gets the top eigenvalue of the normalized Gram
 matrix without ever materializing it, by Lanczos with full
 reorthogonalization on the operator v -> (X (X' v) - n v) / (2 sqrt(np)).
@@ -19,12 +21,10 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .ensemble import DataMatrix
 from .errors import ConvergenceError, ValidationError
 from .normalize import build_S1, build_S2
 
 __all__ = [
-    "semicircle_pdf",
     "semicircle_cdf",
     "eigvals_sym",
     "symmetric_operator_norm",
@@ -42,15 +42,6 @@ DENSE_P_LIMIT = 2000
 MAX_BASIS = 512
 # Largest entrywise asymmetry eigvals_sym accepts as rounding.
 SYMMETRY_ATOL = 1e-10
-
-
-def semicircle_pdf(x):
-    """(2/pi) sqrt(1 - x^2) on [-1, 1], else 0."""
-    x = np.asarray(x, dtype=float)
-    inside = np.abs(x) <= 1.0
-    out = np.zeros_like(x)
-    out[inside] = (2.0 / np.pi) * np.sqrt(1.0 - x[inside] ** 2)
-    return out if out.ndim else float(out)
 
 
 def semicircle_cdf(x):
@@ -110,9 +101,8 @@ def esd_sup_diff(eigsA, eigsB) -> float:
 
 def diag_max_dev(X) -> float:
     """max_i |sum_j (X_ij^2 - 1)| / sqrt(np), straight from row sums."""
-    x = X.entries if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
-    p, n = x.shape
-    row_sums = np.einsum("ij,ij->i", x, x) - n
+    p, n = X.shape
+    row_sums = np.einsum("ij,ij->i", X, X) - n
     return float(np.max(np.abs(row_sums))) / math.sqrt(n * p)
 
 
@@ -122,7 +112,7 @@ def covariance_error(X, sigma):
     ``sigma`` is a ``CovarianceSpec``; the second value is the factorized
     bound that ||S2 - Sigma|| = ||Sigma^{1/2} (S1 - I) Sigma^{1/2}|| obeys.
     """
-    p = (X.entries if isinstance(X, DataMatrix) else np.asarray(X)).shape[0]
+    p = X.shape[0]
     S = sigma.materialize(p)
     err = symmetric_operator_norm(build_S2(X, sigma) - S)
     sigma_norm = symmetric_operator_norm(S)
@@ -161,8 +151,7 @@ def lambda_max_matfree(X, tol: float = 1e-10, max_iter: int = 20000):
     """
     if not tol > 0:
         raise ValidationError("tol must be > 0")
-    x = X.entries if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
-    p, n = x.shape
+    p, n = X.shape
     scale = 2.0 * math.sqrt(n * p)
 
     matvecs = 0
@@ -170,7 +159,7 @@ def lambda_max_matfree(X, tol: float = 1e-10, max_iter: int = 20000):
     def apply_a(v):
         nonlocal matvecs
         matvecs += 1
-        return (x @ (x.T @ v) - n * v) / scale
+        return (X @ (X.T @ v) - n * v) / scale
 
     def finite(value, what):
         if not math.isfinite(value):
@@ -178,7 +167,7 @@ def lambda_max_matfree(X, tol: float = 1e-10, max_iter: int = 20000):
         return value
 
     if p == 1:
-        lam = float((x[0] @ x[0] - n) / scale)
+        lam = float((X[0] @ X[0] - n) / scale)
         return finite(lam, "eigenvalue"), 0
 
     rng = np.random.default_rng(0x5EED5EED)

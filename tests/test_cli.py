@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from covspectrum import cli
-from covspectrum.ensemble import DataMatrix, MatrixShape, load_matrix, save_matrix
+from covspectrum.ensemble import load_matrix, save_matrix
 from covspectrum.reports import read_records
 
 CLI = [sys.executable, "-m", "covspectrum"]
@@ -35,8 +35,8 @@ class TestGenAndSpectrum:
         assert res.returncode == 0, res.stderr
         path = res.stdout.strip()
         X = load_matrix(path)
-        assert (X.p, X.n) == (4, 10)
-        assert set(np.unique(X.entries)) <= {-1.0, 1.0}
+        assert X.shape == (4, 10)
+        assert set(np.unique(X)) <= {-1.0, 1.0}
 
     def test_gen_accepts_json_dist_and_csv_format(self, tmp_path):
         res = run_cli(
@@ -89,16 +89,25 @@ class TestGenAndSpectrum:
         entries = np.ones((3, 5))
         entries[0, 1] = np.nan
         path = tmp_path / "nan.bin"
-        save_matrix(DataMatrix(shape=MatrixShape(3, 5), entries=entries), path)
+        save_matrix(entries, path)
         for method in ("dense", "matfree"):
             res = run_cli("spectrum", "--in", str(path), "--method", method)
             assert res.returncode == 1
             assert res.stdout == ""
             assert res.stderr.startswith("error:") and "non-finite" in res.stderr
 
+    def test_solver_flags_are_rejected_with_dense(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_matrix(np.ones((2, 3)), path)
+        for flags in (["--tol", "-1"], ["--max-iter", "-5"]):
+            res = run_cli("spectrum", "--in", str(path), "--method", "dense", *flags)
+            assert res.returncode == 1
+            assert res.stdout == ""
+            assert res.stderr.startswith("error:") and "--method matfree" in res.stderr
+
     def test_dense_guard(self, tmp_path):
         path = tmp_path / "tall.bin"
-        save_matrix(DataMatrix(shape=MatrixShape(2001, 1), entries=np.zeros((2001, 1))), path)
+        save_matrix(np.zeros((2001, 1)), path)
         for res in (
             run_cli("spectrum", "--in", str(path), "--method", "dense"),
             run_cli("esd", "--in", str(path), "--out", str(tmp_path)),
@@ -146,6 +155,43 @@ class TestCovtestAndMoments:
             "T3-irregular",
         ]
         assert payload["stats"]["is_W"] is True
+
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            '{"k": 2.7, "i": [1, 2], "j": [1, 1]}',
+            '{"k": 2, "i": [true, 2], "j": [1, 1]}',
+            '{"k": "x", "i": [1, 2], "j": [1, 1]}',
+        ],
+        ids=["float-k", "bool-index", "string-k"],
+    )
+    def test_moments_classify_rejects_non_integers(self, circuit):
+        res = run_cli("moments", "classify", "--circuit", circuit)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["covtest", "--sigma", '{"kind": "toeplitz"}'],
+            ["covtest", "--sigma", '{"kind": "toeplitz", "rho": "0.5"}'],
+            ["covtest", "--sigma", '{"kind": "diagonal", "d": ["x", 1, 1, 1]}'],
+            ["covtest", "--sigma", '{"kind": "diagonal", "d": 5}'],
+            ["covtest", "--sigma", '{"kind": "diagonal", "d": [1, 1, 1, NaN]}'],
+            ["gen", "--dist", '{"kind": "student-t", "df": "x"}', "--p", "4", "--n", "10"],
+            ["gen", "--dist", '{"kind": "two-point", "q": "0.3"}', "--p", "4", "--n", "10"],
+        ],
+        ids=["rho-missing", "rho-string", "d-string", "d-number", "d-nan", "df-string", "q-string"],
+    )
+    def test_malformed_spec_is_validation_error(self, tmp_path, argv):
+        path = tmp_path / "m.bin"
+        save_matrix(np.ones((4, 10)), path)
+        where = ["--in", str(path)] if argv[0] == "covtest" else ["--out", str(tmp_path / "gen")]
+        res = run_cli(*argv, *where)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
     def test_moments_exact(self):
         res = run_cli("moments", "exact", "--p", "3", "--n", "4", "--k", "2")
@@ -257,6 +303,8 @@ class TestSweepAndReport:
                 {"replicates": True},
                 {"master_seed": 1.5},
                 {"master_seed": True},
+                {"tasks": [{"name": "moment_check", "k": True}]},
+                {"tasks": [{"name": "moment_check", "k": 2.5}]},
             )
         ],
         ids=[
@@ -268,6 +316,8 @@ class TestSweepAndReport:
             "bool-replicates",
             "float-master-seed",
             "bool-master-seed",
+            "bool-k",
+            "float-k",
         ],
     )
     def test_malformed_config_is_validation_error(self, tmp_path, text):

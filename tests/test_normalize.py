@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from covspectrum.ensemble import (
-    DataMatrix,
     MatrixShape,
     SeedSpec,
     gaussian,
@@ -36,7 +35,7 @@ from covspectrum.normalize import (
 def _as_matrix(rows):
     entries = np.array(rows, dtype=float)
     entries.setflags(write=False)
-    return DataMatrix(shape=MatrixShape(*entries.shape), entries=entries)
+    return entries
 
 
 def _brute_force_A(x):
@@ -179,8 +178,8 @@ class TestTruncate:
         X = _as_matrix([[0.5, -0.25], [0.1, 0.0]])
         out, report = truncation_pipeline(X)
         assert report.fraction_truncated == 0.0
-        expected = (X.entries - X.entries.mean()) / X.entries.std()
-        assert np.array_equal(out.entries, expected)
+        expected = (X - X.mean()) / X.std()
+        assert np.array_equal(out, expected)
 
     def test_indicator_truncation_to_zero(self):
         # threshold = (np)^{1/8} = 2^{1/4} for p=1, n=4: only 10.0 exceeds it
@@ -188,8 +187,8 @@ class TestTruncate:
         assert report.threshold == pytest.approx(2.0**0.25, rel=1e-15)
         assert report.fraction_truncated == 0.25
         # kept entries [0, 1, -1, 0] have mean 0 and sd 1/sqrt(2)
-        np.testing.assert_allclose(out.entries, [[0.0, math.sqrt(2), -math.sqrt(2), 0.0]], rtol=1e-15, atol=0)
-        assert not out.entries.flags.writeable
+        np.testing.assert_allclose(out, [[0.0, math.sqrt(2), -math.sqrt(2), 0.0]], rtol=1e-15, atol=0)
+        assert not out.flags.writeable
 
     def test_gaussian_default_delta_truncates_almost_nothing(self):
         X = sample_matrix(gaussian(), MatrixShape(200, 20000), SeedSpec(123), 0)
@@ -205,19 +204,19 @@ class TestRecenterRescale:
         # threshold = 2^{1/8} > 1 for p=1, n=2: nothing truncated
         X = _as_matrix([[-1.0, 1.0]])
         out, _ = truncation_pipeline(X)
-        assert np.array_equal(out.entries, X.entries)
+        assert np.array_equal(out, X)
 
     def test_two_entry_example(self):
         # 3.0 exceeds the threshold 2^{1/8}; [1, 0] standardizes to [1, -1]
         out, _ = truncation_pipeline(_as_matrix([[1.0, 3.0]]))
-        np.testing.assert_allclose(out.entries, [[1.0, -1.0]], atol=0)
+        np.testing.assert_allclose(out, [[1.0, -1.0]], atol=0)
 
     def test_empirical_exactness(self):
         X = sample_matrix(uniform_symmetric(), MatrixShape(30, 100), SeedSpec(10), 0)
         out, report = truncation_pipeline(X)
         assert report.fraction_truncated == 0.0  # the support ends at sqrt(3) < 3000^{1/8}
-        assert abs(float(out.entries.mean())) <= 1e-15
-        assert abs(float(out.entries.var() - 1.0)) <= 1e-12
+        assert abs(float(out.mean())) <= 1e-15
+        assert abs(float(out.var() - 1.0)) <= 1e-12
 
     def test_degenerate_input(self):
         with pytest.raises(DegenerateInputError):
@@ -230,11 +229,11 @@ class TestPipeline:
     def test_empirical_pipeline_machine_precision(self):
         X = sample_matrix(student_t(5), MatrixShape(60, 400), SeedSpec(11), 0)
         out, report = truncation_pipeline(X)
-        assert report.threshold == pytest.approx(default_delta(X.shape) * (60 * 400) ** 0.25)
+        assert report.threshold == pytest.approx(default_delta(MatrixShape(60, 400)) * (60 * 400) ** 0.25)
         assert 0.0 < report.fraction_truncated < 0.05
         # the report describes the returned matrix
-        assert report.post_mean == float(out.entries.mean())
-        assert report.post_sigma2 == float(out.entries.var())
+        assert report.post_mean == float(out.mean())
+        assert report.post_sigma2 == float(out.var())
         assert abs(report.post_mean) <= 1e-15
         assert abs(report.post_sigma2 - 1.0) <= 1e-12
 
@@ -306,11 +305,11 @@ class TestCovarianceSpecs:
         from covspectrum.ensemble import save_matrix
 
         X = sample_matrix(gaussian(), MatrixShape(3, 3), SeedSpec(1), 0)
-        sigma = X.entries @ X.entries.T + np.eye(3)  # PSD
+        sigma = X @ X.T + np.eye(3)  # PSD
         entries = (sigma + sigma.T) / 2
         entries.setflags(write=False)
         path = tmp_path / "sigma.bin"
-        save_matrix(DataMatrix(shape=MatrixShape(3, 3), entries=entries), path)
+        save_matrix(entries, path)
         spec = covariance_from_json({"kind": "explicit", "path": str(path)})
         np.testing.assert_allclose(spec.materialize(3), entries, atol=0)
 

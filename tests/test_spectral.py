@@ -17,7 +17,6 @@ from covspectrum.spectral import (
     ks_distance,
     lambda_max_matfree,
     semicircle_cdf,
-    semicircle_pdf,
     spectrum_to_csv,
     symmetric_operator_norm,
 )
@@ -74,10 +73,6 @@ class TestSemicircle:
         val, _ = integrate.quad(lambda t: (2 / np.pi) * np.sqrt(1 - t * t), -1, 0.5)
         assert val == pytest.approx(0.8044988905221149, abs=1e-12)
         assert semicircle_cdf(0.5) == pytest.approx(val, abs=1e-10)
-
-    def test_density_integrates_to_one(self):
-        val, _ = integrate.quad(semicircle_pdf, -1, 1)
-        assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_cdf_is_vectorized_and_monotone(self):
         x = np.linspace(-1.2, 1.2, 401)
