@@ -31,13 +31,7 @@ from .ensemble import (
 )
 from .errors import ConvergenceError, ResourceError, ValidationError
 from .harness import ExperimentConfig, fit_rate, run_experiment
-from .momentlab import (
-    bound_rhs_a13,
-    check_schedule,
-    circuit_from_json_str,
-    classify_json,
-    exact_trace_moment,
-)
+from .momentlab import IndexCircuit, bound_rhs_a13, check_schedule, classify_json, exact_trace_moment
 from .normalize import build_A, covariance_from_json
 from .reports import emit_report, read_records
 from .spectral import (
@@ -218,7 +212,8 @@ def _cmd_covtest(args) -> int:
 
 def _cmd_moments(args) -> int:
     if args.mode == "classify":
-        print(json.dumps(classify_json(circuit_from_json_str(args.circuit)), sort_keys=True))
+        circuit = IndexCircuit.from_json(_json_arg(args.circuit, "circuit"))
+        print(json.dumps(classify_json(circuit), sort_keys=True))
         return 0
     if args.mode == "exact":
         moments = moment_sequence(_dist_arg(args.dist), 2 * args.k)
@@ -234,8 +229,7 @@ def _cmd_moments(args) -> int:
             )
         )
         return 0
-    report = check_schedule(args.p, args.delta, C1=args.c1)
-    print(json.dumps(report.to_json(), sort_keys=True))
+    print(json.dumps(check_schedule(args.p, args.delta, C1=args.c1), sort_keys=True))
     return 0
 
 

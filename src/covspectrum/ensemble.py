@@ -172,9 +172,7 @@ def distribution_from_json(obj) -> DistributionSpec:
         obj = {"kind": obj}
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("distribution spec must be a kind name or a dict with 'kind'")
-    extra = set(obj) - {"kind", "df", "q"}
-    if extra:
-        raise ValidationError(f"unknown distribution fields {sorted(extra)}")
+    _reject_unknown(obj, ("kind", "df", "q"), "distribution")
     return DistributionSpec(obj["kind"], df=obj.get("df"), q=obj.get("q"))
 
 
@@ -204,6 +202,13 @@ def moment_sequence(spec: DistributionSpec, max_order: int) -> tuple:
 def _is_int(value) -> bool:
     """An int that is not a bool (JSON true/false must not pass as 1/0)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _reject_unknown(obj: dict, known, what: str) -> None:
+    """A JSON spec key outside known is a typo, never silently ignored."""
+    extra = set(obj) - set(known)
+    if extra:
+        raise ValidationError(f"unknown {what} fields {sorted(extra)}")
 
 
 def _is_real(value) -> bool:
@@ -307,7 +312,10 @@ def load_matrix(path) -> np.ndarray:
         magic = fh.read(16)
         if magic != _MAGIC:
             raise ValidationError(f"{path}: not a covspectrum matrix file")
-        p, n = struct.unpack("<QQ", fh.read(16))
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ValidationError(f"{path}: truncated matrix header")
+        p, n = struct.unpack("<QQ", header)
         MatrixShape(p, n)  # p, n >= 1
         raw = fh.read(8 * p * n)
         if len(raw) != 8 * p * n:

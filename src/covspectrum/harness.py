@@ -11,7 +11,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .ensemble import (
     MatrixShape,
     SeedSpec,
     _is_int,
+    _reject_unknown,
     distribution_from_json,
     moment_sequence,
     sample_matrix,
@@ -71,6 +72,9 @@ DEFAULT_TAIL_EPS = 0.3
 WILSON_Z = 1.96  # two-sided 95% normal quantile
 
 
+_TASK_FIELDS = {"cov_rate": ("name", "sigma"), "moment_check": ("name", "k")}
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """One task of a sweep; cov_rate carries its Sigma, moment_check its k."""
@@ -93,6 +97,7 @@ class TaskSpec:
             return cls(obj)
         if not isinstance(obj, dict) or "name" not in obj:
             raise ValidationError("task must be a name or a dict with 'name'")
+        _reject_unknown(obj, _TASK_FIELDS.get(obj["name"], ("name",)), "task")
         sigma = covariance_from_json(obj["sigma"]) if "sigma" in obj else None
         return cls(obj["name"], sigma=sigma, k=obj.get("k"))
 
@@ -133,6 +138,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise ValidationError("experiment config must be a JSON object")
+        _reject_unknown(obj, [f.name for f in fields(cls)], "experiment config")
         try:
             return cls(
                 distribution=distribution_from_json(obj["distribution"]),
@@ -242,6 +250,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 0, out_dir: str | No
     records because each run is a pure function of its derived seed and
     aggregation sorts by (p, n, replicate, task).
     """
+    if threads < 0:
+        raise ValidationError(f"threads must be >= 0 (0 = one per CPU), got {threads}")
     jobs = [(shape, rep) for shape in config.grid for rep in range(config.replicates)]
     if threads == 0:
         threads = os.cpu_count() or 1

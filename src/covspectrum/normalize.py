@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import MatrixShape, _is_real, load_matrix
+from .ensemble import MatrixShape, _is_real, _reject_unknown, load_matrix
 from .errors import DegenerateInputError, ValidationError
 
 __all__ = [
@@ -198,22 +198,31 @@ def explicit_cov(matrix) -> CovarianceSpec:
     return CovarianceSpec("explicit", matrix=np.asarray(matrix, dtype=float))
 
 
+_COVARIANCE_FIELDS = {
+    "identity": ("kind",),
+    "diagonal": ("kind", "d"),
+    "toeplitz": ("kind", "rho"),
+    "explicit": ("kind", "path"),
+}
+
+
 def covariance_from_json(obj) -> CovarianceSpec:
     """Parse {"kind": ...}; explicit matrices come from a binary matrix file."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("covariance spec must be a dict with 'kind'")
     kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _COVARIANCE_FIELDS:
+        raise ValidationError(f"unknown covariance kind {kind!r}")
+    _reject_unknown(obj, _COVARIANCE_FIELDS[kind], "covariance")
     if kind == "identity":
         return identity_cov()
     if kind == "diagonal":
         return diagonal_cov(obj.get("d"))
     if kind == "toeplitz":
         return toeplitz_cov(obj.get("rho"))
-    if kind == "explicit":
-        if "path" not in obj:
-            raise ValidationError("explicit covariance needs a 'path' to a matrix file")
-        return explicit_cov(load_matrix(obj["path"]))
-    raise ValidationError(f"unknown covariance kind {kind!r}")
+    if not isinstance(obj.get("path"), str):
+        raise ValidationError("explicit covariance needs a 'path' string naming a matrix file")
+    return explicit_cov(load_matrix(obj["path"]))
 
 
 def sqrt_psd(sigma, p: int) -> np.ndarray:

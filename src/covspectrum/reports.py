@@ -63,9 +63,9 @@ def read_records(path):
         if header != list(CSV_COLUMNS):
             raise ValidationError(f"{path}: unexpected records header {header}")
         for row in reader:
-            p, n, ratio, replicate, task, value, aux = row
-            out.append(
-                RunRecord(
+            try:
+                p, n, ratio, replicate, task, value, aux = row
+                record = RunRecord(
                     p=int(p),
                     n=int(n),
                     ratio=float(ratio),
@@ -74,7 +74,11 @@ def read_records(path):
                     value=float(value),
                     aux=json.loads(aux),
                 )
-            )
+                if not isinstance(record.aux, dict):
+                    raise ValueError(f"aux {aux!r} is not a JSON object")
+            except ValueError as exc:
+                raise ValidationError(f"{path}, line {reader.line_num}: malformed record: {exc}") from exc
+            out.append(record)
     return out
 
 

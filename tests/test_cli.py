@@ -16,13 +16,13 @@ from covspectrum.reports import read_records
 CLI = [sys.executable, "-m", "covspectrum"]
 
 
-def run_cli(*args, env_extra=None, cwd=None):
+def run_cli(*args, env_extra=None, cwd=None, stdin=subprocess.DEVNULL):
     env = os.environ.copy()
     env.pop("COVSPECTRUM_OUT", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, cwd=cwd
+        CLI + list(args), capture_output=True, text=True, env=env, cwd=cwd, stdin=stdin
     )
 
 
@@ -95,6 +95,16 @@ class TestGenAndSpectrum:
             assert res.returncode == 1
             assert res.stdout == ""
             assert res.stderr.startswith("error:") and "non-finite" in res.stderr
+
+    def test_spectrum_rejects_truncated_header(self, tmp_path):
+        good = tmp_path / "m.bin"
+        save_matrix(np.ones((3, 5)), good)
+        short = tmp_path / "short.bin"
+        short.write_bytes(good.read_bytes()[:18])  # the magic plus 2 of the 16 header bytes
+        res = run_cli("spectrum", "--in", str(short))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:") and "truncated matrix header" in res.stderr
 
     def test_solver_flags_are_rejected_with_dense(self, tmp_path):
         path = tmp_path / "m.bin"
@@ -181,17 +191,40 @@ class TestCovtestAndMoments:
             ["covtest", "--sigma", '{"kind": "diagonal", "d": [1, 1, 1, NaN]}'],
             ["gen", "--dist", '{"kind": "student-t", "df": "x"}', "--p", "4", "--n", "10"],
             ["gen", "--dist", '{"kind": "two-point", "q": "0.3"}', "--p", "4", "--n", "10"],
+            ["covtest", "--sigma", '{"kind": "toeplitz", "rho": 0.5, "d": [1, 2]}'],
+            ["moments", "classify", "--circuit", '{"k": 1, "i": [1], "j": [1], "zzz": 9}'],
         ],
-        ids=["rho-missing", "rho-string", "d-string", "d-number", "d-nan", "df-string", "q-string"],
+        ids=[
+            "rho-missing",
+            "rho-string",
+            "d-string",
+            "d-number",
+            "d-nan",
+            "df-string",
+            "q-string",
+            "covariance-unknown-field",
+            "circuit-unknown-field",
+        ],
     )
     def test_malformed_spec_is_validation_error(self, tmp_path, argv):
         path = tmp_path / "m.bin"
         save_matrix(np.ones((4, 10)), path)
-        where = ["--in", str(path)] if argv[0] == "covtest" else ["--out", str(tmp_path / "gen")]
+        where = {"covtest": ["--in", str(path)], "gen": ["--out", str(tmp_path / "gen")]}.get(argv[0], [])
         res = run_cli(*argv, *where)
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+    def test_covtest_explicit_path_must_be_a_string(self, tmp_path):
+        # open(0) would read Sigma from stdin, so stdin holds a valid Sigma
+        data, sigma = tmp_path / "m.bin", tmp_path / "sigma.bin"
+        save_matrix(np.ones((4, 10)), data)
+        save_matrix(np.eye(4), sigma)
+        with open(sigma, "rb") as fh:
+            res = run_cli("covtest", "--in", str(data), "--sigma", '{"kind": "explicit", "path": 0}', stdin=fh)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:") and "'path' string" in res.stderr
 
     def test_moments_exact(self):
         res = run_cli("moments", "exact", "--p", "3", "--n", "4", "--k", "2")
@@ -203,6 +236,25 @@ class TestCovtestAndMoments:
         res = run_cli("moments", "schedule", "--p", "1000", "--delta", "0.2")
         payload = json.loads(res.stdout)
         assert "feasible" in payload and len(payload["conditions"]) == 6
+
+    @pytest.mark.parametrize(
+        "p, delta, passed",
+        [
+            ("100", "1e300", [False, False, True, False, False, True]),
+            ("1" + "0" * 700, "0.5", [True, False, True, True, False, True]),
+        ],
+        ids=["huge-delta", "huge-p"],
+    )
+    def test_schedule_prints_strict_json(self, p, delta, passed):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        res = run_cli("moments", "schedule", "--p", p, "--delta", delta)
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout, parse_constant=reject)
+        assert [c["passed"] for c in payload["conditions"]] == passed
+        assert {c["name"] for c in payload["conditions"] if c["value"] is None} >= {"h_tail"}
+        assert payload["feasible"] is False
 
     def test_missing_required_knob_is_validation_error(self):
         res = run_cli("moments", "exact", "--p", "3")
@@ -305,6 +357,8 @@ class TestSweepAndReport:
                 {"master_seed": True},
                 {"tasks": [{"name": "moment_check", "k": True}]},
                 {"tasks": [{"name": "moment_check", "k": 2.5}]},
+                {"replicate": 5},
+                {"tasks": [{"name": "diag_dev", "k": 3, "sigma": {"kind": "identity"}}]},
             )
         ],
         ids=[
@@ -318,6 +372,8 @@ class TestSweepAndReport:
             "bool-master-seed",
             "bool-k",
             "float-k",
+            "unknown-config-field",
+            "unknown-task-field",
         ],
     )
     def test_malformed_config_is_validation_error(self, tmp_path, text):
@@ -326,6 +382,34 @@ class TestSweepAndReport:
         res = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
         assert res.returncode == 1
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("grid", [[[10, 100]], [[10, 100], [10, 400]]], ids=["one-job", "two-jobs"])
+    def test_negative_threads_is_validation_error(self, tmp_path, grid):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"distribution": "gaussian", "grid": grid, "tasks": ["diag_dev"]}))
+        res = run_cli("sweep", "--config", str(config), "--threads", "-1", "--out", str(tmp_path / "run"))
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and "threads" in res.stderr
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            '1.5,100,0.1,0,diag_dev,0.5,"{}"',
+            "10,100,0.1,0,diag_dev,0.5,{oops",
+            "10,100,0.1,0,diag_dev",
+            "10,100,0.1,0,diag_dev,0.5,[1]",
+        ],
+        ids=["float-p", "bad-aux", "short-row", "aux-not-object"],
+    )
+    def test_report_rejects_malformed_row(self, tmp_path, row):
+        records = tmp_path / "records.csv"
+        records.write_text("p,n,ratio,replicate,task,value,aux\n" + row + "\n")
+        res = run_cli("report", "--records", str(records), "--out", str(tmp_path / "report"))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+        assert f"{records}, line 2" in res.stderr
 
     def test_env_var_out_dir_honored_only_without_flag(self, tmp_path):
         config = self._write_config(tmp_path)
@@ -342,6 +426,13 @@ class TestSweepAndReport:
         )
         assert (flag_dir / "records.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+def test_cli_import_leaves_scipy_special_out():
+    code = "import sys, covspectrum.cli; print('scipy.special' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 class TestExitCodes:

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from covspectrum.ensemble import MatrixShape, gaussian, rademacher
 from covspectrum.errors import ValidationError
 from covspectrum.harness import (
+    TASK_NAMES,
     ExperimentConfig,
     RunRecord,
     TaskSpec,
@@ -295,6 +298,30 @@ class TestReports:
         assert len(back) == 2
         assert back[0].p == 10 and back[0].value == 1.25
         assert back[0].aux == {"method": "dense"}
+
+    _finite = st.floats(allow_nan=False, allow_infinity=False)
+    _json_value = st.recursive(
+        st.none() | st.booleans() | st.integers() | _finite | st.text(),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+        max_leaves=8,
+    )
+    _record = st.builds(
+        RunRecord,
+        p=st.integers(1, 10**6),
+        n=st.integers(1, 10**6),
+        ratio=_finite,
+        replicate=st.integers(0, 10**4),
+        task=st.sampled_from(TASK_NAMES),
+        value=_finite,
+        aux=st.dictionaries(st.text().filter(lambda key: key != "wall_ms"), _json_value, max_size=4),
+    )
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_record, max_size=5))
+    def test_round_trip_property(self, tmp_path, records):
+        path = tmp_path / "records.csv"
+        records_to_csv(records, path)
+        assert read_records(path) == records
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"
