@@ -14,6 +14,8 @@ output.
 import csv
 import math
 import numbers
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -317,8 +319,17 @@ def load_matrix(path) -> np.ndarray:
             raise ValidationError(f"{path}: truncated matrix header")
         p, n = struct.unpack("<QQ", header)
         MatrixShape(p, n)  # p, n >= 1
-        raw = fh.read(8 * p * n)
-        if len(raw) != 8 * p * n:
+        size = 8 * p * n
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):  # a pipe has no size to check against
+            left = info.st_size - fh.tell()
+            if size > left:  # checked before the read, so a forged header asks for no memory
+                raise ValidationError(
+                    f"{path}: truncated matrix payload: the header says {p} x {n} "
+                    f"({size} bytes), the file holds {left}"
+                )
+        raw = fh.read(size)
+        if len(raw) != size:
             raise ValidationError(f"{path}: truncated matrix payload")
     entries = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(p, n)
     if not np.isfinite(entries).all():

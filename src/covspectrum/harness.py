@@ -2,15 +2,29 @@
 
 A sweep runs a task set over a (p, n) grid with R replicates.  Each run
 seeds its own stream from (master_seed, p, n, replicate) by avalanche
-mixing, so results are independent of scheduling and thread count; the
-persisted CSV is byte-identical across reruns.  Failures of individual
-runs become error rows and never abort the sweep.
+mixing, so results are independent of scheduling; the persisted CSV is
+byte-identical across reruns.  Failures of individual runs become error
+rows and never abort the sweep.
+
+Threads: with ``threads >= 2`` and more than one job, cells run on a
+thread pool and numpy's bundled OpenBLAS is capped at one thread while
+the pool runs (pool threads times BLAS threads would oversubscribe the
+cores), so records at any ``threads >= 2`` are a host-independent
+function of the config.  ``threads = 1`` runs cells in the calling thread
+with BLAS's default thread count, which the matrix-free matvecs need; on a
+multi-core host its dense values can therefore differ from pooled ones in
+the last bits.  Where numpy links another BLAS, no cap is applied.
 """
 
+import ctypes
+import functools
+import glob
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -243,12 +257,63 @@ def _execute_task(task: TaskSpec, X: np.ndarray, dist: DistributionSpec):
     return float(exact_trace_moment(p, n, task.k, moments)), {"k": task.k}
 
 
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+# OpenBLAS's thread count is global to the process, so overlapping pools
+# share one cap: the first to enter saves the count, the last to leave
+# restores it.
+_blas_cap_lock = threading.Lock()
+_blas_cap = {"pools": 0, "saved": None}
+
+
+@contextmanager
+def _single_blas_thread():
+    """Run the body with numpy's OpenBLAS at one thread; a no-op without it."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    with _blas_cap_lock:
+        if _blas_cap["pools"] == 0:
+            _blas_cap["saved"] = get_threads()
+            set_threads(1)
+        _blas_cap["pools"] += 1
+    try:
+        yield
+    finally:
+        with _blas_cap_lock:
+            _blas_cap["pools"] -= 1
+            if _blas_cap["pools"] == 0:
+                set_threads(_blas_cap["saved"])
+
+
 def run_experiment(config: ExperimentConfig, threads: int = 0, out_dir: str | None = None) -> list:
     """Execute every (shape, replicate, task); persist a canonical CSV.
 
-    threads = 0 picks the CPU count; any thread count yields identical
-    records because each run is a pure function of its derived seed and
-    aggregation sorts by (p, n, replicate, task).
+    threads = 0 picks the CPU count.  Each run is a pure function of its
+    derived seed and aggregation sorts by (p, n, replicate, task), so the
+    records do not depend on scheduling.  With threads >= 2 and more than
+    one job the cells run on a pool with numpy's OpenBLAS at one thread
+    (restored on return, also on error), so the records are the same bytes
+    at every threads >= 2 on any host.  threads = 1 keeps BLAS's own
+    threads; on a multi-core host its dense values may differ from pooled
+    ones in the last bits.
     """
     if threads < 0:
         raise ValidationError(f"threads must be >= 0 (0 = one per CPU), got {threads}")
@@ -258,7 +323,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 0, out_dir: str | No
     if threads == 1 or len(jobs) <= 1:
         nested = [_run_tasks(config, shape, rep) for shape, rep in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with _single_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
             nested = list(pool.map(lambda job: _run_tasks(config, *job), jobs))
     records = [rec for batch in nested for rec in batch]
     records.sort(key=RunRecord.sort_key)

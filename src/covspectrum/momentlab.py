@@ -103,12 +103,12 @@ class IndexCircuit:
         return {"k": self.k, "i": list(self.i_seq), "j": list(self.j_seq)}
 
     @classmethod
-    def from_json(cls, obj, star: bool = False) -> "IndexCircuit":
+    def from_json(cls, obj) -> "IndexCircuit":
         if not isinstance(obj, dict):
             raise ValidationError("circuit JSON must be an object with 'k', 'i' and 'j'")
         _reject_unknown(obj, ("k", "i", "j"), "circuit")
         try:
-            return cls(obj["k"], tuple(obj["i"]), tuple(obj["j"]), star=star)
+            return cls(obj["k"], tuple(obj["i"]), tuple(obj["j"]))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed circuit JSON: {exc}") from exc
 

@@ -57,28 +57,31 @@ def read_records(path):
     from .harness import RunRecord  # local import to avoid a cycle
 
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CSV_COLUMNS):
-            raise ValidationError(f"{path}: unexpected records header {header}")
-        for row in reader:
-            try:
-                p, n, ratio, replicate, task, value, aux = row
-                record = RunRecord(
-                    p=int(p),
-                    n=int(n),
-                    ratio=float(ratio),
-                    replicate=int(replicate),
-                    task=task,
-                    value=float(value),
-                    aux=json.loads(aux),
-                )
-                if not isinstance(record.aux, dict):
-                    raise ValueError(f"aux {aux!r} is not a JSON object")
-            except ValueError as exc:
-                raise ValidationError(f"{path}, line {reader.line_num}: malformed record: {exc}") from exc
-            out.append(record)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != list(CSV_COLUMNS):
+                raise ValidationError(f"{path}: unexpected records header {header}")
+            for row in reader:
+                try:
+                    p, n, ratio, replicate, task, value, aux = row
+                    record = RunRecord(
+                        p=int(p),
+                        n=int(n),
+                        ratio=float(ratio),
+                        replicate=int(replicate),
+                        task=task,
+                        value=float(value),
+                        aux=json.loads(aux),
+                    )
+                    if not isinstance(record.aux, dict):
+                        raise ValueError(f"aux {aux!r} is not a JSON object")
+                except ValueError as exc:
+                    raise ValidationError(f"{path}, line {reader.line_num}: malformed record: {exc}") from exc
+                out.append(record)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: records file is not text: {exc}") from exc
     return out
 
 

@@ -106,6 +106,22 @@ class TestGenAndSpectrum:
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and "truncated matrix header" in res.stderr
 
+    @pytest.mark.parametrize(
+        "p, n, payload",
+        [(2**40, 2**40, b""), (2**20, 2**10, b"\x00" * 64)],
+        ids=["overflowing-size", "oversized-header"],
+    )
+    def test_spectrum_rejects_header_larger_than_file(self, tmp_path, p, n, payload):
+        good = tmp_path / "m.bin"
+        save_matrix(np.ones((1, 1)), good)
+        forged = tmp_path / "forged.bin"
+        forged.write_bytes(good.read_bytes()[:16] + p.to_bytes(8, "little") + n.to_bytes(8, "little") + payload)
+        res = run_cli("spectrum", "--in", str(forged))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+        assert f"header says {p} x {n}" in res.stderr and f"the file holds {len(payload)}" in res.stderr
+
     def test_solver_flags_are_rejected_with_dense(self, tmp_path):
         path = tmp_path / "m.bin"
         save_matrix(np.ones((2, 3)), path)
@@ -410,6 +426,16 @@ class TestSweepAndReport:
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
         assert f"{records}, line 2" in res.stderr
+
+    def test_report_rejects_undecodable_bytes(self, tmp_path):
+        records = tmp_path / "records.csv"
+        records.write_bytes(b"p,n,ratio,replicate,task,value,aux\n10,100,0.1,0,diag_dev,0.5,\"{}\"\xff\n")
+        res = run_cli("report", "--records", str(records), "--out", str(tmp_path / "report"))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+        assert f"{records}: records file is not text" in res.stderr
+        assert not (tmp_path / "report").exists()
 
     def test_env_var_out_dir_honored_only_without_flag(self, tmp_path):
         config = self._write_config(tmp_path)

@@ -1,6 +1,8 @@
 """Tests for seeded matrix generation and closed-form moments."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -229,6 +231,21 @@ class TestMatrixIO:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValidationError):
             load_matrix(path)
+
+    def test_reads_from_a_pipe(self, tmp_path):
+        X = sample_matrix(rademacher(), MatrixShape(2, 3), SeedSpec(0), 0)
+        path = tmp_path / "m.bin"
+        save_matrix(X, path)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+        writer.start()
+        try:
+            back = load_matrix(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(back, X)
 
     def test_non_finite_entries_rejected(self, tmp_path):
         for bad in (np.nan, np.inf, -np.inf):

@@ -2,12 +2,15 @@
 
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from covspectrum import harness
 from covspectrum.ensemble import MatrixShape, gaussian, rademacher
 from covspectrum.errors import ValidationError
 from covspectrum.harness import (
@@ -161,6 +164,144 @@ class TestRunExperiment:
         cov = records["cov_rate"]
         assert cov.value <= cov.aux["bound"] + 1e-10
         assert 0.0 <= records["esd_ks"].value <= 1.0
+
+
+class TestPoolBlasThreads:
+    """Pooled sweeps run numpy's OpenBLAS at one thread, and only while the pool runs."""
+
+    # Big enough for OpenBLAS to thread its Gram products and eigensolves.
+    @staticmethod
+    def _config():
+        return _config(
+            distribution=gaussian(),
+            grid=(MatrixShape(100, 10000), MatrixShape(200, 4000)),
+            replicates=2,
+            tasks=(
+                TaskSpec("lambda_max"),
+                TaskSpec("esd_ks"),
+                TaskSpec("cov_rate", sigma=toeplitz_cov(0.5)),
+            ),
+        )
+
+    @staticmethod
+    def _blas():
+        blas = harness._openblas()
+        if blas is None:
+            pytest.skip("numpy's bundled OpenBLAS thread-count symbols do not resolve")
+        return blas
+
+    def _csv(self, out_dir, threads):
+        run_experiment(self._config(), threads=threads, out_dir=str(out_dir))
+        return (out_dir / "records.csv").read_bytes()
+
+    def test_pool_sizes_give_the_same_bytes(self, tmp_path):
+        assert self._csv(tmp_path / "t2", 2) == self._csv(tmp_path / "t3", 3)
+
+    def test_pool_matches_serial_run_at_one_blas_thread(self, tmp_path):
+        self._blas()
+        with harness._single_blas_thread():
+            serial = self._csv(tmp_path / "t1", 1)
+        assert serial == self._csv(tmp_path / "t2", 2)
+
+    @pytest.mark.parametrize("failure", ["task", "worker"])
+    def test_workers_see_one_thread_and_the_count_comes_back(self, monkeypatch, failure):
+        get_threads, set_threads = self._blas()
+        seen = []
+        execute_task = harness._execute_task
+        run_tasks = harness._run_tasks
+
+        def spy_task(task, X, dist):
+            seen.append(get_threads())
+            if failure == "task":
+                raise RuntimeError("task failed")
+            return execute_task(task, X, dist)
+
+        def spy_worker(config, shape, replicate):
+            run_tasks(config, shape, replicate)
+            raise RuntimeError("worker failed")
+
+        monkeypatch.setattr(harness, "_execute_task", spy_task)
+        if failure == "worker":
+            monkeypatch.setattr(harness, "_run_tasks", spy_worker)
+        prior = get_threads()
+        set_threads(2)
+        try:
+            if failure == "task":
+                records = run_experiment(_config(), threads=2)
+                assert all(r.failed for r in records)
+            else:
+                with pytest.raises(RuntimeError, match="worker failed"):
+                    run_experiment(_config(), threads=2)
+            assert get_threads() == 2
+        finally:
+            set_threads(prior)
+        assert seen and set(seen) == {1}
+
+    def test_overlapping_scopes_restore_only_when_the_last_leaves(self):
+        get_threads, set_threads = self._blas()
+        prior = get_threads()
+        set_threads(2)
+        try:
+            first, second = harness._single_blas_thread(), harness._single_blas_thread()
+            first.__enter__()
+            second.__enter__()
+            first.__exit__(None, None, None)
+            assert get_threads() == 1  # the second pool still runs
+            second.__exit__(None, None, None)
+            assert get_threads() == 2
+        finally:
+            set_threads(prior)
+
+    def test_concurrent_sweeps_stress(self, monkeypatch):
+        get_threads, set_threads = self._blas()
+        seen = []
+        execute_task = harness._execute_task
+
+        def spy_task(task, X, dist):
+            seen.append(get_threads())
+            return execute_task(task, X, dist)
+
+        monkeypatch.setattr(harness, "_execute_task", spy_task)
+        config = _config(grid=(MatrixShape(8, 40), MatrixShape(12, 60)), replicates=3)
+        expected = run_experiment(config, threads=1)
+        seen.clear()
+        results = []
+        callers = [
+            threading.Thread(target=lambda: results.append(run_experiment(config, threads=3)))
+            for _ in range(6)
+        ]
+        prior = get_threads()
+        set_threads(2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+            assert not any(caller.is_alive() for caller in callers)
+            assert get_threads() == 2
+        finally:
+            sys.setswitchinterval(interval)
+            set_threads(prior)
+        assert len(results) == len(callers)
+        assert all(
+            [(r.sort_key(), r.value) for r in got] == [(r.sort_key(), r.value) for r in expected]
+            for got in results
+        )
+        assert set(seen) == {1}
+
+    def test_without_the_library_a_pool_still_runs(self, tmp_path, monkeypatch):
+        run_experiment(self._config(), threads=2, out_dir=str(tmp_path / "capped"))
+        monkeypatch.setattr(harness, "_openblas", lambda: None)
+        run_experiment(self._config(), threads=2, out_dir=str(tmp_path / "plain"))
+        capped = read_records(tmp_path / "capped" / "records.csv")
+        plain = read_records(tmp_path / "plain" / "records.csv")
+        assert [r.sort_key() for r in plain] == [r.sort_key() for r in capped]
+        assert not any(r.failed for r in plain)
+        for got, want in zip(plain, capped):
+            # BLAS's default thread count may move the last bits only
+            assert got.value == pytest.approx(want.value, rel=1e-9)
 
 
 class TestSummarize:

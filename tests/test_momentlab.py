@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covspectrum.ensemble import gaussian, moment_sequence, rademacher, student_t
 from covspectrum.errors import ResourceError, ValidationError
@@ -195,6 +197,34 @@ class TestExhaustiveTaxonomy:
             # star-constraint inequality
             assert stats.l - stats.r - stats.r1 <= stats.t - stats.mu
         assert checked > 0
+
+
+class TestClassifyProperties:
+    """Invariants of classify on random circuits, beyond the exhaustive k <= 3 scan."""
+
+    @staticmethod
+    @st.composite
+    def _circuit(draw):
+        k = draw(st.integers(1, 6))
+        index = st.integers(1, k + 1)
+        i_seq = draw(st.lists(index, min_size=k, max_size=k))
+        j_seq = draw(st.lists(index, min_size=k, max_size=k))
+        return IndexCircuit(k, tuple(i_seq), tuple(j_seq))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_circuit())
+    def test_labels_and_w_graph_flag(self, circuit):
+        labels, stats = classify(circuit)
+        k, i_seq, j_seq = circuit.k, circuit.i_seq, circuit.j_seq
+        assert len(labels) == 2 * k
+        assert all(isinstance(lab, EdgeLabel) for lab in labels)
+        # e_{2a-1} = i_a j_a and e_{2a} = j_a i_{a+1} coincide iff their (i, j) agree
+        ends = [(i_seq[a], j_seq[a]) for a in range(k)] + [(i_seq[(a + 1) % k], j_seq[a]) for a in range(k)]
+        sizes = _label_counts(ends).values()
+        assert stats.is_W == all(size >= 2 for size in sizes)
+        # every vertex but i_1 is reached by exactly one innovation
+        assert stats.r == len(set(i_seq)) - 1
+        assert stats.c == len(set(j_seq))
 
 
 class TestExpectationOfCircuit:
