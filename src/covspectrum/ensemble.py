@@ -297,6 +297,7 @@ def sample_matrix(
 # Matrix file formats: self-describing binary and CSV interop.
 
 _MAGIC = b"COVSPEC-MAT-v01\n"  # 16 bytes, magic + version
+_READ_CHUNK = 1 << 20
 
 
 def save_matrix(X: np.ndarray, path) -> None:
@@ -309,7 +310,15 @@ def save_matrix(X: np.ndarray, path) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a save_matrix file back as a read-only float64 (p, n) array."""
+    """Read a save_matrix file back as a read-only float64 (p, n) array.
+
+    The payload is read into one buffer that the returned array wraps
+    without a copy.  A regular file's size is checked against the header
+    before that buffer is allocated; a pipe has no size, so it is read in
+    chunks of at most ``_READ_CHUNK`` bytes until EOF or the header's
+    8 * p * n bytes, and a forged header costs no more memory than the
+    stream holds.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(16)
         if magic != _MAGIC:
@@ -321,17 +330,23 @@ def load_matrix(path) -> np.ndarray:
         MatrixShape(p, n)  # p, n >= 1
         size = 8 * p * n
         info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode):  # a pipe has no size to check against
+        if stat.S_ISREG(info.st_mode):
             left = info.st_size - fh.tell()
             if size > left:  # checked before the read, so a forged header asks for no memory
                 raise ValidationError(
                     f"{path}: truncated matrix payload: the header says {p} x {n} "
                     f"({size} bytes), the file holds {left}"
                 )
-        raw = fh.read(size)
-        if len(raw) != size:
+            raw = bytearray(size)
+            got = fh.readinto(raw)
+        else:  # a pipe has no size to check against
+            raw = bytearray()
+            while len(raw) < size and (chunk := fh.read(min(_READ_CHUNK, size - len(raw)))):
+                raw += chunk
+            got = len(raw)
+        if got != size:
             raise ValidationError(f"{path}: truncated matrix payload")
-    entries = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(p, n)
+    entries = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False).reshape(p, n)
     if not np.isfinite(entries).all():
         raise ValidationError(f"{path}: matrix has non-finite entries")
     entries.setflags(write=False)

@@ -14,7 +14,10 @@ float64 ndarray (read-only when it comes from ``ensemble``):
 fixed delta = ``default_delta`` = (np)^{-1/8}: entries exceeding
 delta * (np)^{1/4} become zero (indicator truncation, not winsorizing),
 then the matrix is recentred and rescaled by its own sample mean and sd;
-the result is again a read-only (p, n) array.
+the result is again a read-only (p, n) array.  Every pass runs in place on
+that result: beside it the pipeline holds only a transient bool mask and
+numpy's own temporaries, so it never holds more than 2x the input on top
+of the input itself.
 """
 
 import math
@@ -107,20 +110,33 @@ def truncation_pipeline(X):
     Entries with |x| above the threshold become 0; the kept matrix is
     centred and scaled by its own sample mean and sd, so the output has
     entrywise mean 0 and variance 1 to machine precision.  The report
-    gives the threshold, the truncated fraction and the output's moments.
+    gives the threshold, the truncated fraction, and ``post_mean`` and
+    ``post_sigma2``, which are numpy's ``mean()`` and ``var()`` of the
+    returned array.
+
+    Memory: the returned array is the only p x n float64 array this
+    function allocates; every step writes into it in place.  Beside it
+    live a transient bool mask (1/8 of the input) and the one p x n
+    temporary numpy's ``std``/``var`` make, so the peak is at most 2x the
+    input's bytes on top of the input.  X itself is never written.
     """
     shape = MatrixShape(*X.shape)
     threshold = default_delta(shape) * float(shape.n * shape.p) ** 0.25
-    mask = np.abs(X) > threshold
-    kept = np.where(mask, 0.0, X)
-    scale = float(kept.std())
+    out = np.abs(X)
+    mask = out > threshold
+    fraction_truncated = float(mask.mean())
+    np.copyto(out, X)
+    np.copyto(out, 0.0, where=mask)
+    del mask
+    scale = float(out.std())
     if scale == 0.0 or not math.isfinite(scale):
         raise DegenerateInputError("zero variance after truncation")
-    out = (kept - float(kept.mean())) / scale
+    out -= float(out.mean())
+    out /= scale
     out.setflags(write=False)
     report = TruncationReport(
         threshold=threshold,
-        fraction_truncated=float(mask.mean()),
+        fraction_truncated=fraction_truncated,
         post_mean=float(out.mean()),
         post_sigma2=float(out.var()),
     )

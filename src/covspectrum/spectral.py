@@ -114,7 +114,7 @@ def covariance_error(X, sigma):
     """
     p = X.shape[0]
     S = sigma.materialize(p)
-    err = symmetric_operator_norm(build_S2(X, sigma) - S)
+    err = symmetric_operator_norm(build_S2(X, S) - S)
     sigma_norm = symmetric_operator_norm(S)
     s1_dev = symmetric_operator_norm(build_S1(X) - np.eye(p))
     return err, s1_dev * sigma_norm, sigma_norm

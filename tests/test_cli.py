@@ -122,6 +122,19 @@ class TestGenAndSpectrum:
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
         assert f"header says {p} x {n}" in res.stderr and f"the file holds {len(payload)}" in res.stderr
 
+    def test_spectrum_rejects_forged_header_on_a_pipe(self, tmp_path):
+        good = tmp_path / "m.bin"
+        save_matrix(np.ones((1, 1)), good)
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(good.read_bytes()[:16] + (2**40).to_bytes(8, "little") * 2)
+        with os.fdopen(read_end, "rb") as stdin:
+            res = run_cli("spectrum", "--in", "/dev/stdin", stdin=stdin)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+        assert "truncated matrix payload" in res.stderr
+
     def test_solver_flags_are_rejected_with_dense(self, tmp_path):
         path = tmp_path / "m.bin"
         save_matrix(np.ones((2, 3)), path)

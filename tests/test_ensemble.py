@@ -3,6 +3,7 @@
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,36 @@ class TestMatrixIO:
             writer.join(timeout=10)
         assert not writer.is_alive()
         np.testing.assert_array_equal(back, X)
+
+    def test_forged_header_on_a_pipe_rejected(self, tmp_path):
+        # a pipe has no size to check the header against: the read must stop at EOF
+        X = sample_matrix(rademacher(), MatrixShape(2, 3), SeedSpec(0), 0)
+        path = tmp_path / "m.bin"
+        save_matrix(X, path)
+        forged = path.read_bytes()[:16] + (2**40).to_bytes(8, "little") * 2 + path.read_bytes()[32:]
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(forged,))
+        writer.start()
+        try:
+            with pytest.raises(ValidationError, match="truncated matrix payload"):
+                load_matrix(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_load_peak_memory_is_one_payload(self, tmp_path):
+        X = sample_matrix(gaussian(), MatrixShape(200, 4000), SeedSpec(5), 0)
+        path = tmp_path / "m.bin"
+        save_matrix(X, path)
+        tracemalloc.start()
+        try:
+            Y = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(Y, X)
+        assert peak <= 1.25 * X.nbytes
 
     def test_non_finite_entries_rejected(self, tmp_path):
         for bad in (np.nan, np.inf, -np.inf):

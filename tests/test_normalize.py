@@ -1,6 +1,7 @@
 """Tests for matrix constructions and the truncation pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from covspectrum.ensemble import (
     gaussian,
     sample_matrix,
     student_t,
+    two_point,
     uniform_symmetric,
 )
 from covspectrum.errors import DegenerateInputError, ValidationError
@@ -236,6 +238,45 @@ class TestPipeline:
         assert report.post_sigma2 == float(out.var())
         assert abs(report.post_mean) <= 1e-15
         assert abs(report.post_sigma2 - 1.0) <= 1e-12
+
+    @staticmethod
+    def _three_pass_pipeline(X):
+        """Reference: each step as a fresh array -- np.where, kept.std(), (kept - mean) / scale."""
+        threshold = default_delta(MatrixShape(*X.shape)) * float(X.shape[0] * X.shape[1]) ** 0.25
+        mask = np.abs(X) > threshold
+        kept = np.where(mask, 0.0, X)
+        scale = float(kept.std())
+        out = (kept - float(kept.mean())) / scale
+        return out, (threshold, float(mask.mean()), float(out.mean()), float(out.var()))
+
+    @pytest.mark.parametrize(
+        "spec, shape",
+        [(gaussian(), (40, 900)), (student_t(3), (60, 400)), (two_point(0.01), (30, 500))],
+        ids=["gaussian", "student-t3", "two-point"],
+    )
+    def test_bit_identical_to_three_pass_reference(self, spec, shape):
+        X = sample_matrix(spec, MatrixShape(*shape), SeedSpec(21), 0)
+        before = X.tobytes()
+        out, report = truncation_pipeline(X)
+        expected, fields = self._three_pass_pipeline(X)
+        if spec.kind != "gaussian":
+            assert report.fraction_truncated > 0.0  # the mask path runs
+        assert out.tobytes() == expected.tobytes()
+        assert (report.threshold, report.fraction_truncated, report.post_mean, report.post_sigma2) == fields
+        assert X.tobytes() == before
+        assert not out.flags.writeable
+
+    def test_peak_memory_is_twice_the_input(self):
+        X = sample_matrix(student_t(3), MatrixShape(200, 4000), SeedSpec(8), 0)
+        tracemalloc.start()
+        try:
+            _, report = truncation_pipeline(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.fraction_truncated > 0.0
+        # the output plus numpy's one std/var temporary; the mask is gone by then
+        assert peak <= 2.1 * X.nbytes
 
 
 class TestSqrtPsd:

@@ -9,8 +9,19 @@ from scipy import integrate, optimize
 from covspectrum import spectral
 from covspectrum.ensemble import MatrixShape, SeedSpec, gaussian, rademacher, sample_matrix
 from covspectrum.errors import ConvergenceError, ValidationError
-from covspectrum.normalize import build_A, build_A1, build_B
+from covspectrum.normalize import (
+    CovarianceSpec,
+    build_A,
+    build_A1,
+    build_B,
+    build_S1,
+    build_S2,
+    diagonal_cov,
+    identity_cov,
+    toeplitz_cov,
+)
 from covspectrum.spectral import (
+    covariance_error,
     diag_max_dev,
     eigvals_sym,
     esd_sup_diff,
@@ -141,6 +152,34 @@ class TestDiagMaxDev:
         x = rng.standard_normal((7, 40))
         A = build_A(x)
         assert diag_max_dev(x) == pytest.approx(2.0 * np.abs(np.diag(A)).max(), rel=1e-12)
+
+
+class TestCovarianceError:
+    @pytest.mark.parametrize(
+        "sigma", [identity_cov(), diagonal_cov([0.5, 1.0, 2.0, 3.0, 4.0]), toeplitz_cov(0.4)], ids=lambda s: s.kind
+    )
+    def test_materializes_sigma_once(self, monkeypatch, sigma):
+        X = sample_matrix(gaussian(), MatrixShape(5, 60), SeedSpec(3), 0)
+        calls = []
+        materialize = CovarianceSpec.materialize
+
+        def counted(spec, p):
+            calls.append(p)
+            return materialize(spec, p)
+
+        monkeypatch.setattr(CovarianceSpec, "materialize", counted)
+        got = covariance_error(X, sigma)
+        assert calls == [5]
+        monkeypatch.undo()
+        # the same three norms as building Sigma separately for S2, the error and the bound
+        S = sigma.materialize(5)
+        sigma_norm = symmetric_operator_norm(S)
+        expected = (
+            symmetric_operator_norm(build_S2(X, sigma) - S),
+            symmetric_operator_norm(build_S1(X) - np.eye(5)) * sigma_norm,
+            sigma_norm,
+        )
+        assert got == expected
 
 
 class TestLambdaMaxMatfree:
