@@ -11,8 +11,8 @@ Modules:
 * ``normalize`` -- the matrix constructions and the truncation pipeline;
 * ``spectral``  -- eigenvalues, semicircle law, exact KS distances;
 * ``momentlab`` -- exact combinatorial oracles for trace moments;
-* ``harness``   -- reproducible Monte Carlo sweeps and statistics;
-* ``reports``   -- CSV/JSON/SVG emission;
+* ``harness``   -- reproducible Monte Carlo sweeps;
+* ``reports``   -- sweep records, their CSV/JSON/SVG forms and statistics;
 * ``cli``       -- the covspectrum command-line tool.
 """
 

@@ -8,8 +8,9 @@ schedule) is its own subcommand with its own flags.  spectrum, esd,
 covtest and sweep compute each quantity through the same spectral
 functions.
 Exit codes: 0 success, 1 validation error, 2 resource/convergence error,
-3 I/O error.  The output directory comes from --out, falling back to the
-COVSPECTRUM_OUT environment variable, then the current directory.
+3 I/O error.  Every command that writes files takes its output directory
+from --out, falling back to the COVSPECTRUM_OUT environment variable, then
+the current directory; a sweep config names no output directory.
 """
 
 import argparse
@@ -30,10 +31,10 @@ from .ensemble import (
     save_matrix,
 )
 from .errors import ConvergenceError, ResourceError, ValidationError
-from .harness import ExperimentConfig, fit_rate, run_experiment
+from .harness import ExperimentConfig, run_experiment
 from .momentlab import IndexCircuit, bound_rhs_a13, check_schedule, classify_json, exact_trace_moment
 from .normalize import build_A, covariance_from_json
-from .reports import emit_report, read_records
+from .reports import emit_report, fit_rate, read_records
 from .spectral import (
     DENSE_P_LIMIT,
     covariance_error,
@@ -234,13 +235,15 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        config = ExperimentConfig.from_json(_json_arg(fh.read(), "experiment config"))
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{args.config}: experiment config is not UTF-8 text: {exc}") from exc
+    config = ExperimentConfig.from_json(_json_arg(text, "experiment config"))
     if args.seed is not None:
         config = replace(config, master_seed=args.seed)
-    out_dir = args.out if args.out is not None else os.environ.get(OUT_ENV_VAR, config.output_dir)
-    if out_dir is None:
-        out_dir = "."
+    out_dir = _out_dir(args)
     records = run_experiment(config, threads=args.threads, out_dir=out_dir)
     failed = sum(1 for r in records if r.failed)
     print(
@@ -258,14 +261,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_report(args) -> int:
     records = read_records(args.records)
-    out_dir = _out_dir(args)
-    paths = emit_report(records, args.format, out_dir)
-    ratios = {(r.p, r.n) for r in records if r.task == "cov_rate"}
-    if len({p / n for p, n in ratios}) >= 3:
-        fit = fit_rate(records)
-        print(json.dumps({"paths": paths, "rate_slope": fit.slope, "rate_r2": fit.r2}, sort_keys=True))
-    else:
-        print(json.dumps({"paths": paths}, sort_keys=True))
+    fit = fit_rate(records)
+    out = {"paths": emit_report(records, args.format, _out_dir(args))}
+    if fit is not None:
+        out.update(rate_slope=fit.slope, rate_r2=fit.r2)
+    print(json.dumps(out, sort_keys=True))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Experiment orchestration: deterministic parallel sweeps and statistics.
+"""Experiment orchestration: deterministic parallel sweeps.
 
 A sweep runs a task set over a (p, n) grid with R replicates.  Each run
 seeds its own stream from (master_seed, p, n, replicate) by avalanche
@@ -25,11 +25,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import reports
 from .ensemble import (
     DistributionSpec,
     MatrixShape,
@@ -49,6 +48,7 @@ from .normalize import (
     covariance_from_json,
     truncation_pipeline,
 )
+from .reports import RunRecord, records_to_csv
 from .spectral import (
     DENSE_P_LIMIT,
     covariance_error,
@@ -62,14 +62,7 @@ __all__ = [
     "TASK_NAMES",
     "TaskSpec",
     "ExperimentConfig",
-    "RunRecord",
-    "SummaryRow",
-    "RateFit",
-    "TailRow",
     "run_experiment",
-    "summarize",
-    "fit_rate",
-    "tail_probability_report",
 ]
 
 TASK_NAMES = (
@@ -81,10 +74,6 @@ TASK_NAMES = (
     "truncation_report",
     "moment_check",
 )
-
-DEFAULT_TAIL_EPS = 0.3
-WILSON_Z = 1.96  # two-sided 95% normal quantile
-
 
 _TASK_FIELDS = {"cov_rate": ("name", "sigma"), "moment_check": ("name", "k")}
 
@@ -130,7 +119,6 @@ class ExperimentConfig:
     replicates: int
     master_seed: int
     tasks: tuple = ()
-    output_dir: str | None = None
 
     def __post_init__(self):
         if len(self.grid) == 0:
@@ -162,7 +150,6 @@ class ExperimentConfig:
                 replicates=obj.get("replicates", 1),
                 master_seed=obj.get("master_seed", 0),
                 tasks=tuple(TaskSpec.from_json(t) for t in obj.get("tasks", ())),
-                output_dir=obj.get("output_dir"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed experiment config: {exc}") from exc
@@ -174,28 +161,7 @@ class ExperimentConfig:
             "replicates": self.replicates,
             "master_seed": self.master_seed,
             "tasks": [t.to_json() for t in self.tasks],
-            "output_dir": self.output_dir,
         }
-
-
-@dataclass
-class RunRecord:
-    """One measurement row; (p, n, replicate, task) is unique per sweep."""
-
-    p: int
-    n: int
-    ratio: float
-    replicate: int
-    task: str
-    value: float
-    aux: dict = field(default_factory=dict)
-
-    @property
-    def failed(self) -> bool:
-        return "error" in self.aux
-
-    def sort_key(self):
-        return (self.p, self.n, self.replicate, self.task)
 
 
 def _run_tasks(config: ExperimentConfig, shape: MatrixShape, replicate: int) -> list:
@@ -327,151 +293,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 0, out_dir: str | No
             nested = list(pool.map(lambda job: _run_tasks(config, *job), jobs))
     records = [rec for batch in nested for rec in batch]
     records.sort(key=RunRecord.sort_key)
-    target = out_dir if out_dir is not None else config.output_dir
-    if target is not None:
-        os.makedirs(target, exist_ok=True)
-        reports.records_to_csv(records, os.path.join(target, "records.csv"))
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        records_to_csv(records, os.path.join(out_dir, "records.csv"))
     return records
-
-
-# ---------------------------------------------------------------------------
-# Statistics over records.
-
-
-@dataclass(frozen=True)
-class SummaryRow:
-    p: int
-    n: int
-    task: str
-    count: int
-    median: float
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-
-
-def _lower_median(sorted_values):
-    return sorted_values[(len(sorted_values) - 1) // 2]
-
-
-def summarize(records) -> list:
-    """Per-(p, n, task) order statistics; error rows are excluded.
-
-    The median is the lower median for even counts, so it is always an
-    observed value.
-    """
-    if not records:
-        raise ValidationError("no records to summarize")
-    groups = {}
-    for rec in records:
-        if rec.failed or not math.isfinite(rec.value):
-            continue
-        groups.setdefault((rec.p, rec.n, rec.task), []).append(rec.value)
-    rows = []
-    for (p, n, task), values in sorted(groups.items()):
-        values.sort()
-        arr = np.asarray(values)
-        rows.append(
-            SummaryRow(
-                p=p,
-                n=n,
-                task=task,
-                count=len(values),
-                median=float(_lower_median(values)),
-                mean=float(arr.mean()),
-                std=float(arr.std(ddof=1)) if len(values) > 1 else 0.0,
-                minimum=float(values[0]),
-                maximum=float(values[-1]),
-            )
-        )
-    return rows
-
-
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares slope of log(median error) against log(p/n)."""
-
-    slope: float
-    intercept: float
-    r2: float
-    points: tuple
-
-
-def fit_rate(records) -> RateFit:
-    """Fit the covariance-error rate; needs >= 3 distinct grid ratios."""
-    groups = {}
-    for rec in records:
-        if rec.task != "cov_rate" or rec.failed or not math.isfinite(rec.value):
-            continue
-        groups.setdefault((rec.p, rec.n), []).append(rec.value)
-    if len({p / n for p, n in groups}) < 3:
-        raise ValidationError("rate fit needs at least 3 distinct p/n ratios")
-    points = []
-    for (p, n), values in groups.items():
-        values.sort()
-        points.append((math.log(p / n), math.log(_lower_median(values))))
-    points.sort()
-    x = np.array([a for a, _ in points])
-    y = np.array([b for _, b in points])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    ss_res = float(np.sum(resid**2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res == 0 else 0.0)
-    return RateFit(slope=float(slope), intercept=float(intercept), r2=r2, points=tuple(points))
-
-
-@dataclass(frozen=True)
-class TailRow:
-    p: int
-    n: int
-    ratio: float
-    exceed: int
-    total: int
-    frequency: float
-    wilson_low: float
-    wilson_high: float
-
-
-def _wilson(successes: int, total: int):
-    z = WILSON_Z
-    if total == 0:
-        return 0.0, 1.0
-    phat = successes / total
-    denom = 1.0 + z * z / total
-    center = (phat + z * z / (2 * total)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / total + z * z / (4 * total * total)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
-
-
-def tail_probability_report(records, eps: float = DEFAULT_TAIL_EPS) -> list:
-    """Empirical frequency of {lambda_max(B) > 1 + eps} with Wilson intervals.
-
-    Consumes lambda_max records (dense runs carry lambda_max_b in aux);
-    rows come back sorted by decreasing ratio, so the frequency column
-    should read nonincreasing when the tail event thins out.
-    """
-    groups = {}
-    for rec in records:
-        if rec.task != "lambda_max" or rec.failed or "lambda_max_b" not in rec.aux:
-            continue
-        groups.setdefault((rec.p, rec.n), []).append(float(rec.aux["lambda_max_b"]))
-    rows = []
-    for (p, n), values in groups.items():
-        exceed = sum(1 for v in values if v > 1.0 + eps)
-        low, high = _wilson(exceed, len(values))
-        rows.append(
-            TailRow(
-                p=p,
-                n=n,
-                ratio=p / n,
-                exceed=exceed,
-                total=len(values),
-                frequency=exceed / len(values),
-                wilson_low=low,
-                wilson_high=high,
-            )
-        )
-    rows.sort(key=lambda r: -r.ratio)
-    return rows

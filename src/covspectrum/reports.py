@@ -1,4 +1,4 @@
-"""Persistence and reporting: canonical CSV, JSON, and deterministic SVG.
+"""Sweep records: the ``RunRecord`` type, its CSV/JSON/SVG forms and the statistics over records.
 
 The CSV schema is fixed (column set and order are golden-tested) and the
 serialization is fully deterministic: floats use repr (shortest
@@ -11,22 +11,52 @@ import csv
 import json
 import math
 import os
+from dataclasses import asdict, astuple, dataclass, field, fields
+
+import numpy as np
 
 from .errors import ValidationError
 
 __all__ = [
     "CSV_COLUMNS",
     "VOLATILE_AUX_KEYS",
+    "RunRecord",
+    "SummaryRow",
+    "RateFit",
+    "TailRow",
     "records_to_csv",
     "read_records",
-    "summary_to_csv",
+    "summarize",
+    "fit_rate",
+    "tail_probability_report",
     "emit_report",
 ]
 
 CSV_COLUMNS = ("p", "n", "ratio", "replicate", "task", "value", "aux")
 VOLATILE_AUX_KEYS = ("wall_ms",)
 
-SUMMARY_COLUMNS = ("p", "n", "task", "count", "median", "mean", "std", "min", "max")
+DEFAULT_TAIL_EPS = 0.3
+WILSON_Z = 1.96  # two-sided 95% normal quantile
+
+
+@dataclass
+class RunRecord:
+    """One measurement row; (p, n, replicate, task) is unique per sweep."""
+
+    p: int
+    n: int
+    ratio: float
+    replicate: int
+    task: str
+    value: float
+    aux: dict = field(default_factory=dict)
+
+    @property
+    def failed(self) -> bool:
+        return "error" in self.aux
+
+    def sort_key(self):
+        return (self.p, self.n, self.replicate, self.task)
 
 
 def _canonical_aux(aux: dict) -> str:
@@ -54,8 +84,6 @@ def records_to_csv(records, path) -> None:
 
 def read_records(path):
     """Parse a records CSV back into RunRecord objects."""
-    from .harness import RunRecord  # local import to avoid a cycle
-
     out = []
     try:
         with open(path, newline="") as fh:
@@ -77,6 +105,8 @@ def read_records(path):
                     )
                     if not isinstance(record.aux, dict):
                         raise ValueError(f"aux {aux!r} is not a JSON object")
+                    if record.p < 1 or record.n < 1 or record.replicate < 0:
+                        raise ValueError("p and n must be >= 1 and replicate >= 0")
                 except ValueError as exc:
                     raise ValidationError(f"{path}, line {reader.line_num}: malformed record: {exc}") from exc
                 out.append(record)
@@ -85,24 +115,152 @@ def read_records(path):
     return out
 
 
-def summary_to_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.p,
-                    row.n,
-                    row.task,
-                    row.count,
-                    repr(row.median),
-                    repr(row.mean),
-                    repr(row.std),
-                    repr(row.minimum),
-                    repr(row.maximum),
-                ]
+# ---------------------------------------------------------------------------
+# Statistics over records.
+
+
+@dataclass(frozen=True)
+class SummaryRow:
+    """Order statistics of one (p, n, task); the field names are the CSV header."""
+
+    p: int
+    n: int
+    task: str
+    count: int
+    median: float
+    mean: float
+    std: float
+    min: float
+    max: float
+
+
+def _lower_median(sorted_values):
+    return sorted_values[(len(sorted_values) - 1) // 2]
+
+
+def summarize(records) -> list:
+    """Per-(p, n, task) order statistics; error rows are excluded.
+
+    The median is the lower median for even counts, so it is always an
+    observed value.
+    """
+    if not records:
+        raise ValidationError("no records to summarize")
+    groups = {}
+    for rec in records:
+        if rec.failed or not math.isfinite(rec.value):
+            continue
+        groups.setdefault((rec.p, rec.n, rec.task), []).append(rec.value)
+    rows = []
+    for (p, n, task), values in sorted(groups.items()):
+        values.sort()
+        arr = np.asarray(values)
+        rows.append(
+            SummaryRow(
+                p=p,
+                n=n,
+                task=task,
+                count=len(values),
+                median=float(_lower_median(values)),
+                mean=float(arr.mean()),
+                std=float(arr.std(ddof=1)) if len(values) > 1 else 0.0,
+                min=float(values[0]),
+                max=float(values[-1]),
             )
+        )
+    return rows
+
+
+@dataclass(frozen=True)
+class RateFit:
+    """Least-squares slope of log(median error) against log(p/n)."""
+
+    slope: float
+    intercept: float
+    r2: float
+    points: tuple
+
+
+def fit_rate(records) -> RateFit | None:
+    """Fit the covariance-error rate; None with fewer than 3 distinct p/n ratios."""
+    groups = {}
+    for rec in records:
+        if rec.task != "cov_rate" or rec.failed or not math.isfinite(rec.value):
+            continue
+        groups.setdefault((rec.p, rec.n), []).append(rec.value)
+    if len({p / n for p, n in groups}) < 3:
+        return None
+    points = []
+    for (p, n), values in groups.items():
+        values.sort()
+        median = _lower_median(values)
+        if median <= 0:
+            raise ValidationError(f"cov_rate median at p={p}, n={n} is {median!r}; the rate fit needs it > 0")
+        points.append((math.log(p / n), math.log(median)))
+    points.sort()
+    x = np.array([a for a, _ in points])
+    y = np.array([b for _, b in points])
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    ss_res = float(np.sum(resid**2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res == 0 else 0.0)
+    return RateFit(slope=float(slope), intercept=float(intercept), r2=r2, points=tuple(points))
+
+
+@dataclass(frozen=True)
+class TailRow:
+    p: int
+    n: int
+    ratio: float
+    exceed: int
+    total: int
+    frequency: float
+    wilson_low: float
+    wilson_high: float
+
+
+def _wilson(successes: int, total: int):
+    z = WILSON_Z
+    if total == 0:
+        return 0.0, 1.0
+    phat = successes / total
+    denom = 1.0 + z * z / total
+    center = (phat + z * z / (2 * total)) / denom
+    half = z * math.sqrt(phat * (1 - phat) / total + z * z / (4 * total * total)) / denom
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+def tail_probability_report(records, eps: float = DEFAULT_TAIL_EPS) -> list:
+    """Empirical frequency of {lambda_max(B) > 1 + eps} with Wilson intervals.
+
+    Consumes lambda_max records (dense runs carry lambda_max_b in aux);
+    rows come back sorted by decreasing ratio, so the frequency column
+    should read nonincreasing when the tail event thins out.
+    """
+    groups = {}
+    for rec in records:
+        if rec.task != "lambda_max" or rec.failed or "lambda_max_b" not in rec.aux:
+            continue
+        groups.setdefault((rec.p, rec.n), []).append(float(rec.aux["lambda_max_b"]))
+    rows = []
+    for (p, n), values in groups.items():
+        exceed = sum(1 for v in values if v > 1.0 + eps)
+        low, high = _wilson(exceed, len(values))
+        rows.append(
+            TailRow(
+                p=p,
+                n=n,
+                ratio=p / n,
+                exceed=exceed,
+                total=len(values),
+                frequency=exceed / len(values),
+                wilson_low=low,
+                wilson_high=high,
+            )
+        )
+    rows.sort(key=lambda r: -r.ratio)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +312,6 @@ def _svg_scatter(points, medians, title: str) -> str:
 
 def emit_report(records, fmt: str, out_dir) -> list:
     """Write records in the requested format; returns the written paths."""
-    from .harness import summarize  # local import to avoid a cycle
-
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     if fmt == "csv":
@@ -164,39 +320,19 @@ def emit_report(records, fmt: str, out_dir) -> list:
         paths.append(rec_path)
         if records:
             sum_path = os.path.join(out_dir, "report_summary.csv")
-            summary_to_csv(summarize(records), sum_path)
+            with open(sum_path, "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(f.name for f in fields(SummaryRow))
+                writer.writerows(astuple(row) for row in summarize(records))
             paths.append(sum_path)
         return paths
     if fmt == "json":
-        payload = {
-            "records": [
-                {
-                    "p": r.p,
-                    "n": r.n,
-                    "ratio": r.ratio,
-                    "replicate": r.replicate,
-                    "task": r.task,
-                    "value": None if not math.isfinite(r.value) else r.value,
-                    "aux": {k: v for k, v in r.aux.items() if k not in VOLATILE_AUX_KEYS},
-                }
-                for r in records
-            ],
-        }
+        payload = {"records": [asdict(r) for r in records]}
+        for row in payload["records"]:
+            row["value"] = row["value"] if math.isfinite(row["value"]) else None
+            row["aux"] = {k: v for k, v in row["aux"].items() if k not in VOLATILE_AUX_KEYS}
         if records:
-            payload["summary"] = [
-                {
-                    "p": s.p,
-                    "n": s.n,
-                    "task": s.task,
-                    "count": s.count,
-                    "median": s.median,
-                    "mean": s.mean,
-                    "std": s.std,
-                    "min": s.minimum,
-                    "max": s.maximum,
-                }
-                for s in summarize(records)
-            ]
+            payload["summary"] = [asdict(row) for row in summarize(records)]
         path = os.path.join(out_dir, "report.json")
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
@@ -214,9 +350,7 @@ def emit_report(records, fmt: str, out_dir) -> list:
             med = {}
             for r in recs:
                 med.setdefault(r.ratio, []).append(r.value)
-            medians = sorted(
-                (ratio, sorted(vals)[(len(vals) - 1) // 2]) for ratio, vals in med.items()
-            )
+            medians = sorted((ratio, _lower_median(sorted(vals))) for ratio, vals in med.items())
             path = os.path.join(out_dir, f"report_{task}.svg")
             with open(path, "w") as fh:
                 fh.write(_svg_scatter(points, medians, task))

@@ -388,8 +388,10 @@ class TestSweepAndReport:
                 {"tasks": [{"name": "moment_check", "k": 2.5}]},
                 {"replicate": 5},
                 {"tasks": [{"name": "diag_dev", "k": 3, "sigma": {"kind": "identity"}}]},
+                {"output_dir": 5},
             )
-        ],
+        ]
+        + [b'\xff\xfe{"distribution": "gaussian", "grid": [[10, 100]]}'],
         ids=[
             "not-json",
             "bad-replicates",
@@ -403,11 +405,13 @@ class TestSweepAndReport:
             "float-k",
             "unknown-config-field",
             "unknown-task-field",
+            "output-dir-field",
+            "not-utf8",
         ],
     )
     def test_malformed_config_is_validation_error(self, tmp_path, text):
         config = tmp_path / "config.json"
-        config.write_text(text)
+        config.write_bytes(text if isinstance(text, bytes) else text.encode())
         res = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
         assert res.returncode == 1
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
@@ -422,23 +426,55 @@ class TestSweepAndReport:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
-        "row",
+        "rows, where",
         [
-            '1.5,100,0.1,0,diag_dev,0.5,"{}"',
-            "10,100,0.1,0,diag_dev,0.5,{oops",
-            "10,100,0.1,0,diag_dev",
-            "10,100,0.1,0,diag_dev,0.5,[1]",
+            ('1.5,100,0.1,0,diag_dev,0.5,"{}"', "line 2"),
+            ("10,100,0.1,0,diag_dev,0.5,{oops", "line 2"),
+            ("10,100,0.1,0,diag_dev", "line 2"),
+            ("10,100,0.1,0,diag_dev,0.5,[1]", "line 2"),
+            ('10,0,0.1,0,diag_dev,0.5,"{}"', "line 2"),
+            ('0,100,0.0,0,diag_dev,0.5,"{}"', "line 2"),
+            ('10,100,0.1,-1,diag_dev,0.5,"{}"', "line 2"),
+            (
+                '10,100,0.1,0,cov_rate,0.3,"{}"\n10,500,0.02,0,cov_rate,0.0,"{}"\n10,1000,0.01,0,cov_rate,0.1,"{}"',
+                "p=10, n=500",
+            ),
         ],
-        ids=["float-p", "bad-aux", "short-row", "aux-not-object"],
+        ids=[
+            "float-p",
+            "bad-aux",
+            "short-row",
+            "aux-not-object",
+            "zero-n",
+            "zero-p",
+            "negative-replicate",
+            "non-positive-cov-rate-median",
+        ],
     )
-    def test_report_rejects_malformed_row(self, tmp_path, row):
+    def test_report_rejects_malformed_row(self, tmp_path, rows, where):
         records = tmp_path / "records.csv"
-        records.write_text("p,n,ratio,replicate,task,value,aux\n" + row + "\n")
+        records.write_text("p,n,ratio,replicate,task,value,aux\n" + rows + "\n")
         res = run_cli("report", "--records", str(records), "--out", str(tmp_path / "report"))
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
-        assert f"{records}, line 2" in res.stderr
+        assert where in res.stderr
+        assert not (tmp_path / "report").exists()
+
+    def test_report_without_a_usable_rate_fit_exits_0(self, tmp_path):
+        # the diagonal Sigma has 10 entries, so every p = 20 cov_rate row fails
+        # and only 2 usable p/n ratios remain
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "distribution": "gaussian",
+            "grid": [[10, 1000], [10, 500], [20, 400]],
+            "tasks": [{"name": "cov_rate", "sigma": {"kind": "diagonal", "d": [1.0] * 10}}],
+        }))
+        sweep = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
+        assert json.loads(sweep.stdout)["failed"] == 1
+        rep = run_cli("report", "--records", str(tmp_path / "run" / "records.csv"), "--out", str(tmp_path / "run"))
+        assert rep.returncode == 0, rep.stderr
+        assert sorted(json.loads(rep.stdout)) == ["paths"]
 
     def test_report_rejects_undecodable_bytes(self, tmp_path):
         records = tmp_path / "records.csv"

@@ -2,9 +2,13 @@
 
 ``from covspectrum.x import *`` and tools that walk ``__all__`` (such as
 perfbench's tracer, which skips a missing name silently) rely on it.
+Imports sit at module level only, so an import cycle fails at import time
+instead of hiding inside a function.
 """
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -21,3 +25,15 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(covspectrum.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    nested = [
+        f"{path.name}:{node.lineno}"
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []

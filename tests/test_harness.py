@@ -16,19 +16,19 @@ from covspectrum.errors import ValidationError
 from covspectrum.harness import (
     TASK_NAMES,
     ExperimentConfig,
-    RunRecord,
     TaskSpec,
-    fit_rate,
     run_experiment,
-    summarize,
-    tail_probability_report,
 )
 from covspectrum.normalize import toeplitz_cov
 from covspectrum.reports import (
     CSV_COLUMNS,
+    RunRecord,
     emit_report,
+    fit_rate,
     read_records,
     records_to_csv,
+    summarize,
+    tail_probability_report,
 )
 
 
@@ -329,7 +329,7 @@ class TestSummarize:
         row = summarize(recs)[0]
         s = np.sort(values)
         assert row.median == s[(len(s) - 1) // 2]
-        assert row.minimum == s[0] and row.maximum == s[-1]
+        assert row.min == s[0] and row.max == s[-1]
         assert row.mean == pytest.approx(values.mean(), rel=1e-12)
 
     def test_empty_rejected(self):
@@ -365,8 +365,11 @@ class TestFitRate:
 
     def test_needs_three_ratios(self):
         recs = self._cov_records({(10, 100): 1.0, (10, 1000): 2.0})
-        with pytest.raises(ValidationError):
-            fit_rate(recs)
+        assert fit_rate(recs) is None
+        # a ratio whose rows all failed is not usable
+        recs.append(RunRecord(p=10, n=10000, ratio=0.001, replicate=0, task="cov_rate",
+                              value=math.nan, aux={"error": "ValidationError: boom"}))
+        assert fit_rate(recs) is None
 
 
 class TestTailReport:
@@ -478,6 +481,19 @@ class TestReports:
         payload = json.loads(open(json_path).read())
         assert len(payload["records"]) == 2
         assert "wall_ms" not in payload["records"][0]["aux"]
+
+    def test_summary_golden(self, tmp_path):
+        # SummaryRow's field names are both the CSV header and the JSON keys
+        paths = emit_report(self._records(), "csv", str(tmp_path))
+        (summary,) = [p for p in paths if p.endswith("report_summary.csv")]
+        lines = open(summary).read().splitlines()
+        assert lines[0] == "p,n,task,count,median,mean,std,min,max"
+        assert lines[1] == "10,100,lambda_max,1,1.25,1.25,0.0,1.25,1.25"
+        (json_path,) = emit_report(self._records(), "json", str(tmp_path))
+        rows = json.loads(open(json_path).read())["summary"]
+        assert [sorted(row) for row in rows] == [
+            ["count", "max", "mean", "median", "min", "n", "p", "std", "task"]
+        ] * 2
 
     def test_emit_empty_csv(self, tmp_path):
         paths = emit_report([], "csv", str(tmp_path))
