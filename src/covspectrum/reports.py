@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -59,9 +59,8 @@ class RunRecord:
         return (self.p, self.n, self.replicate, self.task)
 
 
-def _canonical_aux(aux: dict) -> str:
-    clean = {k: v for k, v in aux.items() if k not in VOLATILE_AUX_KEYS}
-    return json.dumps(clean, sort_keys=True, separators=(",", ":"))
+def _stable_aux(aux: dict) -> dict:
+    return {k: v for k, v in aux.items() if k not in VOLATILE_AUX_KEYS}
 
 
 def records_to_csv(records, path) -> None:
@@ -77,7 +76,7 @@ def records_to_csv(records, path) -> None:
                     rec.replicate,
                     rec.task,
                     repr(float(rec.value)),
-                    _canonical_aux(rec.aux),
+                    json.dumps(_stable_aux(rec.aux), sort_keys=True, separators=(",", ":")),
                 ]
             )
 
@@ -327,12 +326,13 @@ def emit_report(records, fmt: str, out_dir) -> list:
             paths.append(sum_path)
         return paths
     if fmt == "json":
-        payload = {"records": [asdict(r) for r in records]}
-        for row in payload["records"]:
-            row["value"] = row["value"] if math.isfinite(row["value"]) else None
-            row["aux"] = {k: v for k, v in row["aux"].items() if k not in VOLATILE_AUX_KEYS}
+        # vars(), not asdict(), which deep-copies every aux value
+        payload = {"records": [
+            dict(vars(r), value=r.value if math.isfinite(r.value) else None, aux=_stable_aux(r.aux))
+            for r in records
+        ]}
         if records:
-            payload["summary"] = [asdict(row) for row in summarize(records)]
+            payload["summary"] = [vars(row) for row in summarize(records)]
         path = os.path.join(out_dir, "report.json")
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)

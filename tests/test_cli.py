@@ -428,13 +428,13 @@ class TestSweepAndReport:
     @pytest.mark.parametrize(
         "rows, where",
         [
-            ('1.5,100,0.1,0,diag_dev,0.5,"{}"', "line 2"),
-            ("10,100,0.1,0,diag_dev,0.5,{oops", "line 2"),
-            ("10,100,0.1,0,diag_dev", "line 2"),
-            ("10,100,0.1,0,diag_dev,0.5,[1]", "line 2"),
-            ('10,0,0.1,0,diag_dev,0.5,"{}"', "line 2"),
-            ('0,100,0.0,0,diag_dev,0.5,"{}"', "line 2"),
-            ('10,100,0.1,-1,diag_dev,0.5,"{}"', "line 2"),
+            ('1.5,100,0.1,0,diag_dev,0.5,"{}"', "{records}, line 2"),
+            ("10,100,0.1,0,diag_dev,0.5,{oops", "{records}, line 2"),
+            ("10,100,0.1,0,diag_dev", "{records}, line 2"),
+            ("10,100,0.1,0,diag_dev,0.5,[1]", "{records}, line 2"),
+            ('10,0,0.1,0,diag_dev,0.5,"{}"', "{records}, line 2"),
+            ('0,100,0.0,0,diag_dev,0.5,"{}"', "{records}, line 2"),
+            ('10,100,0.1,-1,diag_dev,0.5,"{}"', "{records}, line 2"),
             (
                 '10,100,0.1,0,cov_rate,0.3,"{}"\n10,500,0.02,0,cov_rate,0.0,"{}"\n10,1000,0.01,0,cov_rate,0.1,"{}"',
                 "p=10, n=500",
@@ -458,7 +458,7 @@ class TestSweepAndReport:
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
-        assert where in res.stderr
+        assert where.format(records=records) in res.stderr
         assert not (tmp_path / "report").exists()
 
     def test_report_without_a_usable_rate_fit_exits_0(self, tmp_path):
