@@ -9,11 +9,13 @@ rows and never abort the sweep.
 Threads: with ``threads >= 2`` and more than one job, cells run on a
 thread pool and numpy's bundled OpenBLAS is capped at one thread while
 the pool runs (pool threads times BLAS threads would oversubscribe the
-cores), so records at any ``threads >= 2`` are a host-independent
-function of the config.  ``threads = 1`` runs cells in the calling thread
-with BLAS's default thread count, which the matrix-free matvecs need; on a
-multi-core host its dense values can therefore differ from pooled ones in
-the last bits.  Where numpy links another BLAS, no cap is applied.
+cores), so records at any ``threads >= 2`` are a function of the config
+for a given BLAS build and CPU kernel.  ``threads = 1`` runs cells in the
+calling thread with BLAS's default thread count, which the matrix-free
+matvecs need; on a multi-core host its dense values can therefore differ
+from pooled ones in the last bits.  numpy's OpenBLAS is the only BLAS the
+package calls, so the cap governs every BLAS call of a sweep; where numpy
+links another BLAS, no cap is applied.
 """
 
 import ctypes
@@ -98,8 +100,8 @@ class TaskSpec:
     def from_json(cls, obj) -> "TaskSpec":
         if isinstance(obj, str):
             return cls(obj)
-        if not isinstance(obj, dict) or "name" not in obj:
-            raise ValidationError("task must be a name or a dict with 'name'")
+        if not isinstance(obj, dict) or not isinstance(obj.get("name"), str):
+            raise ValidationError("task must be a name or a dict with a string 'name'")
         _reject_unknown(obj, _TASK_FIELDS.get(obj["name"], ("name",)), "task")
         sigma = covariance_from_json(obj["sigma"]) if "sigma" in obj else None
         return cls(obj["name"], sigma=sigma, k=obj.get("k"))
@@ -277,9 +279,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 0, out_dir: str | No
     records do not depend on scheduling.  With threads >= 2 and more than
     one job the cells run on a pool with numpy's OpenBLAS at one thread
     (restored on return, also on error), so the records are the same bytes
-    at every threads >= 2 on any host.  threads = 1 keeps BLAS's own
-    threads; on a multi-core host its dense values may differ from pooled
-    ones in the last bits.
+    at every threads >= 2 for a given BLAS build and CPU kernel.
+    threads = 1 keeps BLAS's own threads; on a multi-core host its dense
+    values may differ from pooled ones in the last bits.
     """
     if threads < 0:
         raise ValidationError(f"threads must be >= 0 (0 = one per CPU), got {threads}")

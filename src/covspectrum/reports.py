@@ -81,8 +81,16 @@ def records_to_csv(records, path) -> None:
             )
 
 
+def _reject_constant(name):
+    raise ValueError(f"aux holds the non-finite value {name}")
+
+
 def read_records(path):
-    """Parse a records CSV back into RunRecord objects."""
+    """Parse a records CSV back into RunRecord objects.
+
+    ``value`` may be ``nan`` (error rows carry it); aux must be strict JSON,
+    so a ``NaN`` or ``Infinity`` there is a malformed row.
+    """
     out = []
     try:
         with open(path, newline="") as fh:
@@ -100,7 +108,7 @@ def read_records(path):
                         replicate=int(replicate),
                         task=task,
                         value=float(value),
-                        aux=json.loads(aux),
+                        aux=json.loads(aux, parse_constant=_reject_constant),
                     )
                     if not isinstance(record.aux, dict):
                         raise ValueError(f"aux {aux!r} is not a JSON object")

@@ -7,7 +7,9 @@ oracle of record up to p = 2000).
 matrix without ever materializing it, by Lanczos with full
 reorthogonalization on the operator v -> (X (X' v) - n v) / (2 sqrt(np)).
 The Krylov basis grows until the top Ritz pair passes a residual test;
-it is restarted only when it reaches ``MAX_BASIS`` vectors.
+it is restarted only when it reaches ``MAX_BASIS`` vectors.  The Ritz
+pair comes from numpy's ``eigh`` on the Lanczos tridiagonal, so numpy is
+the package's only numeric dependency.
 
 Distribution comparisons are exact: the Kolmogorov-Smirnov statistic is
 evaluated with the two-sided jump formula (no grid discretization), and
@@ -19,7 +21,6 @@ error of S2 against a population Sigma, next to its factorized bound.
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, ValidationError
 from .normalize import build_S1, build_S2
@@ -176,29 +177,30 @@ def lambda_max_matfree(X, tol: float = 1e-10, max_iter: int = 20000):
 
     cap = min(p, MAX_BASIS)
     Q = np.empty((cap, p))
+    # the Lanczos tridiagonal: alpha_j on the diagonal, beta_j below it
+    T = np.zeros((cap, cap))
     best = resid = None
     while matvecs < max_iter:
         Q[0] = v
-        alphas, betas = [], []
         for j in range(cap):
             w = apply_a(Q[j])
             alpha = float(Q[j] @ w)
             w -= alpha * Q[j]
             if j > 0:
-                w -= betas[-1] * Q[j - 1]
+                w -= T[j, j - 1] * Q[j - 1]
             # full reorthogonalization: the three-term recurrence loses
             # orthogonality long before the edge Ritz value settles, and a
             # second Gram-Schmidt pass keeps a basis of hundreds orthonormal
             for _ in range(2):
                 w -= Q[: j + 1].T @ (Q[: j + 1] @ w)
             beta = finite(float(np.linalg.norm(w)), "Lanczos coefficient")
-            alphas.append(alpha)
-            betas.append(beta)
+            T[j, j] = alpha
             steps = j + 1
             breakdown = beta < 1e-14 or steps == p
             last = matvecs + 1 >= max_iter
-            ritz, vecs = eigh_tridiagonal(alphas, betas[:-1], select="i", select_range=(steps - 1, steps - 1))
-            theta, y = float(ritz[0]), vecs[:, 0]
+            # eigh reads only the lower triangle, where T is tridiagonal
+            ritz, vecs = np.linalg.eigh(T[:steps, :steps])
+            theta, y = float(ritz[-1]), vecs[:, -1]
             limit = tol * max(1.0, abs(theta))
             moved_ok = best is not None and abs(theta - best) <= limit
             best = theta
@@ -213,6 +215,7 @@ def lambda_max_matfree(X, tol: float = 1e-10, max_iter: int = 20000):
             if breakdown or last or steps == cap:
                 break  # restart from the top Ritz vector, or give up
             Q[steps] = w / beta
+            T[steps, j] = beta
     raise ConvergenceError(
         f"no convergence within {max_iter} operator applications",
         best_value=best,

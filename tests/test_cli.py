@@ -435,6 +435,8 @@ class TestSweepAndReport:
             ('10,0,0.1,0,diag_dev,0.5,"{}"', "{records}, line 2"),
             ('0,100,0.0,0,diag_dev,0.5,"{}"', "{records}, line 2"),
             ('10,100,0.1,-1,diag_dev,0.5,"{}"', "{records}, line 2"),
+            ('10,100,0.1,0,cov_rate,0.5,"{""bound"":NaN}"', "{records}, line 2"),
+            ('10,100,0.1,0,cov_rate,0.5,"{""bound"":Infinity}"', "{records}, line 2"),
             (
                 '10,100,0.1,0,cov_rate,0.3,"{}"\n10,500,0.02,0,cov_rate,0.0,"{}"\n10,1000,0.01,0,cov_rate,0.1,"{}"',
                 "p=10, n=500",
@@ -448,6 +450,8 @@ class TestSweepAndReport:
             "zero-n",
             "zero-p",
             "negative-replicate",
+            "aux-nan",
+            "aux-infinity",
             "non-positive-cov-rate-median",
         ],
     )
@@ -503,8 +507,9 @@ class TestSweepAndReport:
         assert not (tmp_path / "ignored").exists()
 
 
-def test_cli_import_leaves_scipy_special_out():
-    code = "import sys, covspectrum.cli; print('scipy.special' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.special", "scipy"])
+def test_cli_import_leaves_scipy_special_out(module):
+    code = f"import sys, covspectrum.cli; print({module!r} in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from covspectrum import harness
-from covspectrum.ensemble import MatrixShape, gaussian, rademacher
+from covspectrum.ensemble import KINDS, MatrixShape, distribution_from_json, gaussian, rademacher
 from covspectrum.errors import ValidationError
 from covspectrum.harness import (
     TASK_NAMES,
@@ -19,7 +19,8 @@ from covspectrum.harness import (
     TaskSpec,
     run_experiment,
 )
-from covspectrum.normalize import toeplitz_cov
+from covspectrum.momentlab import IndexCircuit
+from covspectrum.normalize import covariance_from_json, toeplitz_cov
 from covspectrum.reports import (
     CSV_COLUMNS,
     RunRecord,
@@ -29,6 +30,21 @@ from covspectrum.reports import (
     records_to_csv,
     summarize,
     tail_probability_report,
+)
+
+
+# Arbitrary JSON, biased towards the field names and kind names the parsers
+# know.  "path" is left out: an explicit covariance opens it as a file, and a
+# missing file is an OSError by design.
+_JSON_KEYS = st.sampled_from(
+    ["kind", "df", "q", "d", "rho", "name", "sigma", "k", "i", "j",
+     "distribution", "grid", "replicates", "master_seed", "tasks", "bogus"]
+)
+_JSON_NAMES = st.sampled_from(KINDS + TASK_NAMES + ("identity", "diagonal", "toeplitz", "explicit"))
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | _JSON_NAMES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_KEYS, inner, max_size=5),
+    max_leaves=20,
 )
 
 
@@ -78,6 +94,26 @@ class TestConfig:
         assert TaskSpec.from_json("diag_dev").name == "diag_dev"
         spec = TaskSpec.from_json({"name": "cov_rate", "sigma": {"kind": "identity"}})
         assert spec.sigma.kind == "identity"
+
+
+    @pytest.mark.parametrize(
+        "parse",
+        [
+            distribution_from_json,
+            covariance_from_json,
+            ExperimentConfig.from_json,
+            TaskSpec.from_json,
+            IndexCircuit.from_json,
+        ],
+        ids=["distribution", "covariance", "config", "task", "circuit"],
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(obj=_json_value)
+    def test_from_json_raises_only_validation_error(self, parse, obj):
+        try:
+            parse(obj)
+        except ValidationError:
+            pass
 
 
 class TestRunExperiment:
