@@ -126,7 +126,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("sweep", help="run an ExperimentConfig JSON")
     sp.add_argument("--config", required=True)
     sp.add_argument("--seed", type=int, default=None, help="overrides the config's master_seed")
-    sp.add_argument("--threads", type=int, default=0, help="worker threads (0 = auto)")
+    sp.add_argument("--threads", type=int, default=0, help="worker threads (0 = one per CPU this process may use)")
     add_out(sp)
 
     sp = sub.add_parser("report", help="summaries and plots from a records CSV")

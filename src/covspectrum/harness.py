@@ -271,12 +271,20 @@ def _single_blas_thread():
                 set_threads(_blas_cap["saved"])
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig, threads: int = 0, out_dir: str | None = None) -> list:
     """Execute every (shape, replicate, task); persist a canonical CSV.
 
-    threads = 0 picks the CPU count.  Each run is a pure function of its
-    derived seed and aggregation sorts by (p, n, replicate, task), so the
-    records do not depend on scheduling.  With threads >= 2 and more than
+    threads = 0 picks one thread per CPU this process may run on
+    (``os.sched_getaffinity``, or ``os.cpu_count()`` where the platform
+    has no affinity call, as on macOS and Windows).  Each run is a pure
+    function of its derived seed and aggregation sorts by (p, n,
+    replicate, task), so the records do not depend on scheduling.  With threads >= 2 and more than
     one job the cells run on a pool with numpy's OpenBLAS at one thread
     (restored on return, also on error), so the records are the same bytes
     at every threads >= 2 for a given BLAS build and CPU kernel.
@@ -287,7 +295,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 0, out_dir: str | No
         raise ValidationError(f"threads must be >= 0 (0 = one per CPU), got {threads}")
     jobs = [(shape, rep) for shape in config.grid for rep in range(config.replicates)]
     if threads == 0:
-        threads = os.cpu_count() or 1
+        threads = _usable_cpus()
     if threads == 1 or len(jobs) <= 1:
         nested = [_run_tasks(config, shape, rep) for shape, rep in jobs]
     else:

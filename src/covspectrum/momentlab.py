@@ -20,13 +20,15 @@ first appearances are the T2 edges (T21 when the class is headed by an
 innovation, T22 otherwise).
 
 On top of the classification the module offers an exact trace-moment
-evaluator (full enumeration with compensated summation), a canonical
-W-graph enumerator with isomorphism-class sizes, a log-space evaluator of
-the sextuple-sum upper bound on E tr(B^k), and a feasibility checker for
-the h/k proof schedules.  The bound sums its innermost pair (mu, mu1) in
-closed form and its t-sum once per l, so it costs O(k^3) log-terms in
-plain ``math`` instead of the sextuple sum's O(k^6); the schedule checker
-returns a plain JSON-ready dict.
+evaluator (numpy visits every star circuit and tallies circuits by their
+ordered class multiplicities; one exact sum weights each pattern's term
+by its count), a canonical W-graph enumerator with isomorphism-class
+sizes, a log-space evaluator of the sextuple-sum upper bound on
+E tr(B^k), and a feasibility checker for the h/k proof schedules.  The
+bound sums its innermost pair (mu, mu1) in closed form and its t-sum
+once per l, so it costs O(k^3) log-terms in plain ``math`` instead of
+the sextuple sum's O(k^6); the schedule checker returns a plain
+JSON-ready dict.
 """
 
 import itertools
@@ -35,6 +37,8 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
+
+import numpy as np
 
 from .ensemble import _is_int, _reject_unknown
 from .errors import ResourceError, ValidationError
@@ -56,6 +60,8 @@ __all__ = [
 ]
 
 ENUMERATION_BUDGET = 10**8
+# Working-memory target of one numpy chunk in trace_moment_unscaled.
+CHUNK_BYTES = 2**19
 BOUND_TERM_BUDGET = 2 * 10**7
 CANONICAL_K_LIMIT = 5
 
@@ -311,11 +317,78 @@ def circuits(p: int, n: int, k: int, star: bool = True):
             yield IndexCircuit(k, i_seq, j_seq, star=star)
 
 
+def _star_edge_chunks(p: int, n: int, k: int):
+    """Edge codes of every star circuit, in chunks of about CHUNK_BYTES.
+
+    Yields int32 arrays of shape (2k, c): column x holds the codes
+    (i - 1) n + (j - 1) of circuit x's edges e_1, ..., e_2k, so two edges
+    coincide exactly when their codes are equal.  Circuits come in the
+    order of ``circuits(p, n, k)``.  I-sequences are ranked in mixed
+    radix (i_1 in base p, then i_{a+1} as one of the p - 1 values other
+    than i_a, which keeps lexicographic order), and those with i_k = i_1
+    are dropped.
+    """
+    n_k = n**k
+    total = p * (p - 1) ** (k - 1) * n_k
+    step = max(1, CHUNK_BYTES // (24 * k + 64))  # 24k + 64: peak bytes per circuit
+    for start in range(0, total, step):
+        i_rank, j_rank = np.divmod(np.arange(start, min(start + step, total)), n_k)
+        i_seq = np.empty((k, i_rank.size), dtype=np.int64)
+        for a in range(k - 1, 0, -1):
+            i_rank, i_seq[a] = np.divmod(i_rank, p - 1)
+        i_seq[0] = i_rank
+        for a in range(1, k):
+            i_seq[a] += i_seq[a] >= i_seq[a - 1]
+        star = i_seq[-1] != i_seq[0]
+        i_seq, j_rank = i_seq[:, star], j_rank[star]
+        edges = np.empty((2 * k, j_rank.size), dtype=np.int32)
+        for a in range(k - 1, -1, -1):
+            j_rank, j = np.divmod(j_rank, n)
+            edges[2 * a] = i_seq[a] * n + j
+            edges[2 * a + 1] = i_seq[(a + 1) % k] * n + j
+        yield edges
+
+
+def _pattern_codes(edges):
+    """One int64 per circuit coding its ordered multiplicity pattern.
+
+    The pattern is the class multiplicities m_1, ..., m_r in
+    first-occurrence order, the order ``_expectation_from_counts`` reads
+    them.  They sum to 2k, and the code sets bit m_1 + ... + m_t for
+    each t, so distinct patterns get distinct codes while 2k < 63 (the
+    enumeration budget keeps 2k <= 52 wherever a star circuit exists).
+    """
+    mult = np.ones(edges.shape, dtype=np.uint8)
+    head = np.ones(edges.shape, dtype=bool)
+    for b in range(1, len(edges)):
+        same = edges[:b] == edges[b]
+        mult[:b] += same
+        mult[b] += same.sum(axis=0, dtype=np.uint8)
+        head[b] = ~same.any(axis=0)
+    reached = np.zeros(edges.shape[1], dtype=np.int64)
+    codes = np.zeros(edges.shape[1], dtype=np.int64)
+    for m, h in zip(mult, head):
+        reached += m * h
+        codes |= h << reached
+    return codes
+
+
+def _pattern(code: int) -> tuple:
+    """The multiplicities a pattern code stands for, in order."""
+    ends = [s for s in range(code.bit_length()) if code >> s & 1]
+    return tuple(b - a for a, b in zip([0] + ends, ends))
+
+
 def trace_moment_unscaled(p: int, n: int, k: int, moments):
     """sum over star circuits of the factorized expectation (no scaling).
 
-    Exact (integer/Fraction) arithmetic when every moment is an int or
-    Fraction; otherwise compensated (Kahan) float summation.
+    numpy visits every star circuit and tallies them by ordered
+    multiplicity pattern, on which a circuit's expectation depends alone;
+    each pattern's term is evaluated once, when it first occurs in the
+    order of ``circuits``, so the first error raised is the circuit loop's.
+    The count-weighted terms are summed exactly: int or Fraction moments
+    give an int or Fraction, and otherwise float terms are read exactly
+    as Fractions and the sum is rounded once to the nearest float.
     """
     if k < 1 or p < 1 or n < 1:
         raise ValidationError("p, n, k must be >= 1")
@@ -324,40 +397,30 @@ def trace_moment_unscaled(p: int, n: int, k: int, moments):
             f"(p*n)^k = {(p * n) ** k:.3e} exceeds the {ENUMERATION_BUDGET:.0e} term budget"
         )
     exact = all(isinstance(m, (int, Fraction)) and not isinstance(m, bool) for m in moments)
-    i_tuples = [
-        i_seq
-        for i_seq in itertools.product(range(1, p + 1), repeat=k)
-        if all(i_seq[a] != i_seq[(a + 1) % k] for a in range(k))
-    ]
-    wrap = list(range(1, k)) + [0]
-    total_exact = 0
-    total = 0.0
-    comp = 0.0
-    for i_seq in i_tuples:
-        i_next = tuple(i_seq[w] for w in wrap)
-        for j_seq in itertools.product(range(1, n + 1), repeat=k):
-            counts = {}
-            for a in range(k):
-                e1 = (i_seq[a], j_seq[a])
-                counts[e1] = counts.get(e1, 0) + 1
-                e2 = (i_next[a], j_seq[a])
-                counts[e2] = counts.get(e2, 0) + 1
-            term = _expectation_from_counts(counts.values(), moments)
-            if exact:
-                total_exact += term
-            else:
-                y = term - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
-    return total_exact if exact else total
+    terms, counts = {}, {}
+    for edges in _star_edge_chunks(p, n, k):
+        codes, first, number = np.unique(_pattern_codes(edges), return_index=True, return_counts=True)
+        for at in np.argsort(first):
+            code = int(codes[at])
+            if code not in terms:
+                terms[code] = _expectation_from_counts(_pattern(code), moments)
+            counts[code] = counts.get(code, 0) + int(number[at])
+    if exact:
+        return sum((counts[code] * term for code, term in terms.items()), 0)
+    try:
+        return float(sum(counts[code] * Fraction(term) for code, term in terms.items()))
+    except (OverflowError, ValueError):
+        # a term or the sum is not a finite double: round in float arithmetic
+        return float(sum(counts[code] * term for code, term in terms.items()))
 
 
 def exact_trace_moment(p: int, n: int, k: int, moments) -> float:
     """E tr(B^k) by full enumeration: (2 sqrt(np))^{-k} * unscaled sum.
 
-    For even k the normalization is the exact integer 2^k (np)^{k/2}, so
-    rational cases come out exact in float.
+    The unscaled sum is exact (float moments give the correctly rounded
+    float of the exact sum of the float terms).  For even k the
+    normalization is the exact integer 2^k (np)^{k/2}, so rational cases
+    come out exact in float.
     """
     unscaled = trace_moment_unscaled(p, n, k, moments)
     half, rem = divmod(k, 2)

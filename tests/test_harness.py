@@ -145,6 +145,18 @@ class TestRunExperiment:
             tmp_path / "t8" / "records.csv"
         ).read_bytes()
 
+    def test_threads_zero_counts_the_cpus_it_may_use(self, monkeypatch):
+        # four CPUs on the host but one in the affinity mask: threads = 0
+        # runs the two jobs serially, and a pool would raise
+        def no_pool(*args, **kwargs):
+            raise AssertionError("threads=0 with one usable CPU started a pool")
+
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        records = run_experiment(_config(), threads=0)
+        assert [r.replicate for r in records] == [0, 1]
+
     def test_records_sorted_and_unique(self, tmp_path):
         config = _config(
             grid=(MatrixShape(12, 60), MatrixShape(8, 40)),

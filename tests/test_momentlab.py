@@ -1,6 +1,9 @@
 """Tests for circuit classification, trace-moment oracles, and bounds."""
 
+import itertools
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +16,7 @@ from covspectrum.errors import ResourceError, ValidationError
 from covspectrum.momentlab import (
     EdgeLabel,
     IndexCircuit,
+    _expectation_from_counts,
     bound_rhs_a13,
     check_schedule,
     circuits,
@@ -34,6 +38,57 @@ def _label_counts(labels):
     for lab in labels:
         out[lab] = out.get(lab, 0) + 1
     return out
+
+
+def _star_i_tuples(p, k):
+    """Lexicographic I-sequences with i_a != i_{a+1} cyclically; prefixes
+    with equal neighbours are pruned rather than filtered out of p^k."""
+
+    def extend(prefix):
+        if len(prefix) == k:
+            if prefix[-1] != prefix[0]:
+                yield tuple(prefix)
+            return
+        for iv in range(1, p + 1):
+            if iv != prefix[-1]:
+                yield from extend(prefix + [iv])
+
+    for i1 in range(1, p + 1):
+        yield from extend([i1])
+
+
+def _loop_terms(p, n, k, moments):
+    """One factorized expectation per star circuit, in circuits() order:
+    the per-circuit loop trace_moment_unscaled ran before it tallied
+    circuits by multiplicity pattern."""
+    wrap = list(range(1, k)) + [0]
+    for i_seq in _star_i_tuples(p, k):
+        i_next = tuple(i_seq[w] for w in wrap)
+        for j_seq in itertools.product(range(1, n + 1), repeat=k):
+            counts = {}
+            for a in range(k):
+                e1 = (i_seq[a], j_seq[a])
+                counts[e1] = counts.get(e1, 0) + 1
+                e2 = (i_next[a], j_seq[a])
+                counts[e2] = counts.get(e2, 0) + 1
+            yield _expectation_from_counts(counts.values(), moments)
+
+
+def _loop_sum(terms, moments):
+    """The loop's sum: exact for int/Fraction moments, else Kahan in float."""
+    if all(isinstance(m, (int, Fraction)) and not isinstance(m, bool) for m in moments):
+        total_exact = 0
+        for term in terms:
+            total_exact += term
+        return total_exact
+    total = 0.0
+    comp = 0.0
+    for term in terms:
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
 
 
 class TestCircuitValidation:
@@ -301,6 +356,83 @@ class TestExactTraceMoment:
     def test_budget_guard(self):
         with pytest.raises(ResourceError):
             exact_trace_moment(10, 10, 9, RADEMACHER_MOMENTS)
+
+
+class TestPatternTally:
+    """trace_moment_unscaled against the circuit loop it replaced and
+    against expectation_of_circuit summed over circuits()."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(1, 3),
+        n=st.integers(1, 3),
+        k=st.integers(1, 4),
+        moments=st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=7), min_size=8, max_size=8
+        ),
+    )
+    def test_equals_sum_over_circuits(self, p, n, k, moments):
+        # m1 may be nonzero, so every circuit contributes, W-graph or not
+        moments = tuple(moments)
+        expected = sum((expectation_of_circuit(c, moments) for c in circuits(p, n, k)), 0)
+        got = trace_moment_unscaled(p, n, k, moments)
+        assert isinstance(got, (int, Fraction))
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "p, n, k",
+        [(2, 3, 2), (2, 3, 3), (3, 3, 4), (3, 4, 3), (2, 2, 12), (3, 1, 16), (2, 3, 10), (1, 4, 3), (2, 3, 5)],
+    )
+    @pytest.mark.parametrize("law", ["t3", "t4", "t5", "gaussian", "short", "nan-odd"])
+    def test_parity_with_circuit_loop(self, p, n, k, law):
+        if law == "short":
+            moments = (0.0, 1.0)
+        elif law == "nan-odd":
+            # m1 is no early zero, so the pattern order decides which error comes first
+            moments = (math.nan, 1.0, math.nan, 3.0)
+        elif law == "gaussian":
+            moments = moment_sequence(gaussian(), 2 * k)
+        else:
+            moments = moment_sequence(student_t(int(law[1])), 2 * k)
+        try:
+            terms = list(_loop_terms(p, n, k, moments))
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                trace_moment_unscaled(p, n, k, moments)
+            assert str(got.value) == str(exc)
+            return
+        expected = _loop_sum(terms, moments)
+        got = trace_moment_unscaled(p, n, k, moments)
+        assert type(got) is type(expected)
+        if not terms:  # p = 1, or p = 2 with odd k: no star circuit
+            assert got == 0
+        # Kahan summation is within two ulps here; the tally rounds the exact sum once
+        assert got == float(sum(Fraction(term) for term in terms))
+        assert math.isclose(got, expected, rel_tol=4 * sys.float_info.epsilon)
+
+    @pytest.mark.parametrize("moments", [(Fraction(0), Fraction(1)), (0, 1)])
+    def test_no_star_circuit_is_exact_zero(self, moments):
+        for p, n, k in ((1, 4, 3), (2, 3, 5), (3, 2, 1)):
+            got = trace_moment_unscaled(p, n, k, moments)
+            assert got == 0 and type(got) is int
+
+    def test_term_beyond_double_is_infinite(self):
+        # each circuit is two classes of four edges, a term of 1e400
+        moments = (0.0, 1.0, 0.0, 1e200, 0.0, 1e200, 0.0, 1e200)
+        assert trace_moment_unscaled(2, 1, 4, moments) == math.inf
+
+    @pytest.mark.parametrize("p, n, k", [(4, 25, 3), (3, 1, 16)])
+    def test_peak_memory_is_bounded(self, p, n, k):
+        moments = moment_sequence(rademacher(), 2 * k)
+        tracemalloc.start()
+        try:
+            value = trace_moment_unscaled(p, n, k, moments)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value > 0
+        # chunks are sized in bytes, whatever the circuit count and k
+        assert peak <= 2 * 2**20
 
 
 class TestEnumerateCanonical:
