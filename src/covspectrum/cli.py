@@ -4,9 +4,11 @@ Subcommands: gen, spectrum, esd, covtest, moments, sweep, report.  Each
 declares only the flags it reads: --seed on gen and sweep, --threads on
 sweep, --format on gen and report, --out on the commands that write files
 (gen, esd, sweep, report); each moments mode (classify, exact, bound,
-schedule) is its own subcommand with its own flags.  spectrum, esd,
-covtest and sweep compute each quantity through the same spectral
-functions.
+schedule) is its own subcommand with its own flags.  spectrum, esd and
+covtest print what a sweep records for the lambda_max, esd_ks and
+cov_rate tasks, through the same spectral functions: spectrum runs
+spectral.lambda_max, which picks dense LAPACK or Lanczos from p, and esd
+needs dense spectra (p <= 2000).
 Exit codes: 0 success, 1 validation error, 2 resource/convergence error,
 3 I/O error.  Every command that writes files takes its output directory
 from --out, falling back to the COVSPECTRUM_OUT environment variable, then
@@ -41,7 +43,7 @@ from .spectral import (
     diag_max_dev,
     eigvals_sym,
     ks_distance,
-    lambda_max_matfree,
+    lambda_max,
     spectrum_to_csv,
 )
 
@@ -90,11 +92,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--format", default="bin", choices=("bin", "csv"))
     add_out(sp)
 
-    sp = sub.add_parser("spectrum", help="largest eigenvalue of one matrix, dense or matrix-free")
+    sp = sub.add_parser(
+        "spectrum",
+        help="largest eigenvalue of one matrix, as a sweep's lambda_max record",
+        description=f"Print p, n, diag_max_dev and the lambda_max task's value and aux for one matrix: dense "
+        f"LAPACK up to p = {DENSE_P_LIMIT} (aux lambda_max_b), Lanczos above it (aux iterations).",
+    )
     sp.add_argument("--in", dest="infile", required=True, help="matrix file from gen")
-    sp.add_argument("--method", default="dense", choices=("dense", "matfree"))
-    sp.add_argument("--tol", type=float, default=None, help="matfree only (default: the solver's)")
-    sp.add_argument("--max-iter", type=int, default=None, help="matfree only (default: the solver's)")
 
     sp = sub.add_parser("esd", help="full spectrum plus KS distance to the semicircle law")
     sp.add_argument("--in", dest="infile", required=True)
@@ -153,34 +157,19 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _dense_spectrum(X):
-    """Ascending eigenvalues of build_A(X), for p within dense reach."""
-    if X.shape[0] > DENSE_P_LIMIT:
-        raise ValidationError(f"dense spectra are limited to p <= {DENSE_P_LIMIT}")
-    return eigvals_sym(build_A(X))
-
-
 def _cmd_spectrum(args) -> int:
-    solver = {key: value for key, value in (("tol", args.tol), ("max_iter", args.max_iter)) if value is not None}
-    if args.method == "dense" and solver:
-        raise ValidationError("--tol and --max-iter apply only to --method matfree")
     X = load_matrix(args.infile)
+    lam, aux = lambda_max(X)
     p, n = X.shape
-    out = {"p": p, "n": n, "method": args.method}
-    if args.method == "dense":
-        eigs = _dense_spectrum(X)
-        out["lambda_max"] = float(eigs[-1])
-        out["ks_to_semicircle"] = ks_distance(eigs)
-    else:
-        out["lambda_max"], _ = lambda_max_matfree(X, **solver)
-    out["diag_max_dev"] = diag_max_dev(X)
-    print(json.dumps(out, sort_keys=True))
+    print(json.dumps({"p": p, "n": n, "lambda_max": lam, "diag_max_dev": diag_max_dev(X), **aux}, sort_keys=True))
     return 0
 
 
 def _cmd_esd(args) -> int:
     X = load_matrix(args.infile)
-    eigs = _dense_spectrum(X)
+    if X.shape[0] > DENSE_P_LIMIT:
+        raise ValidationError(f"dense spectra are limited to p <= {DENSE_P_LIMIT}")
+    eigs = eigvals_sym(build_A(X))
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "spectrum.csv")

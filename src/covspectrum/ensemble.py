@@ -83,7 +83,11 @@ class DistributionSpec:
         """Population moment E[X^order] of the standardized law.
 
         Returns math.inf for even orders without a finite moment and
-        math.nan for odd orders that are undefined (heavy t tails).
+        math.nan for odd orders that are undefined (heavy t tails).  A
+        finite moment beyond the double range is +-inf with its true sign;
+        one within it is finite, also where the closed form's intermediates
+        overflow (two-point with small q or q near 1, student-t with df
+        above ~340).
         """
         if order < 0:
             raise ValidationError("moment order must be >= 0")
@@ -95,22 +99,24 @@ class DistributionSpec:
             return 1.0
         kind = self.kind
         if kind == "gaussian":
-            return 0.0 if order % 2 else float(_double_factorial(order - 1))
+            return 0.0 if order % 2 else _int_ratio(_double_factorial(order - 1))
         if kind == "rademacher":
             return 0.0 if order % 2 else 1.0
         if kind == "uniform-symmetric":
             if order % 2:
                 return 0.0
-            return 3 ** (order // 2) / (order + 1)
+            return _int_ratio(3 ** (order // 2), order + 1)
         if kind == "centered-exponential":
             # E[(E-1)^s] for E ~ Exp(1) is the derangement number D_s.
-            return float(_subfactorial(order))
+            return _int_ratio(_subfactorial(order))
         if kind == "student-t":
             return self._student_t_moment(order)
         # two-point
-        x_hi = math.sqrt((1.0 - self.q) / self.q)
-        x_lo = -math.sqrt(self.q / (1.0 - self.q))
-        return self.q * x_hi**order + (1.0 - self.q) * x_lo**order
+        (x_lo, w_lo), (x_hi, w_hi) = self.atoms()
+        try:
+            return w_hi * x_hi**order + w_lo * x_lo**order
+        except OverflowError:  # one atom's power leaves the double range, its weighted term may not
+            return _weighted_power(w_hi, x_hi, order) + _weighted_power(w_lo, x_lo, order)
 
     def _student_t_moment(self, order: int) -> float:
         df = self.df
@@ -119,13 +125,21 @@ class DistributionSpec:
         if order >= df:
             return math.inf
         # raw even moment of t_df, then rescale by the sd sqrt(df/(df-2))
-        raw = (
-            df ** (order / 2)
-            * math.gamma((order + 1) / 2)
-            * math.gamma((df - order) / 2)
-            / (math.sqrt(math.pi) * math.gamma(df / 2))
-        )
-        return raw / (df / (df - 2.0)) ** (order / 2)
+        try:
+            raw = (
+                df ** (order / 2)
+                * math.gamma((order + 1) / 2)
+                * math.gamma((df - order) / 2)
+                / (math.sqrt(math.pi) * math.gamma(df / 2))
+            )
+            return raw / (df / (df - 2.0)) ** (order / 2)
+        except OverflowError:
+            # The gamma ratios telescope: E X^(2m) = prod_{i=1}^m (2i-1)(df-2)/(df-2i).
+            # Every factor is >= 1, so the product overflows to inf only with the moment.
+            out = 1.0
+            for i in range(1, order // 2 + 1):
+                out *= (2 * i - 1) * (df - 2.0) / (df - 2 * i)
+            return out
 
     def atoms(self):
         """(value, weight) pairs of the two-point law, lower atom first."""
@@ -184,6 +198,35 @@ def _double_factorial(m: int) -> int:
         out *= m
         m -= 2
     return out
+
+
+def _int_ratio(num: int, den: int = 1) -> float:
+    """num / den (den > 0) correctly rounded, or +-inf beyond the double range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _weighted_power(w: float, x: float, order: int) -> float:
+    """w * x**order for w > 0, or +-inf beyond the double range.
+
+    The mantissas and the binary exponents are multiplied apart, so no
+    step overflows before the final scaling.
+    """
+    mant, exp = math.frexp(w)
+    x_mant, x_exp = math.frexp(abs(x))
+    left = order
+    while left:
+        step = min(left, 512)  # x_mant**512 >= 2**-512 stays a normal double
+        mant, e = math.frexp(mant * x_mant**step)
+        exp += e + x_exp * step
+        left -= step
+    sign = -1.0 if x < 0 and order % 2 else 1.0
+    try:
+        return sign * math.ldexp(mant, exp)
+    except OverflowError:
+        return sign * math.inf
 
 
 def _subfactorial(s: int) -> int:
@@ -271,8 +314,8 @@ def sample_matrix(
 
     Bit-identical for identical inputs.
     """
-    if replicate < 0:
-        raise ValidationError("replicate index must be >= 0")
+    if not 0 <= replicate <= _MASK64:  # derive() keeps 64 bits of it
+        raise ValidationError("replicate index must be a 64-bit unsigned integer")
     rng = np.random.default_rng(seed.derive(shape.p, shape.n, replicate))
     size = (shape.p, shape.n)
     kind = spec.kind

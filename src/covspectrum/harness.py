@@ -57,7 +57,7 @@ from .spectral import (
     diag_max_dev,
     eigvals_sym,
     ks_distance,
-    lambda_max_matfree,
+    lambda_max,
 )
 
 __all__ = [
@@ -125,6 +125,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.grid) == 0:
             raise ValidationError("grid must be nonempty")
+        if len(set(self.grid)) != len(self.grid):
+            raise ValidationError("duplicate (p, n) shapes in grid would break record uniqueness")
         if not (_is_int(self.replicates) and self.replicates >= 1):
             raise ValidationError("replicates must be an integer >= 1")
         SeedSpec(self.master_seed)  # a bool, a float or an out-of-range seed fails here
@@ -195,14 +197,7 @@ def _execute_task(task: TaskSpec, X: np.ndarray, dist: DistributionSpec):
     name = task.name
     p, n = X.shape
     if name == "lambda_max":
-        if p <= DENSE_P_LIMIT:
-            A = build_A(X)
-            lam = float(eigvals_sym(A)[-1])
-            np.fill_diagonal(A, 0.0)
-            lam_b = float(eigvals_sym(A)[-1])
-            return lam, {"method": "dense", "lambda_max_b": lam_b}
-        lam, iters = lambda_max_matfree(X)
-        return lam, {"method": "matfree", "iterations": iters}
+        return lambda_max(X)
     if name == "lambda_max_centered":
         return float(eigvals_sym(build_A1(X))[-1]), {"method": "dense"}
     if name == "esd_ks":

@@ -1,8 +1,12 @@
 """Eigenvalues and spectral diagnostics of the normalized Gram matrix.
 
-``diag_max_dev``, ``covariance_error`` and ``lambda_max_matfree`` read the
-data matrix X as a (p, n) ndarray.  Dense spectra come from LAPACK (the
-oracle of record up to p = 2000).
+``diag_max_dev``, ``covariance_error``, ``lambda_max`` and
+``lambda_max_matfree`` read the data matrix X as a (p, n) ndarray.  Dense
+spectra come from LAPACK (the oracle of record up to p = 2000).
+``lambda_max`` is the one path to the top eigenvalue of A = build_A(X),
+for the sweep's ``lambda_max`` task and the ``spectrum`` command alike:
+it picks dense LAPACK or ``lambda_max_matfree`` from p and
+``DENSE_P_LIMIT``.
 ``lambda_max_matfree`` gets the top eigenvalue of the normalized Gram
 matrix without ever materializing it, by Lanczos with full
 reorthogonalization on the operator v -> (X (X' v) - n v) / (2 sqrt(np)).
@@ -23,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .normalize import build_S1, build_S2
+from .normalize import build_A, build_S1, build_S2
 
 __all__ = [
     "semicircle_cdf",
@@ -33,6 +37,7 @@ __all__ = [
     "esd_sup_diff",
     "diag_max_dev",
     "covariance_error",
+    "lambda_max",
     "lambda_max_matfree",
     "spectrum_to_csv",
 ]
@@ -41,6 +46,9 @@ DENSE_P_LIMIT = 2000
 # Lanczos basis vectors kept before a restart: 8.6 MB at p = 2100, next to
 # the 134 MB of a p x 4p input.  A solve at the spectral edge needs ~100-250.
 MAX_BASIS = 512
+# lambda_max_matfree's stopping rule; its docstring says how they are read.
+RESIDUAL_TOL = 1e-10
+MAX_ITER = 20000
 # Largest entrywise asymmetry eigvals_sym accepts as rounding.
 SYMMETRY_ATOL = 1e-10
 
@@ -122,10 +130,26 @@ def covariance_error(X, sigma):
 
 
 # ---------------------------------------------------------------------------
-# Matrix-free largest eigenvalue.
+# Largest eigenvalue: dense up to DENSE_P_LIMIT, matrix-free above.
 
 
-def lambda_max_matfree(X, tol: float = 1e-10, max_iter: int = 20000):
+def lambda_max(X):
+    """(lambda_max(build_A(X)), aux), the ``lambda_max`` task's value and aux.
+
+    Dense up to ``DENSE_P_LIMIT`` rows, where aux carries lambda_max(B) as
+    ``lambda_max_b``; matrix-free above, where it carries ``iterations``.
+    """
+    if X.shape[0] <= DENSE_P_LIMIT:
+        A = build_A(X)
+        lam = float(eigvals_sym(A)[-1])
+        np.fill_diagonal(A, 0.0)
+        lam_b = float(eigvals_sym(A)[-1])
+        return lam, {"method": "dense", "lambda_max_b": lam_b}
+    lam, iters = lambda_max_matfree(X)
+    return lam, {"method": "matfree", "iterations": iters}
+
+
+def lambda_max_matfree(X):
     """Largest eigenvalue of build_A(X) without forming the p x p matrix.
 
     Lanczos with full reorthogonalization on the operator
@@ -138,11 +162,12 @@ def lambda_max_matfree(X, tol: float = 1e-10, max_iter: int = 20000):
     tridiagonal is read.  Its residual estimate |beta_k y_k| costs no
     operator application; only when it passes does one application give
     the true residual ||A v - theta v||.  The value is accepted when that
-    residual is <= tol * max(1, |theta|) AND theta moved by at most as much
-    since the previous step (or the Krylov space became invariant): the
-    residual alone is unreliable near clustered spectral edges.
+    residual is <= RESIDUAL_TOL * max(1, |theta|) AND theta moved by at
+    most as much since the previous step (or the Krylov space became
+    invariant): the residual alone is unreliable near clustered spectral
+    edges.
 
-    ``max_iter`` bounds the operator applications, the residual ones
+    ``MAX_ITER`` bounds the operator applications, the residual ones
     included; the last one is kept for the true residual of the final
     Ritz pair, which ``ConvergenceError`` carries with the Ritz value.
     A non-finite Lanczos coefficient or residual (non-finite input) raises
@@ -150,8 +175,6 @@ def lambda_max_matfree(X, tol: float = 1e-10, max_iter: int = 20000):
 
     Returns (lambda_max, operator_applications).
     """
-    if not tol > 0:
-        raise ValidationError("tol must be > 0")
     p, n = X.shape
     scale = 2.0 * math.sqrt(n * p)
 
@@ -180,7 +203,7 @@ def lambda_max_matfree(X, tol: float = 1e-10, max_iter: int = 20000):
     # the Lanczos tridiagonal: alpha_j on the diagonal, beta_j below it
     T = np.zeros((cap, cap))
     best = resid = None
-    while matvecs < max_iter:
+    while matvecs < MAX_ITER:
         Q[0] = v
         for j in range(cap):
             w = apply_a(Q[j])
@@ -197,18 +220,18 @@ def lambda_max_matfree(X, tol: float = 1e-10, max_iter: int = 20000):
             T[j, j] = alpha
             steps = j + 1
             breakdown = beta < 1e-14 or steps == p
-            last = matvecs + 1 >= max_iter
+            last = matvecs + 1 >= MAX_ITER
             # eigh reads only the lower triangle, where T is tridiagonal
             ritz, vecs = np.linalg.eigh(T[:steps, :steps])
             theta, y = float(ritz[-1]), vecs[:, -1]
-            limit = tol * max(1.0, abs(theta))
+            limit = RESIDUAL_TOL * max(1.0, abs(theta))
             moved_ok = best is not None and abs(theta - best) <= limit
             best = theta
             verify = breakdown or last or abs(beta * y[-1]) <= limit
             if verify or steps == cap:
                 v = Q[:steps].T @ y
                 v /= np.linalg.norm(v)
-            if verify and matvecs < max_iter:
+            if verify and matvecs < MAX_ITER:
                 resid = finite(float(np.linalg.norm(apply_a(v) - theta * v)), "residual")
                 if resid <= limit and (moved_ok or breakdown):
                     return theta, matvecs
@@ -217,7 +240,7 @@ def lambda_max_matfree(X, tol: float = 1e-10, max_iter: int = 20000):
             Q[steps] = w / beta
             T[steps, j] = beta
     raise ConvergenceError(
-        f"no convergence within {max_iter} operator applications",
+        f"no convergence within {MAX_ITER} operator applications",
         best_value=best,
         iterations=matvecs,
         residual=resid,

@@ -6,11 +6,13 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
-from covspectrum import cli
+from covspectrum import cli, spectral
 from covspectrum.ensemble import load_matrix, save_matrix
+from covspectrum.momentlab import exact_trace_moment
 from covspectrum.reports import read_records
 
 CLI = [sys.executable, "-m", "covspectrum"]
@@ -63,38 +65,43 @@ class TestGenAndSpectrum:
         b = (tmp_path / "b" / "matrix_p5_n8_r0.bin").read_bytes()
         assert a == b
 
-    def test_spectrum_dense_vs_matfree(self, tmp_path):
-        gen = run_cli(
-            "gen", "--dist", "gaussian", "--p", "20", "--n", "200",
-            "--seed", "5", "--out", str(tmp_path),
-        )
-        path = gen.stdout.strip()
-        dense = run_cli("spectrum", "--in", path, "--method", "dense")
-        matfree = run_cli("spectrum", "--in", path, "--method", "matfree", "--tol", "1e-10")
-        assert dense.returncode == 0 and matfree.returncode == 0
-        lam_d = json.loads(dense.stdout)["lambda_max"]
-        lam_m = json.loads(matfree.stdout)["lambda_max"]
-        assert abs(lam_d - lam_m) <= 1e-9 * max(1.0, abs(lam_d))
+    @pytest.mark.parametrize("limit, method", [(2000, "dense"), (19, "matfree")], ids=["dense", "matfree"])
+    def test_spectrum_prints_the_sweep_record(self, tmp_path, monkeypatch, capsys, limit, method):
+        # the limit is lowered in-process: no config guard covers lambda_max
+        monkeypatch.setattr(spectral, "DENSE_P_LIMIT", limit)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"distribution": "gaussian", "grid": [[20, 200]], "master_seed": 5, "tasks": ["lambda_max"]}
+        ))
+        assert cli.main(["sweep", "--config", str(config), "--threads", "1", "--out", str(tmp_path)]) == 0
+        (record,) = read_records(str(tmp_path / "records.csv"))
+        argv = ["gen", "--dist", "gaussian", "--p", "20", "--n", "200", "--seed", "5", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        path = capsys.readouterr().out.splitlines()[-1]
+        assert cli.main(["spectrum", "--in", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        aux = {key: value for key, value in record.aux.items() if key != "wall_ms"}
+        assert aux["method"] == method
+        assert set(out) == {"p", "n", "lambda_max", "diag_max_dev", *aux}
+        assert {key: out[key] for key in ("lambda_max", *aux)} == {"lambda_max": record.value, **aux}
 
-    def test_spectrum_max_iter_reaches_the_solver(self, tmp_path):
-        gen = run_cli(
-            "gen", "--dist", "gaussian", "--p", "20", "--n", "200",
-            "--seed", "5", "--out", str(tmp_path),
-        )
-        res = run_cli("spectrum", "--in", gen.stdout.strip(), "--method", "matfree", "--max-iter", "3")
-        assert res.returncode == 2
-        assert "3 operator applications" in res.stderr
+    def test_spectrum_max_iter_reaches_the_solver(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(spectral, "DENSE_P_LIMIT", 10)
+        monkeypatch.setattr(spectral, "MAX_ITER", 3)
+        path = tmp_path / "m.bin"
+        save_matrix(np.random.default_rng(5).standard_normal((20, 200)), path)
+        assert cli.main(["spectrum", "--in", str(path)]) == 2
+        assert "3 operator applications" in capsys.readouterr().err
 
     def test_spectrum_rejects_non_finite_matrix(self, tmp_path):
         entries = np.ones((3, 5))
         entries[0, 1] = np.nan
         path = tmp_path / "nan.bin"
         save_matrix(entries, path)
-        for method in ("dense", "matfree"):
-            res = run_cli("spectrum", "--in", str(path), "--method", method)
-            assert res.returncode == 1
-            assert res.stdout == ""
-            assert res.stderr.startswith("error:") and "non-finite" in res.stderr
+        res = run_cli("spectrum", "--in", str(path))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:") and "non-finite" in res.stderr
 
     def test_spectrum_rejects_truncated_header(self, tmp_path):
         good = tmp_path / "m.bin"
@@ -135,25 +142,16 @@ class TestGenAndSpectrum:
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
         assert "truncated matrix payload" in res.stderr
 
-    def test_solver_flags_are_rejected_with_dense(self, tmp_path):
-        path = tmp_path / "m.bin"
-        save_matrix(np.ones((2, 3)), path)
-        for flags in (["--tol", "-1"], ["--max-iter", "-5"]):
-            res = run_cli("spectrum", "--in", str(path), "--method", "dense", *flags)
-            assert res.returncode == 1
-            assert res.stdout == ""
-            assert res.stderr.startswith("error:") and "--method matfree" in res.stderr
-
     def test_dense_guard(self, tmp_path):
         path = tmp_path / "tall.bin"
         save_matrix(np.zeros((2001, 1)), path)
-        for res in (
-            run_cli("spectrum", "--in", str(path), "--method", "dense"),
-            run_cli("esd", "--in", str(path), "--out", str(tmp_path)),
-        ):
-            assert res.returncode == 1
-            assert res.stderr.startswith("error:") and "p <= 2000" in res.stderr
+        res = run_cli("esd", "--in", str(path), "--out", str(tmp_path))
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and "p <= 2000" in res.stderr
         assert not (tmp_path / "spectrum.csv").exists()
+        res = run_cli("spectrum", "--in", str(path))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["method"] == "matfree"
 
     def test_esd_writes_spectrum_csv(self, tmp_path):
         gen = run_cli(
@@ -259,6 +257,29 @@ class TestCovtestAndMoments:
         res = run_cli("moments", "exact", "--p", "3", "--n", "4", "--k", "2")
         assert json.loads(res.stdout)["exact"] == 0.5
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--p", "2", "--n", "2", "--k", "4", "--dist", '{"kind": "two-point", "q": 1e-100}'], "oracle"),
+            # E tr(B^2) = (p - 1)/4 for every standardized law
+            (["--p", "2", "--n", "3", "--k", "2", "--dist", '{"kind": "student-t", "df": 400}'], 0.25),
+            # p = 1 has no star circuit
+            (["--p", "1", "--n", "1", "--k", "200", "--dist", "gaussian"], 0.0),
+        ],
+        ids=["two-point-small-q", "t400", "gaussian-order-400"],
+    )
+    def test_moments_exact_where_a_closed_form_overflows(self, argv, expected):
+        if expected == "oracle":
+            # E X^8 = (1 - q)^4 / q^3 ~ 1e300 is finite; mpmath gives the moment sequence
+            with mpmath.workdps(50):
+                q = mpmath.mpf(1e-100)
+                x_hi, x_lo = mpmath.sqrt((1 - q) / q), -mpmath.sqrt(q / (1 - q))
+                moments = tuple(float(q * x_hi**s + (1 - q) * x_lo**s) for s in range(1, 9))
+            expected = exact_trace_moment(2, 2, 4, moments)
+        res = run_cli("moments", "exact", *argv)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["exact"] == pytest.approx(expected, rel=1e-12)
+
     def test_moments_bound_and_schedule(self):
         res = run_cli("moments", "bound", "--p", "3", "--n", "9", "--k", "1", "--delta", "0.5")
         assert json.loads(res.stdout)["bound"] == pytest.approx(1.5 * (1 / 3) ** 0.5, rel=1e-12)
@@ -306,7 +327,7 @@ class TestOneCodePath:
             "grid": [[8, 400]],
             "replicates": 1,
             "master_seed": seed,
-            "tasks": ["esd_ks", {"name": "cov_rate", "sigma": sigma}],
+            "tasks": ["lambda_max", "esd_ks", {"name": "cov_rate", "sigma": sigma}],
         }))
         sweep = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
         assert sweep.returncode == 0, sweep.stderr
@@ -317,9 +338,14 @@ class TestOneCodePath:
         assert (cov["norm_error"], cov["factorized_bound"], cov["sigma_norm"]) == (
             rate.value, rate.aux["bound"], rate.aux["sigma_norm"]
         )
-        spectrum = json.loads(run_cli("spectrum", "--in", path, "--method", "dense").stdout)
+        spectrum = json.loads(run_cli("spectrum", "--in", path).stdout)
+        lam = records["lambda_max"]
+        assert (spectrum["lambda_max"], spectrum["method"], spectrum["lambda_max_b"]) == (
+            lam.value, lam.aux["method"], lam.aux["lambda_max_b"]
+        )
+        esd = json.loads(run_cli("esd", "--in", path, "--out", str(tmp_path / "esd")).stdout)
         ks = records["esd_ks"]
-        assert (spectrum["lambda_max"], spectrum["ks_to_semicircle"]) == (ks.aux["lambda_max"], ks.value)
+        assert (esd["lambda_max"], esd["ks_to_semicircle"]) == (ks.aux["lambda_max"], ks.value)
 
 
 class TestSweepAndReport:
@@ -389,6 +415,7 @@ class TestSweepAndReport:
                 {"replicate": 5},
                 {"tasks": [{"name": "diag_dev", "k": 3, "sigma": {"kind": "identity"}}]},
                 {"output_dir": 5},
+                {"grid": [[10, 100], [10, 100]]},
             )
         ]
         + [b'\xff\xfe{"distribution": "gaussian", "grid": [[10, 100]]}'],
@@ -406,6 +433,7 @@ class TestSweepAndReport:
             "unknown-config-field",
             "unknown-task-field",
             "output-dir-field",
+            "duplicate-grid-shape",
             "not-utf8",
         ],
     )
@@ -415,6 +443,7 @@ class TestSweepAndReport:
         res = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
         assert res.returncode == 1
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("grid", [[[10, 100]], [[10, 100], [10, 400]]], ids=["one-job", "two-jobs"])
     def test_negative_threads_is_validation_error(self, tmp_path, grid):
@@ -558,7 +587,7 @@ def _declared_options(parser, prefix=""):
 class TestParser:
     OPTIONS = {
         "gen": {"--dist", "--p", "--n", "--replicate", "--name", "--seed", "--format", "--out"},
-        "spectrum": {"--in", "--method", "--tol", "--max-iter"},
+        "spectrum": {"--in"},
         "esd": {"--in", "--out"},
         "covtest": {"--in", "--sigma"},
         "moments": set(),
@@ -573,10 +602,12 @@ class TestParser:
     def test_each_subcommand_declares_only_what_it_reads(self):
         assert _declared_options(cli.build_parser()) == self.OPTIONS
 
-    def test_flag_a_subcommand_does_not_read_is_rejected(self, tmp_path):
-        res = run_cli("spectrum", "--in", str(tmp_path / "missing.bin"), "--threads", "2")
-        assert res.returncode == 1
-        assert res.stderr.startswith("error:") and "--threads" in res.stderr
+    def test_flag_a_subcommand_does_not_read_is_rejected(self, tmp_path, capsys):
+        # spectrum picks its solver from p, so the old solver flags are unread too
+        for flag, value in (("--threads", "2"), ("--method", "dense"), ("--tol", "1e-8"), ("--max-iter", "5")):
+            assert cli.main(["spectrum", "--in", str(tmp_path / "missing.bin"), flag, value]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and flag in err
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -5,6 +5,7 @@ import os
 import threading
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -99,6 +100,43 @@ class TestStandardizedMoments:
         with pytest.raises(ValidationError):
             DistributionSpec("gaussian", df=5.0)
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        spec=st.one_of(
+            st.sampled_from(["gaussian", "rademacher", "uniform-symmetric", "centered-exponential"]).map(
+                DistributionSpec
+            ),
+            st.floats(1e-300, 1 - 1e-16).map(two_point),
+            st.floats(2.0, 1e6, exclude_min=True).map(student_t),
+        ),
+        order=st.integers(0, 400),
+    )
+    def test_moment_is_a_float_at_every_order(self, spec, order):
+        # a moment past the double range is +-inf, never an OverflowError
+        value = spec.moment(order)
+        assert isinstance(value, float)
+        if order % 2 == 0:
+            assert value >= 0.0
+
+    @pytest.mark.parametrize(
+        "spec, order",
+        [(two_point(q=1e-100), 8), (two_point(q=1 - 1e-16), 40), (student_t(400), 4), (student_t(1e6), 300)],
+        ids=["two-point-small-q", "two-point-q-near-1", "t400", "t1e6"],
+    )
+    def test_overflow_prone_moment_matches_mpmath(self, spec, order):
+        with mpmath.workdps(50):
+            if spec.kind == "two-point":
+                q = mpmath.mpf(spec.q)
+                x_hi, x_lo = mpmath.sqrt((1 - q) / q), -mpmath.sqrt(q / (1 - q))
+                expected = q * x_hi**order + (1 - q) * x_lo**order
+            else:
+                df, s = mpmath.mpf(spec.df), mpmath.mpf(order)
+                raw = df ** (s / 2) * mpmath.gamma((s + 1) / 2) * mpmath.gamma((df - s) / 2)
+                raw /= mpmath.sqrt(mpmath.pi) * mpmath.gamma(df / 2)
+                expected = raw / (df / (df - 2)) ** (s / 2)
+            assert math.isfinite(float(expected))
+            assert abs(spec.moment(order) - expected) <= 1e-12 * abs(expected)
+
     def test_moment_sequence(self):
         assert moment_sequence(rademacher(), 6) == (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValidationError):
@@ -143,6 +181,14 @@ class TestSampling:
         a = sample_matrix(gaussian(), MatrixShape(5, 20), SeedSpec(7), 0)
         b = sample_matrix(gaussian(), MatrixShape(5, 20), SeedSpec(7), 1)
         assert not np.array_equal(a, b)
+
+    def test_replicate_must_fit_in_64_bits(self):
+        # the stream seed keeps 64 bits of the replicate, so 2**64 would alias 0
+        shape, seed = MatrixShape(2, 2), SeedSpec(0)
+        assert sample_matrix(gaussian(), shape, seed, 2**64 - 1).shape == (2, 2)
+        for replicate in (-1, 2**64):
+            with pytest.raises(ValidationError):
+                sample_matrix(gaussian(), shape, seed, replicate)
 
     def test_two_point_support(self):
         X = sample_matrix(two_point(q=0.5), MatrixShape(10, 50), SeedSpec(3), 0)

@@ -183,31 +183,36 @@ class TestCovarianceError:
 
 
 class TestLambdaMaxMatfree:
-    def test_row_of_ones(self):
+    def test_row_of_ones(self, monkeypatch):
+        monkeypatch.setattr(spectral, "RESIDUAL_TOL", 1e-12)
         x = np.ones((1, 4))
-        lam, _ = lambda_max_matfree(x, tol=1e-12)
+        lam, _ = lambda_max_matfree(x)
         assert lam == 0.0
 
-    def test_all_zero_matrix(self):
-        lam, iters = lambda_max_matfree(np.zeros((2, 8)), tol=1e-12)
+    def test_all_zero_matrix(self, monkeypatch):
+        monkeypatch.setattr(spectral, "RESIDUAL_TOL", 1e-12)
+        lam, iters = lambda_max_matfree(np.zeros((2, 8)))
         assert lam == pytest.approx(-1.0, abs=1e-12)
 
-    def test_matches_dense_oracle_on_random_instances(self):
+    def test_matches_dense_oracle_on_random_instances(self, monkeypatch):
+        monkeypatch.setattr(spectral, "RESIDUAL_TOL", 1e-8)
         rng = np.random.default_rng(27)
         for _ in range(12):
             p = int(rng.integers(2, 101))
             n = int(rng.integers(p, 1001))
             x = rng.standard_normal((p, n))
             dense = eigvals_sym(build_A(x))[-1]
-            lam, iters = lambda_max_matfree(x, tol=1e-8)
+            lam, iters = lambda_max_matfree(x)
             assert abs(lam - dense) <= 1e-8 * max(1.0, abs(dense))
             assert iters > 0
 
-    def test_nonconvergence_carries_best_iterate(self):
+    def test_nonconvergence_carries_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(spectral, "RESIDUAL_TOL", 1e-14)
+        monkeypatch.setattr(spectral, "MAX_ITER", 3)
         rng = np.random.default_rng(28)
         x = rng.standard_normal((50, 100))
         with pytest.raises(ConvergenceError) as err:
-            lambda_max_matfree(x, tol=1e-14, max_iter=3)
+            lambda_max_matfree(x)
         assert err.value.best_value is not None
         assert err.value.iterations >= 3
         # the last application went to the true residual of the best Ritz pair,
@@ -216,7 +221,8 @@ class TestLambdaMaxMatfree:
         assert 0.0 < err.value.residual < 1.0
         assert np.min(np.abs(eigs - err.value.best_value)) <= err.value.residual
 
-    def test_matches_dense_on_rank_deficient_and_repeated_rows(self):
+    def test_matches_dense_on_rank_deficient_and_repeated_rows(self, monkeypatch):
+        monkeypatch.setattr(spectral, "RESIDUAL_TOL", 1e-12)
         rng = np.random.default_rng(40)
         y = rng.standard_normal((15, 40))
         cases = (
@@ -226,7 +232,7 @@ class TestLambdaMaxMatfree:
         )
         for x in cases:
             dense = eigvals_sym(build_A(x))
-            lam, _ = lambda_max_matfree(x, tol=1e-12)
+            lam, _ = lambda_max_matfree(x)
             assert abs(lam - dense[-1]) <= 1e-10 * max(1.0, abs(dense[-1]))
         assert dense[-1] - dense[-2] <= 1e-12
 
@@ -234,9 +240,9 @@ class TestLambdaMaxMatfree:
         rng = np.random.default_rng(41)
         x = rng.standard_normal((80, 320))
         dense = eigvals_sym(build_A(x))[-1]
-        _, unrestarted = lambda_max_matfree(x, tol=1e-10)
+        _, unrestarted = lambda_max_matfree(x)
         monkeypatch.setattr(spectral, "MAX_BASIS", 6)
-        lam, iters = lambda_max_matfree(x, tol=1e-10)
+        lam, iters = lambda_max_matfree(x)
         assert iters > unrestarted  # restarts from one Ritz vector cost applications
         assert abs(lam - dense) <= 1e-10 * max(1.0, abs(dense))
 
@@ -253,10 +259,6 @@ class TestLambdaMaxMatfree:
         x[3, 7] = np.nan
         with pytest.raises(ValidationError):
             lambda_max_matfree(x)
-
-    def test_tol_validation(self):
-        with pytest.raises(ValidationError):
-            lambda_max_matfree(np.zeros((2, 2)), tol=0.0)
 
 
 class TestSpectralIdentities:
