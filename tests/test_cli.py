@@ -142,6 +142,17 @@ class TestGenAndSpectrum:
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
         assert "truncated matrix payload" in res.stderr
 
+    def test_solver_flags_are_rejected_with_dense(self, tmp_path):
+        # spectrum picks its solver from p, so the old solver flags are unread
+        path = tmp_path / "m.bin"
+        save_matrix(np.ones((2, 3)), path)
+        for flags in (["--tol", "-1"], ["--max-iter", "-5"]):
+            res = run_cli("spectrum", "--in", str(path), "--method", "dense", *flags)
+            assert res.returncode == 1
+            assert res.stdout == ""
+            assert res.stderr.startswith("error:")
+            assert all(flag in res.stderr for flag in ("--method", flags[0]))
+
     def test_dense_guard(self, tmp_path):
         path = tmp_path / "tall.bin"
         save_matrix(np.zeros((2001, 1)), path)
@@ -602,12 +613,10 @@ class TestParser:
     def test_each_subcommand_declares_only_what_it_reads(self):
         assert _declared_options(cli.build_parser()) == self.OPTIONS
 
-    def test_flag_a_subcommand_does_not_read_is_rejected(self, tmp_path, capsys):
-        # spectrum picks its solver from p, so the old solver flags are unread too
-        for flag, value in (("--threads", "2"), ("--method", "dense"), ("--tol", "1e-8"), ("--max-iter", "5")):
-            assert cli.main(["spectrum", "--in", str(tmp_path / "missing.bin"), flag, value]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error:") and flag in err
+    def test_flag_a_subcommand_does_not_read_is_rejected(self, tmp_path):
+        res = run_cli("spectrum", "--in", str(tmp_path / "missing.bin"), "--threads", "2")
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:") and "--threads" in res.stderr
 
     @pytest.mark.parametrize(
         "argv, flag",
