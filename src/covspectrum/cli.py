@@ -206,6 +206,8 @@ def _cmd_moments(args) -> int:
         print(json.dumps(classify_json(circuit), sort_keys=True))
         return 0
     if args.mode == "exact":
+        if min(args.p, args.n, args.k) < 1:  # before moment_sequence, whose error names max_order
+            raise ValidationError("p, n, k must be >= 1")
         moments = moment_sequence(_dist_arg(args.dist), 2 * args.k)
         value = exact_trace_moment(args.p, args.n, args.k, moments)
         print(json.dumps({"p": args.p, "n": args.n, "k": args.k, "exact": value}, sort_keys=True))

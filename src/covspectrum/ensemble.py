@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceError, ValidationError
 
 __all__ = [
     "DistributionSpec",
@@ -312,26 +312,32 @@ def sample_matrix(
 ) -> np.ndarray:
     """Draw p*n i.i.d. standardized entries as a read-only (p, n) array.
 
-    Bit-identical for identical inputs.
+    Bit-identical for identical inputs.  A shape numpy cannot index is a
+    ValidationError, one it cannot allocate a ResourceError.
     """
     if not 0 <= replicate <= _MASK64:  # derive() keeps 64 bits of it
         raise ValidationError("replicate index must be a 64-bit unsigned integer")
     rng = np.random.default_rng(seed.derive(shape.p, shape.n, replicate))
     size = (shape.p, shape.n)
     kind = spec.kind
-    if kind == "gaussian":
-        entries = rng.standard_normal(size)
-    elif kind == "rademacher":
-        entries = rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
-    elif kind == "uniform-symmetric":
-        entries = rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=size)
-    elif kind == "centered-exponential":
-        entries = rng.standard_exponential(size) - 1.0
-    elif kind == "student-t":
-        entries = rng.standard_t(spec.df, size=size) / math.sqrt(spec.df / (spec.df - 2.0))
-    else:  # two-point
-        (x_lo, w_lo), (x_hi, _) = spec.atoms()
-        entries = np.where(rng.random(size=size) < w_lo, x_lo, x_hi)
+    try:
+        if kind == "gaussian":
+            entries = rng.standard_normal(size)
+        elif kind == "rademacher":
+            entries = rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
+        elif kind == "uniform-symmetric":
+            entries = rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, size=size)
+        elif kind == "centered-exponential":
+            entries = rng.standard_exponential(size) - 1.0
+        elif kind == "student-t":
+            entries = rng.standard_t(spec.df, size=size) / math.sqrt(spec.df / (spec.df - 2.0))
+        else:  # two-point
+            (x_lo, w_lo), (x_hi, _) = spec.atoms()
+            entries = np.where(rng.random(size=size) < w_lo, x_lo, x_hi)
+    except ValueError as exc:  # numpy: "Maximum allowed dimension exceeded"
+        raise ValidationError(f"cannot sample a {shape.p} x {shape.n} matrix: {exc}") from exc
+    except MemoryError as exc:
+        raise ResourceError(f"cannot sample a {shape.p} x {shape.n} matrix: {exc}") from exc
     entries.setflags(write=False)
     return entries
 

@@ -20,15 +20,16 @@ first appearances are the T2 edges (T21 when the class is headed by an
 innovation, T22 otherwise).
 
 On top of the classification the module offers an exact trace-moment
-evaluator (numpy visits every star circuit and tallies circuits by their
-ordered class multiplicities; one exact sum weights each pattern's term
-by its count), a canonical W-graph enumerator with isomorphism-class
-sizes, a log-space evaluator of the sextuple-sum upper bound on
-E tr(B^k), and a feasibility checker for the h/k proof schedules.  The
-bound sums its innermost pair (mu, mu1) in closed form and its t-sum
-once per l, so it costs O(k^3) log-terms in plain ``math`` instead of
-the sextuple sum's O(k^6); the schedule checker returns a plain
-JSON-ready dict.
+evaluator (numpy visits only the star circuits with i_1 = 1, i_2 = 2 and
+j_1 = 1 and tallies them by their ordered class multiplicities;
+relabelling makes each pattern's count over all star circuits p (p - 1) n
+times that, and one exact sum weights each pattern's term by its count),
+a canonical W-graph enumerator with isomorphism-class sizes, a log-space
+evaluator of the sextuple-sum upper bound on E tr(B^k), and a
+feasibility checker for the h/k proof schedules.  The bound sums its
+innermost pair (mu, mu1) in closed form and its t-sum once per l, so it
+costs O(k^3) log-terms in plain ``math`` instead of the sextuple sum's
+O(k^6); the schedule checker returns a plain JSON-ready dict.
 """
 
 import itertools
@@ -318,32 +319,44 @@ def circuits(p: int, n: int, k: int, star: bool = True):
 
 
 def _star_edge_chunks(p: int, n: int, k: int):
-    """Edge codes of every star circuit, in chunks of about CHUNK_BYTES.
+    """Edge codes of the star circuits with i_1 = 1, i_2 = 2 and j_1 = 1.
 
     Yields int32 arrays of shape (2k, c): column x holds the codes
     (i - 1) n + (j - 1) of circuit x's edges e_1, ..., e_2k, so two edges
     coincide exactly when their codes are equal.  Circuits come in the
-    order of ``circuits(p, n, k)``.  I-sequences are ranked in mixed
-    radix (i_1 in base p, then i_{a+1} as one of the p - 1 values other
-    than i_a, which keeps lexicographic order), and those with i_k = i_1
-    are dropped.
+    order of ``circuits(p, n, k)``, in chunks of about CHUNK_BYTES.
+    i_3, ..., i_k are ranked in mixed radix, each i_{a+1} as one of the
+    p - 1 values other than i_a (which keeps lexicographic order), and
+    sequences with i_k = i_1 are dropped; j_2, ..., j_k are ranked in
+    base n.  That is (p - 1)^(k-2) n^(k-1) index pairs before the star
+    filter, and nothing for k < 2 or p < 2, where no star circuit exists.
+
+    Why that suffices: every star circuit has i_1 != i_2, and relabelling
+    the I-values by a permutation of [1, p] and the J-values by one of
+    [1, n] keeps a circuit's star property and multiplicity pattern.  Such
+    relabellings map the circuits with (i_1, i_2, j_1) = (1, 2, 1) one to
+    one onto those with any other of the p (p - 1) n admissible triples,
+    so each pattern's count over all star circuits is p (p - 1) n times
+    its count here.
     """
-    n_k = n**k
-    total = p * (p - 1) ** (k - 1) * n_k
+    if k < 2 or p < 2:
+        return
+    n_k = n ** (k - 1)
+    total = (p - 1) ** (k - 2) * n_k
     step = max(1, CHUNK_BYTES // (24 * k + 64))  # 24k + 64: peak bytes per circuit
     for start in range(0, total, step):
         i_rank, j_rank = np.divmod(np.arange(start, min(start + step, total)), n_k)
         i_seq = np.empty((k, i_rank.size), dtype=np.int64)
-        for a in range(k - 1, 0, -1):
+        for a in range(k - 1, 1, -1):
             i_rank, i_seq[a] = np.divmod(i_rank, p - 1)
-        i_seq[0] = i_rank
-        for a in range(1, k):
+        i_seq[0], i_seq[1] = 0, 1
+        for a in range(2, k):
             i_seq[a] += i_seq[a] >= i_seq[a - 1]
         star = i_seq[-1] != i_seq[0]
         i_seq, j_rank = i_seq[:, star], j_rank[star]
         edges = np.empty((2 * k, j_rank.size), dtype=np.int32)
         for a in range(k - 1, -1, -1):
-            j_rank, j = np.divmod(j_rank, n)
+            j_rank, j = np.divmod(j_rank, n)  # j_rank < n^(k-1), so j_1 = 0
             edges[2 * a] = i_seq[a] * n + j
             edges[2 * a + 1] = i_seq[(a + 1) % k] * n + j
         yield edges
@@ -382,10 +395,20 @@ def _pattern(code: int) -> tuple:
 def trace_moment_unscaled(p: int, n: int, k: int, moments):
     """sum over star circuits of the factorized expectation (no scaling).
 
-    numpy visits every star circuit and tallies them by ordered
-    multiplicity pattern, on which a circuit's expectation depends alone;
-    each pattern's term is evaluated once, when it first occurs in the
-    order of ``circuits``, so the first error raised is the circuit loop's.
+    numpy visits the star circuits with i_1 = 1, i_2 = 2 and j_1 = 1 and
+    tallies them by ordered multiplicity pattern, on which a circuit's
+    expectation depends alone.  Relabelling I- or J-values keeps the
+    pattern, so each pattern's count over all star circuits is the exact
+    integer p (p - 1) n times its count there (see ``_star_edge_chunks``).
+
+    Each pattern's term is evaluated once, when it first occurs.  In the
+    order of ``circuits``, i_1 = 1 and then i_2 = 2 are prefixes and the
+    j_1 = 1 block comes first within each I-sequence, so the visited
+    circuits keep their order, and the transpositions that move
+    (i_1, i_2, j_1) to (1, 2, 1) map any other circuit to an earlier one
+    with the same pattern.  So every pattern first occurs among the
+    visited circuits, in the same order, and the first error raised is
+    the full circuit loop's.
     The count-weighted terms are summed exactly: int or Fraction moments
     give an int or Fraction, and otherwise float terms are read exactly
     as Fractions and the sum is rounded once to the nearest float.
@@ -397,6 +420,7 @@ def trace_moment_unscaled(p: int, n: int, k: int, moments):
             f"(p*n)^k = {(p * n) ** k:.3e} exceeds the {ENUMERATION_BUDGET:.0e} term budget"
         )
     exact = all(isinstance(m, (int, Fraction)) and not isinstance(m, bool) for m in moments)
+    orbit = p * (p - 1) * n
     terms, counts = {}, {}
     for edges in _star_edge_chunks(p, n, k):
         codes, first, number = np.unique(_pattern_codes(edges), return_index=True, return_counts=True)
@@ -404,7 +428,7 @@ def trace_moment_unscaled(p: int, n: int, k: int, moments):
             code = int(codes[at])
             if code not in terms:
                 terms[code] = _expectation_from_counts(_pattern(code), moments)
-            counts[code] = counts.get(code, 0) + int(number[at])
+            counts[code] = counts.get(code, 0) + orbit * int(number[at])
     if exact:
         return sum((counts[code] * term for code, term in terms.items()), 0)
     try:
@@ -415,7 +439,11 @@ def trace_moment_unscaled(p: int, n: int, k: int, moments):
 
 
 def exact_trace_moment(p: int, n: int, k: int, moments) -> float:
-    """E tr(B^k) by full enumeration: (2 sqrt(np))^{-k} * unscaled sum.
+    """E tr(B^k) by enumeration: (2 sqrt(np))^{-k} * unscaled sum.
+
+    The unscaled sum enumerates the star circuits with i_1 = 1, i_2 = 2
+    and j_1 = 1 and weights their tally by p (p - 1) n; the budget still
+    caps the nominal (pn)^k.
 
     The unscaled sum is exact (float moments give the correctly rounded
     float of the exact sum of the float terms).  For even k the

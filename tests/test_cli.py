@@ -57,6 +57,23 @@ class TestGenAndSpectrum:
         assert res.stderr.startswith("error:") and "'a'" in res.stderr
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "p, n, code, said",
+        [
+            # numpy cannot index this shape at all
+            ("18446744073709551626", "1", 1, "Maximum allowed dimension exceeded"),
+            # 2^57 bytes: numpy's allocation fails before any page is touched
+            ("134217728", "134217728", 2, "Unable to allocate"),
+        ],
+        ids=["too-many-dimensions", "128-PiB"],
+    )
+    def test_gen_shape_numpy_refuses_is_an_error_line(self, tmp_path, p, n, code, said):
+        res = run_cli("gen", "--dist", "gaussian", "--p", p, "--n", n, "--out", str(tmp_path))
+        assert res.returncode == code
+        assert res.stderr.startswith("error:") and said in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not list(tmp_path.iterdir())
+
     def test_gen_determinism(self, tmp_path):
         args = ["gen", "--dist", "gaussian", "--p", "5", "--n", "8", "--seed", "3"]
         run_cli(*args, "--out", str(tmp_path / "a"))
@@ -267,6 +284,14 @@ class TestCovtestAndMoments:
     def test_moments_exact(self):
         res = run_cli("moments", "exact", "--p", "3", "--n", "4", "--k", "2")
         assert json.loads(res.stdout)["exact"] == 0.5
+
+    @pytest.mark.parametrize("flag", ["--p", "--n", "--k"])
+    def test_moments_exact_names_p_n_k(self, flag):
+        argv = {"--p": "3", "--n": "4", "--k": "2"}
+        argv[flag] = "0"
+        res = run_cli("moments", "exact", *(x for kv in argv.items() for x in kv))
+        assert res.returncode == 1
+        assert res.stderr == "error: p, n, k must be >= 1\n"
 
     @pytest.mark.parametrize(
         "argv, expected",

@@ -30,7 +30,7 @@ from covspectrum.ensemble import (
     two_point,
     uniform_symmetric,
 )
-from covspectrum.errors import ValidationError
+from covspectrum.errors import ResourceError, ValidationError
 
 
 def _first_four(spec):
@@ -189,6 +189,16 @@ class TestSampling:
         for replicate in (-1, 2**64):
             with pytest.raises(ValidationError):
                 sample_matrix(gaussian(), shape, seed, replicate)
+
+    @pytest.mark.parametrize(
+        "spec", [gaussian(), rademacher(), student_t(5), two_point(q=0.3)], ids=lambda spec: spec.kind
+    )
+    def test_shape_numpy_refuses_is_a_library_error(self, spec):
+        with pytest.raises(ValidationError, match="Maximum allowed dimension exceeded"):
+            sample_matrix(spec, MatrixShape(2**64 + 10, 1), SeedSpec(0))
+        # 2^54 entries, 128 PiB: more than any address space, so no page is touched
+        with pytest.raises(ResourceError, match="Unable to allocate"):
+            sample_matrix(spec, MatrixShape(2**27, 2**27), SeedSpec(0))
 
     def test_two_point_support(self):
         X = sample_matrix(two_point(q=0.5), MatrixShape(10, 50), SeedSpec(3), 0)

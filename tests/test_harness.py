@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -354,6 +356,51 @@ class TestPoolBlasThreads:
         for got, want in zip(plain, capped):
             # BLAS's default thread count may move the last bits only
             assert got.value == pytest.approx(want.value, rel=1e-9)
+
+
+class TestBlasKernel:
+    """numpy's OpenBLAS picks its kernel by CPU, and OPENBLAS_CORETYPE makes a
+    child process use another one.  records.csv's bytes may differ across
+    kernels, but every value agrees within the benchmark's record tolerance."""
+
+    RECORD_RTOL = 1e-9  # perfbench/checks.py: a record against its reference
+
+    @staticmethod
+    def _sweep(config_path, out_dir, coretype):
+        env = os.environ.copy()
+        env.pop("OPENBLAS_CORETYPE", None)
+        env.pop("COVSPECTRUM_OUT", None)
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        res = subprocess.run(
+            [sys.executable, "-m", "covspectrum", "sweep", "--config", str(config_path),
+             "--threads", "2", "--out", str(out_dir)],
+            capture_output=True, text=True, env=env, stdin=subprocess.DEVNULL,
+        )
+        assert res.returncode == 0, res.stderr
+        return read_records(out_dir / "records.csv")
+
+    def test_haswell_kernel_agrees_with_the_default_within_record_rtol(self, tmp_path):
+        config = _config(
+            distribution=gaussian(),
+            grid=(MatrixShape(20, 400), MatrixShape(40, 1600)),
+            replicates=2,
+            tasks=(TaskSpec("lambda_max"), TaskSpec("esd_ks"), TaskSpec("cov_rate", sigma=toeplitz_cov(0.5))),
+        )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_json()))
+        default = self._sweep(config_path, tmp_path / "default", None)
+        haswell = self._sweep(config_path, tmp_path / "haswell", "Haswell")
+        assert [r.sort_key() for r in haswell] == [r.sort_key() for r in default]
+        assert len(default) == 12 and not any(r.failed for r in default + haswell)
+        for got, want in zip(haswell, default):
+            assert sorted(got.aux) == sorted(want.aux)
+            assert math.isclose(got.value, want.value, rel_tol=self.RECORD_RTOL)
+            for key, value in want.aux.items():
+                if isinstance(value, float):
+                    assert math.isclose(got.aux[key], value, rel_tol=self.RECORD_RTOL), (got.sort_key(), key)
+                else:
+                    assert got.aux[key] == value, (got.sort_key(), key)
 
 
 class TestSummarize:

@@ -17,6 +17,7 @@ from covspectrum.momentlab import (
     EdgeLabel,
     IndexCircuit,
     _expectation_from_counts,
+    _star_edge_chunks,
     bound_rhs_a13,
     check_schedule,
     circuits,
@@ -357,6 +358,13 @@ class TestExactTraceMoment:
         with pytest.raises(ResourceError):
             exact_trace_moment(10, 10, 9, RADEMACHER_MOMENTS)
 
+    def test_budget_still_counts_the_nominal_circuits(self):
+        # its 9 * 100^2 circuits with i_1, i_2, j_1 = 1, 2, 1 would be cheap; the guard reads (pn)^k
+        moments = moment_sequence(gaussian(), 6)
+        with pytest.raises(ResourceError) as got:
+            exact_trace_moment(10, 100, 3, moments)
+        assert str(got.value) == "(p*n)^k = 1.000e+09 exceeds the 1e+08 term budget"
+
 
 class TestPatternTally:
     """trace_moment_unscaled against the circuit loop it replaced and
@@ -364,9 +372,9 @@ class TestPatternTally:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        p=st.integers(1, 3),
+        p=st.integers(1, 4),
         n=st.integers(1, 3),
-        k=st.integers(1, 4),
+        k=st.integers(1, 5),
         moments=st.lists(
             st.fractions(min_value=-3, max_value=3, max_denominator=7), min_size=8, max_size=8
         ),
@@ -409,6 +417,17 @@ class TestPatternTally:
         # Kahan summation is within two ulps here; the tally rounds the exact sum once
         assert got == float(sum(Fraction(term) for term in terms))
         assert math.isclose(got, expected, rel_tol=4 * sys.float_info.epsilon)
+
+    @pytest.mark.parametrize("p, n, k", [(1, 3, 3), (4, 3, 1), (2, 3, 2), (3, 2, 3), (4, 25, 3), (3, 4, 5), (2, 2, 12)])
+    def test_chunks_hold_only_circuits_from_1_2_1(self, p, n, k):
+        chunks = list(_star_edge_chunks(p, n, k))
+        if k < 2 or p < 2:
+            assert not chunks
+            return
+        assert sum(edges.shape[1] for edges in chunks) <= (p - 1) ** (k - 2) * n ** (k - 1)
+        for edges in chunks:
+            # e_1 = i_1 j_1 and e_2 = j_1 i_2 with (i_1, i_2, j_1) = (1, 2, 1)
+            assert (edges[0] == 0).all() and (edges[1] == n).all()
 
     @pytest.mark.parametrize("moments", [(Fraction(0), Fraction(1)), (0, 1)])
     def test_no_star_circuit_is_exact_zero(self, moments):
