@@ -28,13 +28,12 @@ from .ensemble import (
     distribution_from_json,
     load_matrix,
     matrix_to_csv,
-    moment_sequence,
     sample_matrix,
     save_matrix,
 )
 from .errors import ConvergenceError, ResourceError, ValidationError
 from .harness import ExperimentConfig, run_experiment
-from .momentlab import IndexCircuit, bound_rhs_a13, check_schedule, classify_json, exact_trace_moment
+from .momentlab import IndexCircuit, bound_rhs_a13, check_schedule, classify_json, law_trace_moment
 from .normalize import build_A, covariance_from_json
 from .reports import emit_report, fit_rate, read_records
 from .spectral import (
@@ -206,10 +205,7 @@ def _cmd_moments(args) -> int:
         print(json.dumps(classify_json(circuit), sort_keys=True))
         return 0
     if args.mode == "exact":
-        if min(args.p, args.n, args.k) < 1:  # before moment_sequence, whose error names max_order
-            raise ValidationError("p, n, k must be >= 1")
-        moments = moment_sequence(_dist_arg(args.dist), 2 * args.k)
-        value = exact_trace_moment(args.p, args.n, args.k, moments)
+        value = law_trace_moment(_dist_arg(args.dist), args.p, args.n, args.k)
         print(json.dumps({"p": args.p, "n": args.n, "k": args.k, "exact": value}, sort_keys=True))
         return 0
     if args.mode == "bound":

@@ -85,9 +85,11 @@ class DistributionSpec:
         Returns math.inf for even orders without a finite moment and
         math.nan for odd orders that are undefined (heavy t tails).  A
         finite moment beyond the double range is +-inf with its true sign;
-        one within it is finite, also where the closed form's intermediates
-        overflow (two-point with small q or q near 1, student-t with df
-        above ~340).
+        one within it is finite.  Each law has one formula: student-t's
+        moment of order 2m is prod_{i=1}^m (2i-1)(df-2)/(df-2i), whose
+        factors are all >= 1, so it overflows only with the moment, and
+        two-point weighs each atom's power by ``_weighted_power``, which
+        scales only at the end.
         """
         if order < 0:
             raise ValidationError("moment order must be >= 0")
@@ -110,36 +112,15 @@ class DistributionSpec:
             # E[(E-1)^s] for E ~ Exp(1) is the derangement number D_s.
             return _int_ratio(_subfactorial(order))
         if kind == "student-t":
-            return self._student_t_moment(order)
+            df = self.df
+            if order % 2:
+                return 0.0 if order < df else math.nan
+            if order >= df:
+                return math.inf
+            return math.prod((2 * i - 1) * (df - 2.0) / (df - 2 * i) for i in range(1, order // 2 + 1))
         # two-point
         (x_lo, w_lo), (x_hi, w_hi) = self.atoms()
-        try:
-            return w_hi * x_hi**order + w_lo * x_lo**order
-        except OverflowError:  # one atom's power leaves the double range, its weighted term may not
-            return _weighted_power(w_hi, x_hi, order) + _weighted_power(w_lo, x_lo, order)
-
-    def _student_t_moment(self, order: int) -> float:
-        df = self.df
-        if order % 2:
-            return 0.0 if order < df else math.nan
-        if order >= df:
-            return math.inf
-        # raw even moment of t_df, then rescale by the sd sqrt(df/(df-2))
-        try:
-            raw = (
-                df ** (order / 2)
-                * math.gamma((order + 1) / 2)
-                * math.gamma((df - order) / 2)
-                / (math.sqrt(math.pi) * math.gamma(df / 2))
-            )
-            return raw / (df / (df - 2.0)) ** (order / 2)
-        except OverflowError:
-            # The gamma ratios telescope: E X^(2m) = prod_{i=1}^m (2i-1)(df-2)/(df-2i).
-            # Every factor is >= 1, so the product overflows to inf only with the moment.
-            out = 1.0
-            for i in range(1, order // 2 + 1):
-                out *= (2 * i - 1) * (df - 2.0) / (df - 2 * i)
-            return out
+        return _weighted_power(w_hi, x_hi, order) + _weighted_power(w_lo, x_lo, order)
 
     def atoms(self):
         """(value, weight) pairs of the two-point law, lower atom first."""

@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ensemble import _is_int, _reject_unknown
+from .ensemble import DistributionSpec, _is_int, _reject_unknown, moment_sequence
 from .errors import ResourceError, ValidationError
 
 __all__ = [
@@ -54,6 +54,7 @@ __all__ = [
     "circuits",
     "trace_moment_unscaled",
     "exact_trace_moment",
+    "law_trace_moment",
     "enumerate_canonical",
     "isomorphism_class_size",
     "bound_rhs_a13",
@@ -392,6 +393,27 @@ def _pattern(code: int) -> tuple:
     return tuple(b - a for a, b in zip([0] + ends, ends))
 
 
+def _check_budget(p: int, n: int, k: int) -> None:
+    """p, n, k >= 1 and at most ENUMERATION_BUDGET nominal circuits (pn)^k.
+
+    The message prints (pn)^k as ``:.3e`` prints a float, but rounded half
+    to even from the int itself, so a power beyond the double range prints too.
+    """
+    if k < 1 or p < 1 or n < 1:
+        raise ValidationError("p, n, k must be >= 1")
+    total = (p * n) ** k
+    if total > ENUMERATION_BUDGET:
+        e = int(k * math.log10(p * n))  # floor(log10(total)) up to one either way
+        e += (10 ** (e + 1) <= total) - (10**e > total)
+        digits = round(Fraction(total, 10 ** (e - 3)))  # 1000 <= digits <= 10^4
+        if digits == 10**4:  # rounded up to the next power of ten
+            digits, e = 1000, e + 1
+        raise ResourceError(
+            f"(p*n)^k = {digits // 1000}.{digits % 1000:03d}e+{e:02d} "
+            f"exceeds the {ENUMERATION_BUDGET:.0e} term budget"
+        )
+
+
 def trace_moment_unscaled(p: int, n: int, k: int, moments):
     """sum over star circuits of the factorized expectation (no scaling).
 
@@ -413,12 +435,7 @@ def trace_moment_unscaled(p: int, n: int, k: int, moments):
     give an int or Fraction, and otherwise float terms are read exactly
     as Fractions and the sum is rounded once to the nearest float.
     """
-    if k < 1 or p < 1 or n < 1:
-        raise ValidationError("p, n, k must be >= 1")
-    if (p * n) ** k > ENUMERATION_BUDGET:
-        raise ResourceError(
-            f"(p*n)^k = {(p * n) ** k:.3e} exceeds the {ENUMERATION_BUDGET:.0e} term budget"
-        )
+    _check_budget(p, n, k)
     exact = all(isinstance(m, (int, Fraction)) and not isinstance(m, bool) for m in moments)
     orbit = p * (p - 1) * n
     terms, counts = {}, {}
@@ -446,18 +463,23 @@ def exact_trace_moment(p: int, n: int, k: int, moments) -> float:
     caps the nominal (pn)^k.
 
     The unscaled sum is exact (float moments give the correctly rounded
-    float of the exact sum of the float terms).  For even k the
-    normalization is the exact integer 2^k (np)^{k/2}, so rational cases
-    come out exact in float.
+    float of the exact sum of the float terms), and so is its division by
+    the integer 2^k (np)^{floor(k/2)}, rounded once to a float; odd k then
+    divides by sqrt(np) in float.  A non-finite float sum is returned as
+    it is.
     """
     unscaled = trace_moment_unscaled(p, n, k, moments)
-    half, rem = divmod(k, 2)
-    denom = (2**k) * (n * p) ** half
-    if rem:
-        return float(unscaled) / (denom * math.sqrt(n * p))
-    if isinstance(unscaled, (int, Fraction)):
-        return float(Fraction(unscaled) / denom)
-    return unscaled / denom
+    if isinstance(unscaled, float) and not math.isfinite(unscaled):
+        return unscaled
+    value = float(Fraction(unscaled) / (2**k * (n * p) ** (k // 2)))
+    return value / math.sqrt(n * p) if k % 2 else value
+
+
+def law_trace_moment(dist: DistributionSpec, p: int, n: int, k: int) -> float:
+    """E tr(B^k) for entries of law ``dist``, as ``moments exact`` prints and
+    ``moment_check`` records it; the budget is checked before the 2k moments."""
+    _check_budget(p, n, k)
+    return exact_trace_moment(p, n, k, moment_sequence(dist, 2 * k))
 
 
 # ---------------------------------------------------------------------------

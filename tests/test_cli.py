@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import mpmath
 import numpy as np
@@ -294,6 +295,31 @@ class TestCovtestAndMoments:
         assert res.stderr == "error: p, n, k must be >= 1\n"
 
     @pytest.mark.parametrize(
+        "argv, power",
+        [
+            # the 40,000 gaussian moments alone would take minutes
+            (["--p", "10", "--n", "100", "--k", "20000", "--dist", "gaussian"], "1.000e+60000"),
+            # (pn)^k beyond the double range
+            (["--p", "10", "--n", "100", "--k", "110"], "1.000e+330"),
+        ],
+        ids=["k20000-gaussian", "k110"],
+    )
+    def test_moments_exact_checks_the_budget_first(self, capsys, argv, power):
+        start = time.perf_counter()
+        code = cli.main(["moments", "exact", *argv])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert capsys.readouterr().err == f"error: (p*n)^k = {power} exceeds the 1e+08 term budget\n"
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("k", ["1025", "1100"])
+    def test_moments_exact_p_n_one_at_large_k(self, k):
+        # no star circuit at p = 1, and 2^k no longer fits a double
+        res = run_cli("moments", "exact", "--p", "1", "--n", "1", "--k", k)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["exact"] == 0.0
+
+    @pytest.mark.parametrize(
         "argv, expected",
         [
             (["--p", "2", "--n", "2", "--k", "4", "--dist", '{"kind": "two-point", "q": 1e-100}'], "oracle"),
@@ -382,6 +408,24 @@ class TestOneCodePath:
         esd = json.loads(run_cli("esd", "--in", path, "--out", str(tmp_path / "esd")).stdout)
         ks = records["esd_ks"]
         assert (esd["lambda_max"], esd["ks_to_semicircle"]) == (ks.aux["lambda_max"], ks.value)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [{"kind": "gaussian"}, {"kind": "student-t", "df": 5}, {"kind": "two-point", "q": 0.3}],
+        ids=["gaussian", "t5", "two-point"],
+    )
+    @pytest.mark.parametrize("p, n, k", [(3, 6, 4), (4, 5, 3)])
+    def test_moments_exact_is_the_moment_check_record(self, tmp_path, capsys, dist, p, n, k):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"distribution": dist, "grid": [[p, n]], "tasks": [{"name": "moment_check", "k": k}]}
+        ))
+        assert cli.main(["sweep", "--config", str(config), "--threads", "1", "--out", str(tmp_path)]) == 0
+        (record,) = read_records(str(tmp_path / "records.csv"))
+        capsys.readouterr()
+        argv = ["moments", "exact", "--p", str(p), "--n", str(n), "--k", str(k), "--dist", json.dumps(dist)]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["exact"] == record.value
 
 
 class TestSweepAndReport:

@@ -4,6 +4,7 @@ import math
 import os
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -75,6 +76,19 @@ class TestStandardizedMoments:
 
     def test_two_point_symmetric_reduces_to_rademacher(self):
         assert _first_four(two_point(q=0.5)) == (0.0, 1.0, 0.0, 1.0)
+        assert moment_sequence(two_point(q=0.5), 8) == moment_sequence(rademacher(), 8)
+
+    def test_student_t5_fourth_moment_is_exact(self):
+        # (1 * 3/3) * (3 * 3/1): the telescoped product rounds nowhere
+        assert student_t(5).moment(4) == 9.0
+
+    @pytest.mark.parametrize("df, order", [(306.0, 60), (330.0, 28), (341.0, 10), (343.0, 4)])
+    def test_student_t_moments_finite_where_the_gamma_product_overflowed(self, df, order):
+        # gamma(df / 2) fits a double here, but a product of gammas does not
+        exact = Fraction(1)
+        for i in range(1, order // 2 + 1):
+            exact *= (2 * i - 1) * Fraction(df - 2) / Fraction(df - 2 * i)
+        assert student_t(df).moment(order) == pytest.approx(float(exact), rel=1e-15)
 
     def test_two_point_asymmetric(self):
         q = 0.2

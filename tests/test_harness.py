@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -124,6 +125,34 @@ class TestRunExperiment:
         assert records == []
         lines = (tmp_path / "records.csv").read_text().splitlines()
         assert lines == [",".join(CSV_COLUMNS)]
+
+    def test_empty_task_set_samples_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "sample_matrix", lambda *args: calls.append(args))
+        config = _config(grid=(MatrixShape(300, 3000),), replicates=3, tasks=())
+        assert run_experiment(config, threads=1) == []
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "shape, k, power",
+        [
+            # the 40,000 gaussian moments alone would take minutes
+            ((10, 100), 20000, "1.000e+60000"),
+            # (pn)^k beyond the double range
+            ((3, 30), 3000, "5.340e+5862"),
+        ],
+    )
+    def test_moment_check_over_budget_is_a_quick_error_row(self, shape, k, power):
+        config = _config(
+            distribution=gaussian(),
+            grid=(MatrixShape(*shape),),
+            replicates=1,
+            tasks=(TaskSpec("moment_check", k=k),),
+        )
+        start = time.perf_counter()
+        (record,) = run_experiment(config, threads=1)
+        assert time.perf_counter() - start < 1.0
+        assert record.aux["error"] == f"ResourceError: (p*n)^k = {power} exceeds the 1e+08 term budget"
 
     def test_two_replicates_distinct_and_rerun_identical(self, tmp_path):
         config = _config()

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covspectrum import momentlab
 from covspectrum.ensemble import gaussian, moment_sequence, rademacher, student_t
 from covspectrum.errors import ResourceError, ValidationError
 from covspectrum.momentlab import (
     EdgeLabel,
     IndexCircuit,
+    _check_budget,
     _expectation_from_counts,
     _star_edge_chunks,
     bound_rhs_a13,
@@ -27,6 +29,7 @@ from covspectrum.momentlab import (
     exact_trace_moment,
     expectation_of_circuit,
     isomorphism_class_size,
+    law_trace_moment,
     trace_moment_unscaled,
 )
 
@@ -364,6 +367,31 @@ class TestExactTraceMoment:
         with pytest.raises(ResourceError) as got:
             exact_trace_moment(10, 100, 3, moments)
         assert str(got.value) == "(p*n)^k = 1.000e+09 exceeds the 1e+08 term budget"
+
+    def test_law_entry_checks_the_budget_before_the_moments(self, monkeypatch):
+        def no_moments(*args):
+            raise AssertionError("moments built for an input the budget refuses")
+
+        monkeypatch.setattr(momentlab, "moment_sequence", no_moments)
+        with pytest.raises(ValidationError, match=r"^p, n, k must be >= 1$"):
+            law_trace_moment(gaussian(), 3, 4, 0)
+        with pytest.raises(ResourceError) as got:
+            law_trace_moment(gaussian(), 10, 100, 3)
+        assert str(got.value) == "(p*n)^k = 1.000e+09 exceeds the 1e+08 term budget"
+
+    @pytest.mark.parametrize(
+        "value",
+        [10**9, 1000500000, 1000500001, 1001500000, 999950000, 999949999, 2**60, 3**40, 7**20, 10**22],
+    )
+    def test_budget_message_rounds_as_float_formatting_does(self, value):
+        # every value here is a double, so the float's digits are the int's
+        with pytest.raises(ResourceError) as got:
+            _check_budget(value, 1, 1)
+        assert str(got.value) == f"(p*n)^k = {value:.3e} exceeds the 1e+08 term budget"
+
+    def test_infinite_sum_passes_through_the_scaling(self):
+        moments = (0.0, 1.0, 0.0, 1e200, 0.0, 1e200, 0.0, 1e200)
+        assert exact_trace_moment(2, 1, 4, moments) == math.inf
 
 
 class TestPatternTally:
