@@ -7,12 +7,12 @@ sweep, --format on gen and report, --out on the commands that write files
 schedule) is its own subcommand with its own flags.  spectrum, esd and
 covtest print what a sweep records for the lambda_max, esd_ks and
 cov_rate tasks, through the same spectral functions: spectrum runs
-spectral.lambda_max, which picks dense LAPACK or Lanczos from p, and esd
-needs dense spectra (p <= 2000).
-Exit codes: 0 success, 1 validation error, 2 resource/convergence error,
-3 I/O error.  Every command that writes files takes its output directory
-from --out, falling back to the COVSPECTRUM_OUT environment variable, then
-the current directory; a sweep config names no output directory.
+spectral.lambda_max, which picks dense LAPACK or Lanczos from p.
+Exit codes: 0 success, 1 validation error, 2 resource/convergence error
+or failed allocation, 3 I/O error.  Every command that writes files takes
+its output directory from --out, falling back to the COVSPECTRUM_OUT
+environment variable, then the current directory; a sweep config names no
+output directory.
 """
 
 import argparse
@@ -166,8 +166,6 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_esd(args) -> int:
     X = load_matrix(args.infile)
-    if X.shape[0] > DENSE_P_LIMIT:
-        raise ValidationError(f"dense spectra are limited to p <= {DENSE_P_LIMIT}")
     eigs = eigvals_sym(build_A(X))
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
@@ -275,7 +273,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ResourceError, ConvergenceError) as exc:
+    except (ResourceError, ConvergenceError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all covspectrum modules.
 
 The CLI maps these onto exit codes: ValidationError -> 1,
-ResourceError/ConvergenceError -> 2, OSError -> 3.
+ResourceError/ConvergenceError and a failed allocation (MemoryError) -> 2,
+OSError -> 3.
 """
 
 

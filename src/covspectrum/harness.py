@@ -51,7 +51,6 @@ from .normalize import (
 )
 from .reports import RunRecord, records_to_csv
 from .spectral import (
-    DENSE_P_LIMIT,
     covariance_error,
     diag_max_dev,
     eigvals_sym,
@@ -132,14 +131,6 @@ class ExperimentConfig:
         names = [t.name for t in self.tasks]
         if len(names) != len(set(names)):
             raise ValidationError("duplicate task names would break record uniqueness")
-        dense_only = {"esd_ks", "lambda_max_centered"}
-        for task in self.tasks:
-            if task.name in dense_only:
-                bad = [s for s in self.grid if s.p > DENSE_P_LIMIT]
-                if bad:
-                    raise ValidationError(
-                        f"task {task.name} needs dense spectra (p <= {DENSE_P_LIMIT})"
-                    )
 
     @classmethod
     def from_json(cls, obj) -> "ExperimentConfig":

@@ -477,8 +477,11 @@ def exact_trace_moment(p: int, n: int, k: int, moments) -> float:
 
 def law_trace_moment(dist: DistributionSpec, p: int, n: int, k: int) -> float:
     """E tr(B^k) for entries of law ``dist``, as ``moments exact`` prints and
-    ``moment_check`` records it; the budget is checked before the 2k moments."""
+    ``moment_check`` records it; the budget is checked before the 2k moments,
+    which are not built at p < 2 or k < 2, where no star circuit exists."""
     _check_budget(p, n, k)
+    if p < 2 or k < 2:
+        return 0.0
     return exact_trace_moment(p, n, k, moment_sequence(dist, 2 * k))
 
 

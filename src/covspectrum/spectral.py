@@ -2,11 +2,11 @@
 
 ``diag_max_dev``, ``covariance_error``, ``lambda_max`` and
 ``lambda_max_matfree`` read the data matrix X as a (p, n) ndarray.  Dense
-spectra come from LAPACK (the oracle of record up to p = 2000).
+spectra come from LAPACK at every p; memory is their only limit.
 ``lambda_max`` is the one path to the top eigenvalue of A = build_A(X),
-for the sweep's ``lambda_max`` task and the ``spectrum`` command alike:
-it picks dense LAPACK or ``lambda_max_matfree`` from p and
-``DENSE_P_LIMIT``.
+for the sweep's ``lambda_max`` task and the ``spectrum`` command alike,
+and the only one that switches: to ``lambda_max_matfree`` (Lanczos) above
+``DENSE_P_LIMIT`` rows.
 ``lambda_max_matfree`` gets the top eigenvalue of the normalized Gram
 matrix without ever materializing it, by Lanczos with full
 reorthogonalization on the operator v -> (X (X' v) - n v) / (2 sqrt(np)).

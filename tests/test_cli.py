@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -85,7 +86,7 @@ class TestGenAndSpectrum:
 
     @pytest.mark.parametrize("limit, method", [(2000, "dense"), (19, "matfree")], ids=["dense", "matfree"])
     def test_spectrum_prints_the_sweep_record(self, tmp_path, monkeypatch, capsys, limit, method):
-        # the limit is lowered in-process: no config guard covers lambda_max
+        # the limit is lowered in-process, for the sweep and spectrum alike
         monkeypatch.setattr(spectral, "DENSE_P_LIMIT", limit)
         config = tmp_path / "config.json"
         config.write_text(json.dumps(
@@ -171,16 +172,28 @@ class TestGenAndSpectrum:
             assert res.stderr.startswith("error:")
             assert all(flag in res.stderr for flag in ("--method", flags[0]))
 
-    def test_dense_guard(self, tmp_path):
+    def test_only_spectrum_switches_above_the_dense_limit(self, tmp_path):
         path = tmp_path / "tall.bin"
         save_matrix(np.zeros((2001, 1)), path)
         res = run_cli("esd", "--in", str(path), "--out", str(tmp_path))
-        assert res.returncode == 1
-        assert res.stderr.startswith("error:") and "p <= 2000" in res.stderr
-        assert not (tmp_path / "spectrum.csv").exists()
+        assert res.returncode == 0, res.stderr
+        assert len((tmp_path / "spectrum.csv").read_text().splitlines()) == 2001 + 1
         res = run_cli("spectrum", "--in", str(path))
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["method"] == "matfree"
+
+    @pytest.mark.parametrize(
+        "argv", [["covtest", "--sigma", '{"kind":"identity"}'], ["esd"]], ids=["covtest", "esd"]
+    )
+    def test_failed_allocation_exits_2(self, tmp_path, argv):
+        # numpy refuses the 8 TiB p x p matrix up front, before touching memory
+        path = tmp_path / "tall.bin"
+        save_matrix(np.zeros((2**20, 1)), path)
+        res = run_cli(argv[0], "--in", str(path), *argv[1:], env_extra={"COVSPECTRUM_OUT": str(tmp_path)})
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: Unable to allocate 8.00 TiB") and res.stderr.count("\n") == 1
+        assert not (tmp_path / "spectrum.csv").exists()
 
     def test_esd_writes_spectrum_csv(self, tmp_path):
         gen = run_cli(
@@ -190,7 +203,7 @@ class TestGenAndSpectrum:
         res = run_cli("esd", "--in", gen.stdout.strip(), "--out", str(tmp_path))
         assert res.returncode == 0, res.stderr
         payload = json.loads(res.stdout)
-        lines = open(payload["spectrum_csv"]).read().splitlines()
+        lines = Path(payload["spectrum_csv"]).read_text().splitlines()
         assert lines[0] == "index,eigenvalue"
         assert len(lines) == 11
         assert 0.0 <= payload["ks_to_semicircle"] <= 1.0
@@ -301,8 +314,10 @@ class TestCovtestAndMoments:
             (["--p", "10", "--n", "100", "--k", "20000", "--dist", "gaussian"], "1.000e+60000"),
             # (pn)^k beyond the double range
             (["--p", "10", "--n", "100", "--k", "110"], "1.000e+330"),
+            # p = 1 answers 0.0 without moments, but only within the budget
+            (["--p", "1", "--n", "100", "--k", "5"], "1.000e+10"),
         ],
-        ids=["k20000-gaussian", "k110"],
+        ids=["k20000-gaussian", "k110", "p1"],
     )
     def test_moments_exact_checks_the_budget_first(self, capsys, argv, power):
         start = time.perf_counter()
@@ -310,6 +325,15 @@ class TestCovtestAndMoments:
         elapsed = time.perf_counter() - start
         assert code == 2
         assert capsys.readouterr().err == f"error: (p*n)^k = {power} exceeds the 1e+08 term budget\n"
+        assert elapsed < 1.0
+
+    def test_moments_exact_at_p_one_builds_no_moments(self, capsys):
+        # the 8,000 gaussian moments alone took seconds for an answer of 0.0
+        start = time.perf_counter()
+        code = cli.main(["moments", "exact", "--p", "1", "--n", "1", "--k", "4000", "--dist", "gaussian"])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["exact"] == 0.0
         assert elapsed < 1.0
 
     @pytest.mark.parametrize("k", ["1025", "1100"])
@@ -456,7 +480,7 @@ class TestSweepAndReport:
         paths = json.loads(rep.stdout)["paths"]
         assert len(paths) == 2  # one svg per task
         for p in paths:
-            assert open(p).read().startswith("<svg")
+            assert Path(p).read_text().startswith("<svg")
 
     def test_sweep_thread_flag_reproducible(self, tmp_path):
         config = self._write_config(tmp_path)

@@ -7,13 +7,14 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from covspectrum import harness
+from covspectrum import harness, spectral
 from covspectrum.ensemble import KINDS, MatrixShape, distribution_from_json, gaussian, rademacher
 from covspectrum.errors import ValidationError
 from covspectrum.harness import (
@@ -83,10 +84,6 @@ class TestConfig:
         with pytest.raises(ValidationError):
             _config(tasks=(TaskSpec("lambda_max"), TaskSpec("lambda_max")))
 
-    def test_dense_precondition_on_grid(self):
-        with pytest.raises(ValidationError):
-            _config(grid=(MatrixShape(4000, 8000),), tasks=(TaskSpec("esd_ks"),))
-
     def test_task_validation(self):
         with pytest.raises(ValidationError):
             TaskSpec("cov_rate")
@@ -132,6 +129,43 @@ class TestRunExperiment:
         config = _config(grid=(MatrixShape(300, 3000),), replicates=3, tasks=())
         assert run_experiment(config, threads=1) == []
         assert calls == []
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_only_lambda_max_switches_above_the_dense_limit(self, monkeypatch, threads):
+        config = _config(
+            distribution=gaussian(),
+            grid=(MatrixShape(20, 200),),
+            tasks=(TaskSpec("lambda_max"), TaskSpec("esd_ks"), TaskSpec("lambda_max_centered")),
+        )
+
+        def by_task(records):
+            out = {}
+            for r in records:
+                r.aux.pop("wall_ms")
+                out.setdefault(r.task, []).append(r)
+            return out
+
+        dense = by_task(run_experiment(config, threads=threads))
+        monkeypatch.setattr(spectral, "DENSE_P_LIMIT", 10)
+        small = by_task(run_experiment(config, threads=threads))
+        assert not any(r.failed for rs in small.values() for r in rs)
+        assert [r.aux["method"] for r in small["lambda_max"]] == ["matfree"] * 2
+        for task in ("esd_ks", "lambda_max_centered"):
+            assert small[task] == dense[task]
+
+    def test_moment_check_at_p_one_is_zero_without_moments(self):
+        # no star circuit at p = 1; at (1, 3) the nominal 3^4000 is over budget
+        config = _config(
+            distribution=gaussian(),
+            grid=(MatrixShape(1, 1),),
+            replicates=1,
+            tasks=(TaskSpec("moment_check", k=4000),),
+        )
+        start = time.perf_counter()
+        (record,) = run_experiment(config, threads=1)
+        assert time.perf_counter() - start < 1.0
+        assert not record.failed
+        assert record.value == 0.0
 
     @pytest.mark.parametrize(
         "shape, k, power",
@@ -606,7 +640,7 @@ class TestReports:
         assert any(p.endswith("report_records.csv") for p in paths)
         assert any(p.endswith("report_summary.csv") for p in paths)
         (json_path,) = emit_report(self._records(), "json", str(tmp_path))
-        payload = json.loads(open(json_path).read())
+        payload = json.loads(Path(json_path).read_text())
         assert len(payload["records"]) == 2
         assert "wall_ms" not in payload["records"][0]["aux"]
 
@@ -614,25 +648,25 @@ class TestReports:
         # SummaryRow's field names are both the CSV header and the JSON keys
         paths = emit_report(self._records(), "csv", str(tmp_path))
         (summary,) = [p for p in paths if p.endswith("report_summary.csv")]
-        lines = open(summary).read().splitlines()
+        lines = Path(summary).read_text().splitlines()
         assert lines[0] == "p,n,task,count,median,mean,std,min,max"
         assert lines[1] == "10,100,lambda_max,1,1.25,1.25,0.0,1.25,1.25"
         (json_path,) = emit_report(self._records(), "json", str(tmp_path))
-        rows = json.loads(open(json_path).read())["summary"]
+        rows = json.loads(Path(json_path).read_text())["summary"]
         assert [sorted(row) for row in rows] == [
             ["count", "max", "mean", "median", "min", "n", "p", "std", "task"]
         ] * 2
 
     def test_emit_empty_csv(self, tmp_path):
         paths = emit_report([], "csv", str(tmp_path))
-        lines = open(paths[0]).read().splitlines()
+        lines = Path(paths[0]).read_text().splitlines()
         assert lines == ["p,n,ratio,replicate,task,value,aux"]
 
     def test_svg_deterministic_and_parseable(self, tmp_path):
         (path1,) = emit_report(self._records(), "svg", str(tmp_path / "one"))
         (path2,) = emit_report(self._records(), "svg", str(tmp_path / "two"))
-        body1 = open(path1).read()
-        assert body1 == open(path2).read()
+        body1 = Path(path1).read_text()
+        assert body1 == Path(path2).read_text()
         assert 'viewBox="0 0 800 600"' in body1
         # parse back circle coordinates: value decreases with ratio, so the
         # point with larger cx (ratio) must have smaller cy... larger value
