@@ -47,7 +47,7 @@ from .normalize import (
     build_A,
     build_A1,
     covariance_from_json,
-    truncation_pipeline,
+    truncation_report,
 )
 from .reports import RunRecord, records_to_csv
 from .spectral import (
@@ -201,9 +201,10 @@ def _execute_task(task: TaskSpec, X: np.ndarray, dist: DistributionSpec):
         err, bound, sigma_norm = covariance_error(X, task.sigma)
         return err, {"bound": bound, "sigma_norm": sigma_norm}
     if name == "truncation_report":
-        _, report = truncation_pipeline(X)
+        report = truncation_report(X)
         return float(report.fraction_truncated), {
             "threshold": report.threshold,
+            "count_truncated": report.count_truncated,
             "post_mean": report.post_mean,
             "post_sigma2": report.post_sigma2,
         }

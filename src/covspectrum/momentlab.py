@@ -36,6 +36,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from enum import Enum
 from fractions import Fraction
 
@@ -393,25 +394,70 @@ def _pattern(code: int) -> tuple:
     return tuple(b - a for a, b in zip([0] + ends, ends))
 
 
+def _directed_power(base: int, k: int, prec: int, rounding: str) -> tuple:
+    """base^k as (m, e), m in [1, 10) of prec digits, each product rounded toward ``rounding``.
+
+    All factors are positive, so ROUND_FLOOR gives a lower bound of the
+    exact power and ROUND_CEILING an upper one.  The power of ten e is an
+    int kept apart from m, so k log10(base) may exceed decimal's exponent range.
+    """
+    context = Context(prec=prec, rounding=rounding)
+
+    def times(x, y):
+        m = context.multiply(x[0], y[0])
+        return context.scaleb(m, -m.adjusted()), x[1] + y[1] + m.adjusted()
+
+    result, square = (Decimal(1), 0), times((Decimal(base), 0), (Decimal(1), 0))  # base as (m, e)
+    while True:
+        if k & 1:
+            result = times(result, square)
+        k >>= 1
+        if not k:
+            return result
+        square = times(square, square)
+
+
+def _four_digits(m: Decimal, e: int) -> tuple:
+    """(d, e') with 1000 <= d <= 9999 and d/1000 * 10^e' = m * 10^e rounded half to even."""
+    digits = round(Fraction(m) * 1000)
+    if digits == 10**4:  # rounded up to the next power of ten
+        return 1000, e + 1
+    return digits, e
+
+
+def _power_digits(base: int, k: int) -> tuple:
+    """``_four_digits`` of the exact base^k without building it.
+
+    Rounding half to even is monotone, so where a lower and an upper
+    bound round alike the exact power rounds so too.  Otherwise the
+    precision doubles; it ends at the power's own digit count, where both
+    bounds are exact.
+    """
+    prec = 20 + len(str(k))
+    while True:
+        low, high = (_four_digits(*_directed_power(base, k, prec, r)) for r in (ROUND_FLOOR, ROUND_CEILING))
+        if low == high:
+            return low
+        prec *= 2
+
+
 def _check_budget(p: int, n: int, k: int) -> None:
     """p, n, k >= 1 and at most ENUMERATION_BUDGET nominal circuits (pn)^k.
 
-    The message prints (pn)^k as ``:.3e`` prints a float, but rounded half
-    to even from the int itself, so a power beyond the double range prints too.
+    k log10(pn) decides all but the inputs within a factor of ten of the
+    budget, which compare the exact int.  The message prints (pn)^k as
+    ``:.3e`` prints a float, but rounded half to even from the exact
+    power, so a power beyond the double range prints too.
     """
     if k < 1 or p < 1 or n < 1:
         raise ValidationError("p, n, k must be >= 1")
-    total = (p * n) ** k
-    if total > ENUMERATION_BUDGET:
-        e = int(k * math.log10(p * n))  # floor(log10(total)) up to one either way
-        e += (10 ** (e + 1) <= total) - (10**e > total)
-        digits = round(Fraction(total, 10 ** (e - 3)))  # 1000 <= digits <= 10^4
-        if digits == 10**4:  # rounded up to the next power of ten
-            digits, e = 1000, e + 1
-        raise ResourceError(
-            f"(p*n)^k = {digits // 1000}.{digits % 1000:03d}e+{e:02d} "
-            f"exceeds the {ENUMERATION_BUDGET:.0e} term budget"
-        )
+    if k * math.log10(p * n) < math.log10(ENUMERATION_BUDGET) + 1 and (p * n) ** k <= ENUMERATION_BUDGET:
+        return
+    digits, e = _power_digits(p * n, k)
+    raise ResourceError(
+        f"(p*n)^k = {digits // 1000}.{digits % 1000:03d}e+{e:02d} "
+        f"exceeds the {ENUMERATION_BUDGET:.0e} term budget"
+    )
 
 
 def trace_moment_unscaled(p: int, n: int, k: int, moments):

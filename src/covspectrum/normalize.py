@@ -10,14 +10,21 @@ float64 ndarray (read-only when it comes from ``ensemble``):
 * ``build_A1`` -- (1/2) sqrt(n/p) (S1 - I), the centered analogue of A;
 * ``build_S2`` -- Sigma^{1/2} S1 Sigma^{1/2} for a population covariance.
 
-``truncation_pipeline`` is the truncation step of the proof, with one
-fixed delta = ``default_delta`` = (np)^{-1/8}: entries exceeding
-delta * (np)^{1/4} become zero (indicator truncation, not winsorizing),
-then the matrix is recentred and rescaled by its own sample mean and sd;
-the result is again a read-only (p, n) array.  Every pass runs in place on
-that result: beside it the pipeline holds only a transient bool mask and
-numpy's own temporaries, so it never holds more than 2x the input on top
-of the input itself.
+The truncation step of the proof uses one fixed delta = ``default_delta``
+= (np)^{-1/8}: entries exceeding delta * (np)^{1/4} become zero (indicator
+truncation, not winsorizing), then the matrix is recentred and rescaled by
+its own sample mean and sd.  It has two entry points:
+
+* ``truncation_report`` returns only the numbers a sweep records (the
+  threshold, the truncated count and fraction, and the mean and variance
+  after standardizing).  It reads X in row blocks of about ``BLOCK``
+  entries and never ravels or copies it, so it allocates no p x n
+  temporary, also for a transposed or strided X;
+* ``truncation_pipeline`` returns the standardized matrix as a read-only
+  (p, n) array with the same report.  Every pass runs in place on that
+  result: beside it the pipeline holds only a transient bool mask and
+  numpy's own temporaries, so it never holds more than 2x the input on top
+  of the input itself.
 """
 
 import math
@@ -42,6 +49,7 @@ __all__ = [
     "build_S1",
     "build_A1",
     "default_delta",
+    "truncation_report",
     "truncation_pipeline",
     "sqrt_psd",
     "build_S2",
@@ -90,11 +98,27 @@ def build_A1(X) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Truncation pipeline.
 
+# Entries per row block of truncation_report: r = max(1, BLOCK // n) rows.
+BLOCK = 2**16
+
 
 @dataclass(frozen=True)
 class TruncationReport:
+    """The truncation step's numbers for one p x n matrix.
+
+    * ``threshold`` -- default_delta * (np)^{1/4}, the level above which
+      |x| becomes 0;
+    * ``count_truncated`` -- the exact number of entries with |x| above it;
+    * ``fraction_truncated`` -- count_truncated / (p n), correctly rounded;
+    * ``post_mean``, ``post_sigma2`` -- the mean and the variance (divisor
+      p n) of the standardized entries (kept - mu) / sigma, computed from
+      those entries, not set to 0 and 1, so they show the rounding of the
+      standardization.
+    """
+
     threshold: float
     fraction_truncated: float
+    count_truncated: int
     post_mean: float
     post_sigma2: float
 
@@ -104,15 +128,90 @@ def default_delta(shape: MatrixShape) -> float:
     return float(shape.n * shape.p) ** (-0.125)
 
 
+def _threshold(shape: MatrixShape) -> float:
+    return default_delta(shape) * float(shape.n * shape.p) ** 0.25
+
+
+def _kept_blocks(X, threshold: float):
+    """X's row blocks X[i:i+r], r = max(1, BLOCK // n), with |x| > threshold set to 0.
+
+    Yields each block as a fresh array, which the caller may overwrite,
+    with its count of zeroed entries.  X is only sliced, never copied
+    whole, whatever its strides.
+    """
+    p, n = X.shape
+    rows = max(1, BLOCK // n)
+    for i in range(0, p, rows):
+        block = X[i : i + rows]
+        kept = np.abs(block)
+        mask = kept > threshold
+        np.copyto(kept, block)
+        np.copyto(kept, 0.0, where=mask)
+        yield kept, int(np.count_nonzero(mask))
+
+
+def truncation_report(X) -> TruncationReport:
+    """The report of ``truncation_pipeline`` without the standardized matrix.
+
+    Four passes over X in row blocks (see ``_kept_blocks``).  Each sums
+    its block's values with numpy and adds the block sums in order, then
+    divides by p n:
+
+    1. the count of |x| > threshold, and mu, the mean of the kept matrix;
+    2. sigma^2, the mean of (kept - mu)^2, two-pass as numpy's ``std``;
+    3. ``post_mean``, the mean of z = (kept - mu) / sigma;
+    4. ``post_sigma2``, the mean of (z - post_mean)^2.
+
+    ``threshold``, ``count_truncated`` and ``fraction_truncated`` equal
+    the pipeline's bit for bit; ``post_mean`` and ``post_sigma2`` may
+    differ from its full-array sums in the last bits.  Memory: a few
+    arrays of one block each, never a p x n temporary.  Raises
+    DegenerateInputError when the kept matrix has zero or non-finite
+    variance.
+    """
+    shape = MatrixShape(*X.shape)
+    size = shape.p * shape.n
+    threshold = _threshold(shape)
+    count, total = 0, 0.0
+    for kept, truncated in _kept_blocks(X, threshold):
+        count += truncated
+        total += float(kept.sum())
+    mu = total / size
+
+    def mean_of(scale: float, shift: float, squared: bool) -> float:
+        """The mean of ((kept - mu) / scale - shift), squared if asked."""
+        acc = 0.0
+        for z, _ in _kept_blocks(X, threshold):
+            z -= mu
+            z /= scale
+            z -= shift
+            if squared:
+                np.square(z, out=z)
+            acc += float(z.sum())
+        return acc / size
+
+    sigma = math.sqrt(mean_of(1.0, 0.0, squared=True))
+    if sigma == 0.0 or not math.isfinite(sigma):
+        raise DegenerateInputError("zero variance after truncation")
+    post_mean = mean_of(sigma, 0.0, squared=False)
+    return TruncationReport(
+        threshold=threshold,
+        fraction_truncated=count / size,
+        count_truncated=count,
+        post_mean=post_mean,
+        post_sigma2=mean_of(sigma, post_mean, squared=True),
+    )
+
+
 def truncation_pipeline(X):
     """Truncate at default_delta * (np)^{1/4}, then standardize empirically.
 
     Entries with |x| above the threshold become 0; the kept matrix is
     centred and scaled by its own sample mean and sd, so the output has
     entrywise mean 0 and variance 1 to machine precision.  The report
-    gives the threshold, the truncated fraction, and ``post_mean`` and
-    ``post_sigma2``, which are numpy's ``mean()`` and ``var()`` of the
-    returned array.
+    gives the threshold, the truncated count and fraction, and
+    ``post_mean`` and ``post_sigma2``, which are numpy's ``mean()`` and
+    ``var()`` of the returned array.
 
     Memory: the returned array is the only p x n float64 array this
     function allocates; every step writes into it in place.  Beside it
@@ -121,10 +220,11 @@ def truncation_pipeline(X):
     input's bytes on top of the input.  X itself is never written.
     """
     shape = MatrixShape(*X.shape)
-    threshold = default_delta(shape) * float(shape.n * shape.p) ** 0.25
+    threshold = _threshold(shape)
     out = np.abs(X)
     mask = out > threshold
     fraction_truncated = float(mask.mean())
+    count_truncated = int(np.count_nonzero(mask))
     np.copyto(out, X)
     np.copyto(out, 0.0, where=mask)
     del mask
@@ -137,6 +237,7 @@ def truncation_pipeline(X):
     report = TruncationReport(
         threshold=threshold,
         fraction_truncated=fraction_truncated,
+        count_truncated=count_truncated,
         post_mean=float(out.mean()),
         post_sigma2=float(out.var()),
     )

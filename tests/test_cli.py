@@ -316,8 +316,11 @@ class TestCovtestAndMoments:
             (["--p", "10", "--n", "100", "--k", "110"], "1.000e+330"),
             # p = 1 answers 0.0 without moments, but only within the budget
             (["--p", "1", "--n", "100", "--k", "5"], "1.000e+10"),
+            # building the exact (pn)^k and formatting it from the int would take seconds
+            (["--p", "10", "--n", "100", "--k", "2000000", "--dist", "gaussian"], "1.000e+6000000"),
+            (["--p", "7", "--n", "13", "--k", "300000"], "2.616e+587712"),
         ],
-        ids=["k20000-gaussian", "k110", "p1"],
+        ids=["k20000-gaussian", "k110", "p1", "k2000000-gaussian", "k300000"],
     )
     def test_moments_exact_checks_the_budget_first(self, capsys, argv, power):
         start = time.perf_counter()

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from covspectrum import harness, spectral
-from covspectrum.ensemble import KINDS, MatrixShape, distribution_from_json, gaussian, rademacher
+from covspectrum.ensemble import KINDS, MatrixShape, distribution_from_json, gaussian, rademacher, student_t
 from covspectrum.errors import ValidationError
 from covspectrum.harness import (
     TASK_NAMES,
@@ -281,6 +282,43 @@ class TestRunExperiment:
         cov = records["cov_rate"]
         assert cov.value <= cov.aux["bound"] + 1e-10
         assert 0.0 <= records["esd_ks"].value <= 1.0
+
+
+class TestTruncationTask:
+    """The sweep's truncation_report reads X in blocks, without a p x n copy."""
+
+    @pytest.mark.parametrize("p, n", [(200, 4000), (100, 10000)])
+    def test_six_task_cell_peaks_near_the_input(self, p, n):
+        tasks = tuple(
+            TaskSpec(name) for name in ("lambda_max", "lambda_max_centered", "esd_ks", "diag_dev", "truncation_report")
+        ) + (TaskSpec("cov_rate", sigma=toeplitz_cov(0.5)),)
+        config = _config(distribution=gaussian(), grid=(MatrixShape(p, n),), replicates=1, tasks=tasks)
+        tracemalloc.start()
+        try:
+            records = run_experiment(config, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(r.failed for r in records)
+        # X itself plus block and p x p temporaries; a p x n copy would pass 2x
+        assert peak <= 1.5 * p * n * 8
+
+    def test_records_do_not_depend_on_threads(self):
+        config = _config(
+            distribution=student_t(3),
+            grid=(MatrixShape(30, 900), MatrixShape(60, 400)),
+            replicates=2,
+            tasks=(TaskSpec("truncation_report"),),
+        )
+
+        def stable(records):
+            for r in records:
+                r.aux.pop("wall_ms")
+            return records
+
+        one = stable(run_experiment(config, threads=1))
+        assert all(r.aux["count_truncated"] > 0 for r in one)
+        assert one == stable(run_experiment(config, threads=2))
 
 
 class TestPoolBlasThreads:

@@ -389,6 +389,26 @@ class TestExactTraceMoment:
             _check_budget(value, 1, 1)
         assert str(got.value) == f"(p*n)^k = {value:.3e} exceeds the 1e+08 term budget"
 
+    @pytest.mark.parametrize(
+        "value, power",
+        [
+            # one past a tie, beyond the first precision's 21 digits: the bounds disagree until it doubles
+            (10005 * 10**30 + 1, "1.001e+34"),
+            (10015 * 10**60 - 1, "1.001e+64"),
+            (10015 * 10**60, "1.002e+64"),
+            (99995 * 10**50, "1.000e+55"),
+        ],
+    )
+    def test_budget_message_rounds_the_exact_int(self, value, power):
+        with pytest.raises(ResourceError) as got:
+            _check_budget(value, 1, 1)
+        assert str(got.value) == f"(p*n)^k = {power} exceeds the 1e+08 term budget"
+
+    def test_budget_message_beyond_the_decimal_exponent_range(self):
+        with pytest.raises(ResourceError) as got:
+            _check_budget(10, 100, 10**18)
+        assert str(got.value) == "(p*n)^k = 1.000e+3000000000000000000 exceeds the 1e+08 term budget"
+
     def test_infinite_sum_passes_through_the_scaling(self):
         moments = (0.0, 1.0, 0.0, 1e200, 0.0, 1e200, 0.0, 1e200)
         assert exact_trace_moment(2, 1, 4, moments) == math.inf

@@ -17,6 +17,7 @@ from covspectrum.ensemble import (
 )
 from covspectrum.errors import DegenerateInputError, ValidationError
 from covspectrum.normalize import (
+    BLOCK,
     CovarianceSpec,
     build_A,
     build_A1,
@@ -31,6 +32,7 @@ from covspectrum.normalize import (
     sqrt_psd,
     toeplitz_cov,
     truncation_pipeline,
+    truncation_report,
 )
 
 
@@ -277,6 +279,72 @@ class TestPipeline:
         assert report.fraction_truncated > 0.0
         # the output plus numpy's one std/var temporary; the mask is gone by then
         assert peak <= 2.1 * X.nbytes
+
+
+class TestTruncationReport:
+    """``truncation_report`` reads X in row blocks; ``truncation_pipeline`` is its reference."""
+
+    @staticmethod
+    def _assert_matches_pipeline(X):
+        report = truncation_report(X)
+        _, reference = truncation_pipeline(X)
+        assert report.threshold == reference.threshold
+        assert report.fraction_truncated == reference.fraction_truncated
+        assert report.count_truncated == reference.count_truncated
+        # the rounding of mu shows in post_mean scaled by |mu| / sigma, which is
+        # about 10 for two-point(0.01) and far below 1 for centred laws
+        kept = np.where(np.abs(X) > report.threshold, 0.0, X)
+        assert abs(report.post_mean) <= 1e-15 * max(1.0, abs(kept.mean()) / kept.std())
+        assert abs(report.post_sigma2 - 1.0) <= 1e-12
+        return report
+
+    # each shape takes several row blocks, the last one partial
+    @pytest.mark.parametrize(
+        "spec, shape",
+        [(gaussian(), (200, 4000)), (student_t(3), (150, 1000)), (two_point(0.01), (100, 1500))],
+        ids=["gaussian", "student-t3", "two-point"],
+    )
+    def test_matches_pipeline(self, spec, shape):
+        X = sample_matrix(spec, MatrixShape(*shape), SeedSpec(21), 0)
+        assert shape[0] % (BLOCK // shape[1]) != 0 < BLOCK // shape[1] < shape[0]
+        report = self._assert_matches_pipeline(X)
+        if spec.kind != "gaussian":
+            assert report.count_truncated > 0  # the mask path runs
+
+    def test_count_is_exact(self):
+        report = truncation_report(_as_matrix([[10.0, 1.0, -1.0, 0.0]]))
+        assert (report.count_truncated, report.fraction_truncated) == (1, 0.25)
+
+    @pytest.mark.parametrize("view", ["transposed", "every-other-column"])
+    def test_strided_views(self, view):
+        if view == "transposed":
+            X = sample_matrix(student_t(3), MatrixShape(3000, 60), SeedSpec(4), 0).T
+        else:
+            X = sample_matrix(student_t(3), MatrixShape(60, 6000), SeedSpec(4), 0)[:, ::2]
+        assert not X.flags.c_contiguous
+        assert self._assert_matches_pipeline(X).count_truncated > 0
+
+    @pytest.mark.parametrize("shape", [(3, BLOCK + 5), (1, 5000)], ids=["n-above-block", "p-one"])
+    def test_one_row_blocks(self, shape):
+        X = sample_matrix(student_t(3), MatrixShape(*shape), SeedSpec(5), 0)
+        self._assert_matches_pipeline(X)
+
+    def test_degenerate_input(self):
+        with pytest.raises(DegenerateInputError):
+            truncation_report(_as_matrix([[2.0, 2.0], [2.0, 2.0]]))  # every entry truncated
+        with pytest.raises(DegenerateInputError):
+            truncation_report(_as_matrix([[0.5, 0.5]]))  # constant, nothing truncated
+
+    def test_peak_memory_is_a_few_blocks(self):
+        X = sample_matrix(student_t(3), MatrixShape(512, 8192), SeedSpec(8), 0)  # 32 MiB
+        tracemalloc.start()
+        try:
+            report = truncation_report(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.count_truncated > 0
+        assert peak <= 0.1 * X.nbytes
 
 
 class TestSqrtPsd:
