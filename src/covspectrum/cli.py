@@ -189,7 +189,7 @@ def _cmd_covtest(args) -> int:
                 "norm_error": err,
                 "factorized_bound": bound,
                 "sigma_norm": sigma_norm,
-                "within_bound": err <= bound + 1e-10,
+                "within_bound": err <= bound + 1e-10 * max(1.0, bound),
             },
             sort_keys=True,
         )

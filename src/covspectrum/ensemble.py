@@ -130,14 +130,6 @@ class DistributionSpec:
         x_lo = -math.sqrt(self.q / (1.0 - self.q))
         return ((x_lo, 1.0 - self.q), (x_hi, self.q))
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "student-t":
-            out["df"] = self.df
-        elif self.kind == "two-point":
-            out["q"] = self.q
-        return out
-
 
 def gaussian() -> DistributionSpec:
     return DistributionSpec("gaussian")
@@ -336,7 +328,7 @@ def save_matrix(X: np.ndarray, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<QQ", p, n))
-        fh.write(np.ascontiguousarray(X, dtype="<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(X, dtype="<f8")).cast("B"))  # X's own buffer, no bytes copy
 
 
 def load_matrix(path) -> np.ndarray:

@@ -104,13 +104,6 @@ class TaskSpec:
         sigma = covariance_from_json(obj["sigma"]) if "sigma" in obj else None
         return cls(obj["name"], sigma=sigma, k=obj.get("k"))
 
-    def to_json(self):
-        if self.name == "cov_rate":
-            return {"name": self.name, "sigma": self.sigma.to_json()}
-        if self.name == "moment_check":
-            return {"name": self.name, "k": self.k}
-        return self.name
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -147,15 +140,6 @@ class ExperimentConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed experiment config: {exc}") from exc
-
-    def to_json(self) -> dict:
-        return {
-            "distribution": self.distribution.to_json(),
-            "grid": [[s.p, s.n] for s in self.grid],
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "tasks": [t.to_json() for t in self.tasks],
-        }
 
 
 def _run_tasks(config: ExperimentConfig, shape: MatrixShape, replicate: int) -> list:

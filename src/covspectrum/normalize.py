@@ -10,6 +10,10 @@ float64 ndarray (read-only when it comes from ``ensemble``):
 * ``build_A1`` -- (1/2) sqrt(n/p) (S1 - I), the centered analogue of A;
 * ``build_S2`` -- Sigma^{1/2} S1 Sigma^{1/2} for a population covariance.
 
+A population covariance Sigma enters one way: ``covariance_from_json``
+parses its JSON spec into a ``CovarianceSpec``, whose ``materialize(p)``
+gives the p x p array that ``sqrt_psd`` and ``build_S2`` take.
+
 The truncation step of the proof uses one fixed delta = ``default_delta``
 = (np)^{-1/8}: entries exceeding delta * (np)^{1/4} become zero (indicator
 truncation, not winsorizing), then the matrix is recentred and rescaled by
@@ -38,10 +42,6 @@ from .errors import DegenerateInputError, ValidationError
 __all__ = [
     "CovarianceSpec",
     "TruncationReport",
-    "identity_cov",
-    "diagonal_cov",
-    "toeplitz_cov",
-    "explicit_cov",
     "covariance_from_json",
     "build_A",
     "build_B",
@@ -270,12 +270,13 @@ class CovarianceSpec:
             m = self.matrix
             if m is None or m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValidationError("explicit covariance needs a square matrix")
-            if np.max(np.abs(m - m.T)) > 1e-10:
+            if np.max(np.abs(m - m.T)) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
                 raise ValidationError("explicit covariance must be symmetric")
         else:
             raise ValidationError(f"unknown covariance kind {self.kind!r}")
 
     def materialize(self, p: int) -> np.ndarray:
+        """Sigma as an exactly symmetric p x p float array."""
         if self.kind == "identity":
             return np.eye(p)
         if self.kind == "diagonal":
@@ -287,32 +288,7 @@ class CovarianceSpec:
             return self.rho ** np.abs(idx[:, None] - idx[None, :])
         if self.matrix.shape[0] != p:
             raise ValidationError(f"explicit covariance is {self.matrix.shape[0]}x..., expected {p}")
-        return np.array(self.matrix, dtype=float)
-
-    def to_json(self) -> dict:
-        if self.kind == "identity":
-            return {"kind": "identity"}
-        if self.kind == "diagonal":
-            return {"kind": "diagonal", "d": list(self.d)}
-        if self.kind == "toeplitz":
-            return {"kind": "toeplitz", "rho": self.rho}
-        raise ValidationError("explicit covariance serializes via a matrix file path")
-
-
-def identity_cov() -> CovarianceSpec:
-    return CovarianceSpec("identity")
-
-
-def diagonal_cov(d) -> CovarianceSpec:
-    return CovarianceSpec("diagonal", d=tuple(d) if np.iterable(d) else d)
-
-
-def toeplitz_cov(rho: float) -> CovarianceSpec:
-    return CovarianceSpec("toeplitz", rho=rho)
-
-
-def explicit_cov(matrix) -> CovarianceSpec:
-    return CovarianceSpec("explicit", matrix=np.asarray(matrix, dtype=float))
+        return _sym(self.matrix)
 
 
 _COVARIANCE_FIELDS = {
@@ -331,29 +307,28 @@ def covariance_from_json(obj) -> CovarianceSpec:
     if not isinstance(kind, str) or kind not in _COVARIANCE_FIELDS:
         raise ValidationError(f"unknown covariance kind {kind!r}")
     _reject_unknown(obj, _COVARIANCE_FIELDS[kind], "covariance")
-    if kind == "identity":
-        return identity_cov()
-    if kind == "diagonal":
-        return diagonal_cov(obj.get("d"))
-    if kind == "toeplitz":
-        return toeplitz_cov(obj.get("rho"))
+    if kind != "explicit":  # each kind's fields were checked above, so the others are None
+        d = obj.get("d")
+        return CovarianceSpec(kind, d=tuple(d) if isinstance(d, list) else d, rho=obj.get("rho"))
     if not isinstance(obj.get("path"), str):
         raise ValidationError("explicit covariance needs a 'path' string naming a matrix file")
-    return explicit_cov(load_matrix(obj["path"]))
+    return CovarianceSpec(kind, matrix=load_matrix(obj["path"]))
 
 
-def sqrt_psd(sigma, p: int) -> np.ndarray:
-    """Symmetric PSD square root via spectral decomposition."""
-    M = sigma.materialize(p) if isinstance(sigma, CovarianceSpec) else np.asarray(sigma, dtype=float)
-    if M.shape != (p, p):
-        raise ValidationError(f"covariance shape {M.shape} does not match p={p}")
-    w, V = np.linalg.eigh(_sym(M))
-    if w.min() < -1e-10:
+def sqrt_psd(sigma: np.ndarray, p: int) -> np.ndarray:
+    """PSD square root of the symmetric p x p array sigma (eigh reads its lower triangle).
+
+    An eigenvalue below -1e-10 * max(1, max|w|) is not PSD; one above it clips to 0.
+    """
+    if sigma.shape != (p, p):
+        raise ValidationError(f"covariance shape {sigma.shape} does not match p={p}")
+    w, V = np.linalg.eigh(sigma)
+    if w.min() < -1e-10 * max(1.0, float(np.max(np.abs(w)))):
         raise ValidationError(f"covariance is not PSD (min eigenvalue {w.min():.3e})")
     return _sym((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T)
 
 
-def build_S2(X, sigma) -> np.ndarray:
-    """Sigma^{1/2} S1 Sigma^{1/2}: sample covariance of Sigma^{1/2} s_j."""
+def build_S2(X, sigma: np.ndarray) -> np.ndarray:
+    """Sigma^{1/2} S1 Sigma^{1/2} for the p x p array sigma: sample covariance of Sigma^{1/2} s_j."""
     root = sqrt_psd(sigma, X.shape[0])
     return _sym(root @ build_S1(X) @ root)

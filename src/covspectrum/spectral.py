@@ -65,12 +65,15 @@ def semicircle_cdf(x):
 def eigvals_sym(M) -> np.ndarray:
     """Full ascending spectrum of a symmetric matrix.
 
-    Rejects matrices whose asymmetry exceeds ``SYMMETRY_ATOL``; the remaining
-    rounding asymmetry is symmetrized away before the decomposition.
+    Rejects a non-finite matrix, on which LAPACK fails or errs silently, and
+    one whose asymmetry exceeds ``SYMMETRY_ATOL``; the remaining rounding
+    asymmetry is symmetrized away before the decomposition.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValidationError("matrix has non-finite entries; did the input overflow?")
     if M.shape[0] > 1 and float(np.max(np.abs(M - M.T))) > SYMMETRY_ATOL:
         raise ValidationError("matrix is not symmetric within tolerance")
     return np.linalg.eigvalsh((M + M.T) / 2.0)

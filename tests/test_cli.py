@@ -295,6 +295,73 @@ class TestCovtestAndMoments:
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and "'path' string" in res.stderr
 
+    @pytest.mark.parametrize(
+        "argv, huge_x",
+        [
+            (["spectrum"], True),
+            (["esd"], True),
+            (["covtest", "--sigma", '{"kind": "identity"}'], True),
+            (["covtest", "--sigma", '{"kind": "diagonal", "d": [1.7e308, 1, 1]}'], False),
+        ],
+        ids=["spectrum", "esd", "covtest-identity", "covtest-huge-diagonal"],
+    )
+    def test_overflow_to_non_finite_is_validation_error(self, tmp_path, argv, huge_x):
+        # finite entries whose Gram, or Sigma^{1/2} S1 Sigma^{1/2}, overflows to inf
+        data = tmp_path / "m.bin"
+        if huge_x:
+            save_matrix(np.where(np.arange(15).reshape(3, 5) % 4 == 0, -1e200, 1e200), data)
+        else:
+            save_matrix(np.random.default_rng(1).standard_normal((3, 50)), data)
+        res = run_cli(argv[0], "--in", str(data), *argv[1:], env_extra={"COVSPECTRUM_OUT": str(tmp_path)})
+        assert res.returncode == 1
+        assert res.stdout == ""
+        errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: matrix has non-finite entries; did the input overflow?"]
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    @staticmethod
+    def _covtest_explicit(tmp_path, matrix):
+        data, sigma = tmp_path / "m.bin", tmp_path / "sigma.bin"
+        save_matrix(np.random.default_rng(2).standard_normal((len(matrix), 200)), data)
+        save_matrix(np.asarray(matrix, dtype=float), sigma)
+        return run_cli("covtest", "--in", str(data), "--sigma", json.dumps({"kind": "explicit", "path": str(sigma)}))
+
+    @pytest.mark.parametrize("case", ["bdb", "rank-deficient"])
+    def test_covtest_tolerances_scale_with_sigma(self, tmp_path, case):
+        # an absolute 1e-10 rejected both: B D B' for its rounding asymmetry
+        # (~1e-8 at ||Sigma|| ~ 4e9), B B' of rank 3 for its eigenvalues near -1e-7
+        rng = np.random.default_rng(2 if case == "bdb" else 3)
+        if case == "bdb":
+            B = rng.standard_normal((6, 6))
+            matrix = B @ np.diag(np.geomspace(1.0, 1e9, 6)) @ B.T
+        else:
+            B = rng.standard_normal((6, 3)) * 1e4
+            matrix = B @ B.T
+        res = self._covtest_explicit(tmp_path, matrix)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["within_bound"] is True
+
+    @pytest.mark.parametrize(
+        "matrix, said", [([[1, 0.5], [0, 1]], "symmetric"), ([[1, 2], [2, 1]], "not PSD")], ids=["asymmetric", "indefinite"]
+    )
+    def test_covtest_rejects_invalid_explicit_sigma(self, tmp_path, matrix, said):
+        res = self._covtest_explicit(tmp_path, matrix)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:") and said in res.stderr
+
+    def test_covtest_within_bound_scales_with_sigma(self, tmp_path):
+        # Sigma = 1e9 I: the error and the bound agree in exact arithmetic, and
+        # differ by ~1e-7 in floating point
+        data = tmp_path / "m.bin"
+        save_matrix(np.random.default_rng(0).standard_normal((4, 40)), data)
+        res = run_cli("covtest", "--in", str(data), "--sigma", '{"kind": "diagonal", "d": [1e9, 1e9, 1e9, 1e9]}')
+        assert res.returncode == 0, res.stderr
+        payload = json.loads(res.stdout)
+        assert payload["norm_error"] > payload["factorized_bound"] + 1e-10
+        assert payload["within_bound"] is True
+
     def test_moments_exact(self):
         res = run_cli("moments", "exact", "--p", "3", "--n", "4", "--k", "2")
         assert json.loads(res.stdout)["exact"] == 0.5
@@ -402,9 +469,9 @@ class TestCovtestAndMoments:
 
 
 class TestOneCodePath:
-    def test_cli_and_sweep_give_identical_numbers(self, tmp_path):
+    @staticmethod
+    def _assert_cli_matches_sweep(tmp_path, sigma):
         seed = 9
-        sigma = {"kind": "toeplitz", "rho": 0.5}
         gen = run_cli(
             "gen", "--dist", "gaussian", "--p", "8", "--n", "400",
             "--seed", str(seed), "--out", str(tmp_path),
@@ -421,6 +488,7 @@ class TestOneCodePath:
         sweep = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
         assert sweep.returncode == 0, sweep.stderr
         records = {r.task: r for r in read_records(json.loads(sweep.stdout)["records_csv"])}
+        assert not any(r.failed for r in records.values())
 
         cov = json.loads(run_cli("covtest", "--in", path, "--sigma", json.dumps(sigma)).stdout)
         rate = records["cov_rate"]
@@ -435,6 +503,15 @@ class TestOneCodePath:
         esd = json.loads(run_cli("esd", "--in", path, "--out", str(tmp_path / "esd")).stdout)
         ks = records["esd_ks"]
         assert (esd["lambda_max"], esd["ks_to_semicircle"]) == (ks.aux["lambda_max"], ks.value)
+
+    def test_cli_and_sweep_give_identical_numbers(self, tmp_path):
+        self._assert_cli_matches_sweep(tmp_path, {"kind": "toeplitz", "rho": 0.5})
+
+    def test_cli_and_sweep_give_identical_numbers_for_explicit_sigma(self, tmp_path):
+        B = np.random.default_rng(6).standard_normal((8, 8))
+        sigma = tmp_path / "sigma.bin"
+        save_matrix(B @ B.T + np.eye(8), sigma)
+        self._assert_cli_matches_sweep(tmp_path, {"kind": "explicit", "path": str(sigma)})
 
     @pytest.mark.parametrize(
         "dist",
@@ -600,6 +677,20 @@ class TestSweepAndReport:
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
         assert where.format(records=records) in res.stderr
         assert not (tmp_path / "report").exists()
+
+    def test_overflowing_cov_rate_is_a_validation_error_row(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "distribution": "gaussian",
+            "grid": [[3, 50]],
+            "tasks": ["lambda_max", {"name": "cov_rate", "sigma": {"kind": "diagonal", "d": [1.7e308, 1, 1]}}],
+        }))
+        sweep = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
+        assert sweep.returncode == 0, sweep.stderr
+        records = {r.task: r for r in read_records(str(tmp_path / "run" / "records.csv"))}
+        assert not records["lambda_max"].failed
+        assert records["cov_rate"].failed
+        assert records["cov_rate"].aux["error"] == "ValidationError: matrix has non-finite entries; did the input overflow?"
 
     def test_report_without_a_usable_rate_fit_exits_0(self, tmp_path):
         # the diagonal Sigma has 10 entries, so every p = 20 cov_rate row fails

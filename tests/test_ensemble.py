@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import integrate, stats
 
 from covspectrum.ensemble import (
+    _MAGIC,
     DistributionSpec,
     MatrixShape,
     SeedSpec,
@@ -156,9 +158,13 @@ class TestStandardizedMoments:
         with pytest.raises(ValidationError):
             moment_sequence(rademacher(), 0)
 
-    def test_json_round_trip(self):
-        for spec in (gaussian(), student_t(5), two_point(q=0.25)):
-            assert distribution_from_json(spec.to_json()) == spec
+    def test_parses_literal_json(self):
+        gauss = distribution_from_json({"kind": "gaussian"})
+        assert (gauss.kind, gauss.df, gauss.q) == ("gaussian", None, None)
+        t5 = distribution_from_json({"kind": "student-t", "df": 5})
+        assert (t5.kind, t5.df, t5.q) == ("student-t", 5, None)
+        two = distribution_from_json({"kind": "two-point", "q": 0.25})
+        assert (two.kind, two.df, two.q) == ("two-point", None, 0.25)
         assert distribution_from_json("rademacher") == rademacher()
         with pytest.raises(ValidationError):
             distribution_from_json({"kind": "gaussian", "bogus": 1})
@@ -288,6 +294,27 @@ class TestMatrixIO:
         assert raw[:16] == b"COVSPEC-MAT-v01\n"
         assert int.from_bytes(raw[16:24], "little") == 2
         assert int.from_bytes(raw[24:32], "little") == 3
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["c-order", "transposed"])
+    def test_binary_bytes(self, tmp_path, transpose):
+        X = sample_matrix(gaussian(), MatrixShape(5, 3), SeedSpec(4), 0)
+        X = X.T if transpose else X
+        path = tmp_path / "m.bin"
+        save_matrix(X, path)
+        p, n = X.shape
+        assert path.read_bytes() == _MAGIC + struct.pack("<QQ", p, n) + X.astype("<f8").tobytes()
+
+    def test_save_peak_memory_is_no_copy(self, tmp_path):
+        X = sample_matrix(gaussian(), MatrixShape(512, 8192), SeedSpec(5), 0)  # 32 MiB
+        path = tmp_path / "m.bin"
+        tracemalloc.start()
+        try:
+            save_matrix(X, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == 32 + X.nbytes
+        assert peak <= 0.1 * X.nbytes
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -25,7 +25,7 @@ from covspectrum.harness import (
     run_experiment,
 )
 from covspectrum.momentlab import IndexCircuit
-from covspectrum.normalize import covariance_from_json, toeplitz_cov
+from covspectrum.normalize import CovarianceSpec, covariance_from_json
 from covspectrum.reports import (
     CSV_COLUMNS,
     RunRecord,
@@ -53,6 +53,9 @@ _json_value = st.recursive(
 )
 
 
+_TOEPLITZ = {"kind": "toeplitz", "rho": 0.5}
+
+
 def _config(**kwargs):
     base = dict(
         distribution=rademacher(),
@@ -66,16 +69,22 @@ def _config(**kwargs):
 
 
 class TestConfig:
-    def test_json_round_trip(self):
-        config = _config(
-            tasks=(
-                TaskSpec("lambda_max"),
-                TaskSpec("cov_rate", sigma=toeplitz_cov(0.5)),
-                TaskSpec("moment_check", k=2),
-            )
+    def test_parses_literal_json(self):
+        config = ExperimentConfig.from_json({
+            "distribution": {"kind": "student-t", "df": 5},
+            "grid": [[10, 100], [20, 400]],
+            "replicates": 2,
+            "master_seed": 7,
+            "tasks": ["lambda_max", {"name": "cov_rate", "sigma": _TOEPLITZ}, {"name": "moment_check", "k": 2}],
+        })
+        assert config.distribution == student_t(5)
+        assert config.grid == (MatrixShape(10, 100), MatrixShape(20, 400))
+        assert (config.replicates, config.master_seed) == (2, 7)
+        assert config.tasks == (
+            TaskSpec("lambda_max"),
+            TaskSpec("cov_rate", sigma=CovarianceSpec("toeplitz", rho=0.5)),
+            TaskSpec("moment_check", k=2),
         )
-        back = ExperimentConfig.from_json(config.to_json())
-        assert back == config
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
@@ -269,7 +278,7 @@ class TestRunExperiment:
             replicates=1,
             tasks=(
                 TaskSpec("truncation_report"),
-                TaskSpec("cov_rate", sigma=toeplitz_cov(0.5)),
+                TaskSpec("cov_rate", sigma=covariance_from_json(_TOEPLITZ)),
                 TaskSpec("esd_ks"),
                 TaskSpec("lambda_max_centered"),
             ),
@@ -291,7 +300,7 @@ class TestTruncationTask:
     def test_six_task_cell_peaks_near_the_input(self, p, n):
         tasks = tuple(
             TaskSpec(name) for name in ("lambda_max", "lambda_max_centered", "esd_ks", "diag_dev", "truncation_report")
-        ) + (TaskSpec("cov_rate", sigma=toeplitz_cov(0.5)),)
+        ) + (TaskSpec("cov_rate", sigma=covariance_from_json(_TOEPLITZ)),)
         config = _config(distribution=gaussian(), grid=(MatrixShape(p, n),), replicates=1, tasks=tasks)
         tracemalloc.start()
         try:
@@ -334,7 +343,7 @@ class TestPoolBlasThreads:
             tasks=(
                 TaskSpec("lambda_max"),
                 TaskSpec("esd_ks"),
-                TaskSpec("cov_rate", sigma=toeplitz_cov(0.5)),
+                TaskSpec("cov_rate", sigma=covariance_from_json(_TOEPLITZ)),
             ),
         )
 
@@ -482,14 +491,15 @@ class TestBlasKernel:
         return read_records(out_dir / "records.csv")
 
     def test_haswell_kernel_agrees_with_the_default_within_record_rtol(self, tmp_path):
-        config = _config(
-            distribution=gaussian(),
-            grid=(MatrixShape(20, 400), MatrixShape(40, 1600)),
-            replicates=2,
-            tasks=(TaskSpec("lambda_max"), TaskSpec("esd_ks"), TaskSpec("cov_rate", sigma=toeplitz_cov(0.5))),
-        )
+        config = {
+            "distribution": "gaussian",
+            "grid": [[20, 400], [40, 1600]],
+            "replicates": 2,
+            "master_seed": 7,
+            "tasks": ["lambda_max", "esd_ks", {"name": "cov_rate", "sigma": _TOEPLITZ}],
+        }
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config.to_json()))
+        config_path.write_text(json.dumps(config))
         default = self._sweep(config_path, tmp_path / "default", None)
         haswell = self._sweep(config_path, tmp_path / "haswell", "Haswell")
         assert [r.sort_key() for r in haswell] == [r.sort_key() for r in default]

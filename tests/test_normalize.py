@@ -26,11 +26,7 @@ from covspectrum.normalize import (
     build_S2,
     covariance_from_json,
     default_delta,
-    diagonal_cov,
-    explicit_cov,
-    identity_cov,
     sqrt_psd,
-    toeplitz_cov,
     truncation_pipeline,
     truncation_report,
 )
@@ -347,68 +343,86 @@ class TestTruncationReport:
         assert peak <= 0.1 * X.nbytes
 
 
+def _sigma(p, **spec):
+    """Sigma as the p x p array the covariance code takes, from its JSON spec."""
+    return covariance_from_json(spec).materialize(p)
+
+
 class TestSqrtPsd:
     def test_identity(self):
-        assert np.array_equal(sqrt_psd(identity_cov(), 4), np.eye(4))
+        assert np.array_equal(sqrt_psd(_sigma(4, kind="identity"), 4), np.eye(4))
 
     def test_diagonal(self):
-        root = sqrt_psd(diagonal_cov([4.0, 9.0]), 2)
+        root = sqrt_psd(_sigma(2, kind="diagonal", d=[4.0, 9.0]), 2)
         np.testing.assert_allclose(root, np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_toeplitz_round_trip(self):
-        sigma = toeplitz_cov(0.5).materialize(3)
-        root = sqrt_psd(toeplitz_cov(0.5), 3)
+        sigma = _sigma(3, kind="toeplitz", rho=0.5)
+        root = sqrt_psd(sigma, 3)
         err = np.abs(np.linalg.eigvalsh(root @ root - sigma)).max()
         assert err <= 1e-10 * np.abs(np.linalg.eigvalsh(sigma)).max()
 
     def test_rejects_non_psd(self):
-        with pytest.raises(ValidationError):
-            sqrt_psd(np.array([[1.0, 2.0], [2.0, 1.0]]), 2)  # eigenvalue -1
+        for scale in (1.0, 1e9):
+            with pytest.raises(ValidationError, match="not PSD"):
+                sqrt_psd(scale * np.array([[1.0, 2.0], [2.0, 1.0]]), 2)  # eigenvalue -scale
+
+    def test_rank_deficient_psd_at_large_scale(self):
+        # rank 3 with entries ~1e9: eigh's rounding puts the zero eigenvalues
+        # near -1e-7, which an absolute 1e-10 would reject
+        B = np.random.default_rng(3).standard_normal((6, 3)) * 1e4
+        sigma = (B @ B.T + (B @ B.T).T) / 2
+        w = np.linalg.eigvalsh(sigma)
+        assert w[0] < -1e-10
+        root = sqrt_psd(sigma, 6)
+        assert np.abs(root @ root - sigma).max() <= 1e-10 * np.abs(sigma).max()
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            sqrt_psd(diagonal_cov([1.0, 2.0]), 3)
+            sqrt_psd(_sigma(2, kind="diagonal", d=[1.0, 2.0]), 3)
 
 
 class TestBuildS2:
     def test_identity_sigma_reduces_to_S1(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((4, 10))
-        np.testing.assert_allclose(build_S2(x, identity_cov()), build_S1(x), atol=1e-15)
+        np.testing.assert_allclose(build_S2(x, _sigma(4, kind="identity")), build_S1(x), atol=1e-15)
 
     def test_identical_columns_vanish(self):
         x = np.tile(np.array([1.0, 2.0])[:, None], (1, 5))
-        np.testing.assert_allclose(build_S2(x, toeplitz_cov(0.5)), np.zeros((2, 2)), atol=1e-15)
+        np.testing.assert_allclose(build_S2(x, _sigma(2, kind="toeplitz", rho=0.5)), np.zeros((2, 2)), atol=1e-15)
 
     def test_matches_definitional_sum(self):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((3, 8))
-        root = sqrt_psd(toeplitz_cov(0.5), 3)
-        y = root @ x
+        sigma = _sigma(3, kind="toeplitz", rho=0.5)
+        y = sqrt_psd(sigma, 3) @ x
         ybar = y.mean(axis=1)
         direct = sum(np.outer(y[:, j] - ybar, y[:, j] - ybar) for j in range(8)) / 8
-        np.testing.assert_allclose(build_S2(x, toeplitz_cov(0.5)), direct, atol=1e-12)
+        np.testing.assert_allclose(build_S2(x, sigma), direct, atol=1e-12)
 
     def test_norm_factorization_property(self):
         rng = np.random.default_rng(15)
-        sigma_spec = toeplitz_cov(0.6)
+        sigma = _sigma(6, kind="toeplitz", rho=0.6)
         for _ in range(10):
             x = rng.standard_normal((6, 30))
-            sigma = sigma_spec.materialize(6)
-            err = np.abs(np.linalg.eigvalsh(build_S2(x, sigma_spec) - sigma)).max()
+            err = np.abs(np.linalg.eigvalsh(build_S2(x, sigma) - sigma)).max()
             s1_dev = np.abs(np.linalg.eigvalsh(build_S1(x) - np.eye(6))).max()
             sig_norm = np.abs(np.linalg.eigvalsh(sigma)).max()
             assert err <= s1_dev * sig_norm + 1e-10
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            build_S2(np.zeros((3, 5)), explicit_cov(np.eye(2)))
+            build_S2(np.zeros((3, 5)), np.eye(2))
 
 
 class TestCovarianceSpecs:
-    def test_json_round_trip(self):
-        for spec in (identity_cov(), diagonal_cov([1.0, 2.0]), toeplitz_cov(0.5)):
-            assert covariance_from_json(spec.to_json()) == spec
+    def test_parses_literal_json(self):
+        assert covariance_from_json({"kind": "identity"}) == CovarianceSpec("identity")
+        diagonal = covariance_from_json({"kind": "diagonal", "d": [1.0, 2.0]})
+        assert (diagonal.kind, diagonal.d, diagonal.rho, diagonal.matrix) == ("diagonal", (1.0, 2.0), None, None)
+        toeplitz = covariance_from_json({"kind": "toeplitz", "rho": 0.5})
+        assert (toeplitz.kind, toeplitz.d, toeplitz.rho, toeplitz.matrix) == ("toeplitz", None, 0.5, None)
 
     def test_explicit_via_matrix_file(self, tmp_path):
         from covspectrum.ensemble import save_matrix
@@ -421,6 +435,20 @@ class TestCovarianceSpecs:
         save_matrix(entries, path)
         spec = covariance_from_json({"kind": "explicit", "path": str(path)})
         np.testing.assert_allclose(spec.materialize(3), entries, atol=0)
+
+    def test_explicit_symmetry_tolerance_scales_with_sigma(self):
+        # B D B' with ||Sigma|| ~ 4e9: the product's rounding leaves an
+        # asymmetry of ~1e-8, which an absolute 1e-10 would reject
+        rng = np.random.default_rng(2)
+        B = rng.standard_normal((6, 6))
+        matrix = B @ np.diag(np.geomspace(1.0, 1e9, 6)) @ B.T
+        assert np.abs(matrix - matrix.T).max() > 1e-10
+        sigma = CovarianceSpec("explicit", matrix=matrix).materialize(6)
+        assert np.array_equal(sigma, sigma.T)
+        np.testing.assert_allclose(sigma, matrix, rtol=1e-15, atol=0)
+        for bad in ([[1.0, 0.5], [0.0, 1.0]], 1e9 * np.array([[1.0, 0.5], [0.0, 1.0]])):
+            with pytest.raises(ValidationError, match="symmetric"):
+                CovarianceSpec("explicit", matrix=np.array(bad))
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -16,9 +16,7 @@ from covspectrum.normalize import (
     build_B,
     build_S1,
     build_S2,
-    diagonal_cov,
-    identity_cov,
-    toeplitz_cov,
+    covariance_from_json,
 )
 from covspectrum.spectral import (
     covariance_error,
@@ -57,6 +55,17 @@ class TestEigvalsSym:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             eigvals_sym([[0.0, 1.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "M",
+        [[[np.nan, 1.0], [2.0, 2.0]], [[np.inf, 0.0], [0.0, 1.0]], [[1.0, -np.inf], [-np.inf, 1.0]], [[np.nan]]],
+        ids=["nan-asymmetric", "inf-diagonal", "inf-symmetric", "nan-1x1"],
+    )
+    def test_rejects_non_finite(self, M):
+        # M - M' is NaN for a NaN entry, so the asymmetry test alone passes it,
+        # and LAPACK then returns finite garbage or fails to converge
+        with pytest.raises(ValidationError, match="non-finite"):
+            eigvals_sym(M)
 
     def test_trace_and_frobenius_conserved(self):
         rng = np.random.default_rng(22)
@@ -156,9 +165,12 @@ class TestDiagMaxDev:
 
 class TestCovarianceError:
     @pytest.mark.parametrize(
-        "sigma", [identity_cov(), diagonal_cov([0.5, 1.0, 2.0, 3.0, 4.0]), toeplitz_cov(0.4)], ids=lambda s: s.kind
+        "spec",
+        [{"kind": "identity"}, {"kind": "diagonal", "d": [0.5, 1.0, 2.0, 3.0, 4.0]}, {"kind": "toeplitz", "rho": 0.4}],
+        ids=lambda s: s["kind"],
     )
-    def test_materializes_sigma_once(self, monkeypatch, sigma):
+    def test_materializes_sigma_once(self, monkeypatch, spec):
+        sigma = covariance_from_json(spec)
         X = sample_matrix(gaussian(), MatrixShape(5, 60), SeedSpec(3), 0)
         calls = []
         materialize = CovarianceSpec.materialize
@@ -175,7 +187,7 @@ class TestCovarianceError:
         S = sigma.materialize(5)
         sigma_norm = symmetric_operator_norm(S)
         expected = (
-            symmetric_operator_norm(build_S2(X, sigma) - S),
+            symmetric_operator_norm(build_S2(X, S) - S),
             symmetric_operator_norm(build_S1(X) - np.eye(5)) * sigma_norm,
             sigma_norm,
         )
