@@ -10,6 +10,11 @@ float64 ndarray (read-only when it comes from ``ensemble``):
 * ``build_A1`` -- (1/2) sqrt(n/p) (S1 - I), the centered analogue of A;
 * ``build_S2`` -- Sigma^{1/2} S1 Sigma^{1/2} for a population covariance.
 
+These builders, ``sqrt_psd`` and ``CovarianceSpec.materialize`` run with
+numpy's overflow and invalid-value warnings off: an input that overflows
+gives a non-finite matrix, which ``spectral.eigvals_sym`` rejects, so the
+CLI prints its one ``error:`` line and no warning ahead of it.
+
 A population covariance Sigma enters one way: ``covariance_from_json``
 parses its JSON spec into a ``CovarianceSpec``, whose ``materialize(p)``
 gives the p x p array that ``sqrt_psd`` and ``build_S2`` take.
@@ -21,9 +26,14 @@ its own sample mean and sd.  It has two entry points:
 
 * ``truncation_report`` returns only the numbers a sweep records (the
   threshold, the truncated count and fraction, and the mean and variance
-  after standardizing).  It reads X in row blocks of about ``BLOCK``
-  entries and never ravels or copies it, so it allocates no p x n
-  temporary, also for a transposed or strided X;
+  after standardizing).  It makes three passes over X's row blocks of
+  about ``BLOCK`` entries.  A block with no entry above the threshold is
+  read in place; only a block that holds one is copied, with those
+  entries zeroed.  So it allocates no p x n temporary, also for a
+  transposed or strided X.  Every reduction is numpy's ``.sum()`` over a
+  block, never a BLAS dot (``np.dot``, ``np.vdot``, ``@``): OpenBLAS
+  splits a dot across its threads, so its rounding, and with it the
+  report, would depend on the thread count;
 * ``truncation_pipeline`` returns the standardized matrix as a read-only
   (p, n) array with the same report.  Every pass runs in place on that
   result: beside it the pipeline holds only a transient bool mask and
@@ -60,6 +70,7 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_A(X) -> np.ndarray:
     """(X X' - n I) / (2 sqrt(np)), symmetrized to kill rounding asymmetry."""
     p, n = X.shape
@@ -75,24 +86,27 @@ def build_B(X) -> np.ndarray:
     return B
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_S(X) -> np.ndarray:
     """Uncentered sample covariance X X' / n."""
     n = X.shape[1]
     return _sym(X @ X.T / n)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_S1(X) -> np.ndarray:
-    """Centered sample covariance, computed as S - sbar sbar' in one pass."""
+    """Centered sample covariance S - sbar sbar', exactly symmetric because both terms are."""
     sbar = X.mean(axis=1)
-    return _sym(build_S(X) - np.outer(sbar, sbar))
+    return build_S(X) - np.outer(sbar, sbar)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_A1(X) -> np.ndarray:
-    """(1/2) sqrt(n/p) (S1 - I)."""
+    """(1/2) sqrt(n/p) (S1 - I), exactly symmetric because S1 is."""
     p, n = X.shape
     S1 = build_S1(X)
     S1[np.diag_indices(p)] -= 1.0
-    return _sym(0.5 * math.sqrt(n / p) * S1)
+    return 0.5 * math.sqrt(n / p) * S1
 
 
 # ---------------------------------------------------------------------------
@@ -132,35 +146,27 @@ def _threshold(shape: MatrixShape) -> float:
     return default_delta(shape) * float(shape.n * shape.p) ** 0.25
 
 
-def _kept_blocks(X, threshold: float):
-    """X's row blocks X[i:i+r], r = max(1, BLOCK // n), with |x| > threshold set to 0.
-
-    Yields each block as a fresh array, which the caller may overwrite,
-    with its count of zeroed entries.  X is only sliced, never copied
-    whole, whatever its strides.
-    """
-    p, n = X.shape
-    rows = max(1, BLOCK // n)
-    for i in range(0, p, rows):
-        block = X[i : i + rows]
-        kept = np.abs(block)
-        mask = kept > threshold
-        np.copyto(kept, block)
-        np.copyto(kept, 0.0, where=mask)
-        yield kept, int(np.count_nonzero(mask))
+def _kept(block, truncated: int, threshold: float):
+    """block with |x| > threshold set to 0: block itself, read in place, when truncated is 0."""
+    return np.where(np.abs(block) > threshold, 0.0, block) if truncated else block
 
 
 def truncation_report(X) -> TruncationReport:
     """The report of ``truncation_pipeline`` without the standardized matrix.
 
-    Four passes over X in row blocks (see ``_kept_blocks``).  Each sums
-    its block's values with numpy and adds the block sums in order, then
-    divides by p n:
+    Three passes over the row blocks X[i:i+r], r = max(1, BLOCK // n).  A
+    block with no entry above the threshold is read in place; one that
+    holds such an entry is copied with it set to 0.  Each pass sums its
+    blocks with numpy's ``.sum()``, adds the block sums in order and
+    divides by p n.  It uses no BLAS dot, whose rounding depends on
+    OpenBLAS's thread count:
 
-    1. the count of |x| > threshold, and mu, the mean of the kept matrix;
+    1. the exact count of |x| > threshold per block, and mu, the mean of
+       the kept matrix;
     2. sigma^2, the mean of (kept - mu)^2, two-pass as numpy's ``std``;
-    3. ``post_mean``, the mean of z = (kept - mu) / sigma;
-    4. ``post_sigma2``, the mean of (z - post_mean)^2.
+    3. the sums of z = (kept - mu) / sigma and of z^2, which give
+       ``post_mean`` = sum z / pn and ``post_sigma2`` = sum z^2 / pn -
+       post_mean^2.
 
     ``threshold``, ``count_truncated`` and ``fraction_truncated`` equal
     the pipeline's bit for bit; ``post_mean`` and ``post_sigma2`` may
@@ -172,35 +178,28 @@ def truncation_report(X) -> TruncationReport:
     shape = MatrixShape(*X.shape)
     size = shape.p * shape.n
     threshold = _threshold(shape)
-    count, total = 0, 0.0
-    for kept, truncated in _kept_blocks(X, threshold):
-        count += truncated
-        total += float(kept.sum())
+    rows = max(1, BLOCK // shape.n)
+    blocks = [X[i : i + rows] for i in range(0, shape.p, rows)]
+    counts, total = [], 0.0
+    for block in blocks:
+        counts.append(int(np.count_nonzero(np.abs(block) > threshold)))
+        total += float(_kept(block, counts[-1], threshold).sum())
     mu = total / size
-
-    def mean_of(scale: float, shift: float, squared: bool) -> float:
-        """The mean of ((kept - mu) / scale - shift), squared if asked."""
-        acc = 0.0
-        for z, _ in _kept_blocks(X, threshold):
-            z -= mu
-            z /= scale
-            z -= shift
-            if squared:
-                np.square(z, out=z)
-            acc += float(z.sum())
-        return acc / size
-
-    sigma = math.sqrt(mean_of(1.0, 0.0, squared=True))
+    squares = 0.0
+    for block, truncated in zip(blocks, counts):
+        squares += float(np.square(_kept(block, truncated, threshold) - mu).sum())
+    sigma = math.sqrt(squares / size)
     if sigma == 0.0 or not math.isfinite(sigma):
         raise DegenerateInputError("zero variance after truncation")
-    post_mean = mean_of(sigma, 0.0, squared=False)
-    return TruncationReport(
-        threshold=threshold,
-        fraction_truncated=count / size,
-        count_truncated=count,
-        post_mean=post_mean,
-        post_sigma2=mean_of(sigma, post_mean, squared=True),
-    )
+    z_sum, z_squares = 0.0, 0.0
+    for block, truncated in zip(blocks, counts):
+        z = _kept(block, truncated, threshold) - mu
+        z /= sigma
+        z_sum += float(z.sum())
+        z_squares += float(np.square(z, out=z).sum())
+    post_mean = z_sum / size
+    count = sum(counts)
+    return TruncationReport(threshold, count / size, count, post_mean, z_squares / size - post_mean**2)
 
 
 def truncation_pipeline(X):
@@ -275,6 +274,7 @@ class CovarianceSpec:
         else:
             raise ValidationError(f"unknown covariance kind {self.kind!r}")
 
+    @np.errstate(over="ignore", invalid="ignore")
     def materialize(self, p: int) -> np.ndarray:
         """Sigma as an exactly symmetric p x p float array."""
         if self.kind == "identity":
@@ -315,6 +315,7 @@ def covariance_from_json(obj) -> CovarianceSpec:
     return CovarianceSpec(kind, matrix=load_matrix(obj["path"]))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sqrt_psd(sigma: np.ndarray, p: int) -> np.ndarray:
     """PSD square root of the symmetric p x p array sigma (eigh reads its lower triangle).
 
@@ -328,6 +329,7 @@ def sqrt_psd(sigma: np.ndarray, p: int) -> np.ndarray:
     return _sym((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_S2(X, sigma: np.ndarray) -> np.ndarray:
     """Sigma^{1/2} S1 Sigma^{1/2} for the p x p array sigma: sample covariance of Sigma^{1/2} s_j."""
     root = sqrt_psd(sigma, X.shape[0])

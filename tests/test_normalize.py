@@ -74,11 +74,16 @@ class TestBuildA:
         A = build_A(_as_matrix(np.zeros((p, n))))
         np.testing.assert_allclose(A, -0.5 * math.sqrt(n / p) * np.eye(p), atol=0)
 
-    def test_exactly_symmetric(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((20, 100))
-        A = build_A(x)
-        assert np.array_equal(A, A.T)
+    # build_S1 and build_A1 do not symmetrize their result: it is exact
+    # because build_S's is and sbar sbar' is, entry by entry
+    @pytest.mark.parametrize("build", [build_A, build_S1, build_A1], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("view", ["contiguous", "every-other-column"])
+    def test_exactly_symmetric(self, build, view):
+        x = np.random.default_rng(1).standard_normal((20, 200))
+        if view == "every-other-column":
+            x = x[:, ::2]
+        M = build(x)
+        assert np.array_equal(M, M.T)
 
 
 class TestBuildB:
@@ -306,6 +311,22 @@ class TestTruncationReport:
         report = self._assert_matches_pipeline(X)
         if spec.kind != "gaussian":
             assert report.count_truncated > 0  # the mask path runs
+
+    def test_untruncated_and_copied_blocks_in_one_call(self):
+        # a Gaussian matrix truncates nothing at (np)^{1/8} ~ 5.5, so every
+        # block is read in place except the one with the planted entries
+        p, n = 200, 4000
+        X = np.array(sample_matrix(gaussian(), MatrixShape(p, n), SeedSpec(21), 0))
+        untouched = truncation_report(X)
+        assert untouched.count_truncated == 0
+        rows = (17, 20, 25)
+        assert len({i // (BLOCK // n) for i in rows}) == 1 < p // (BLOCK // n)
+        X[rows, (0, 1999, 3999)] = 10 * untouched.threshold * np.array([1.0, -1.0, 1.0])
+        report = self._assert_matches_pipeline(X)
+        assert report.count_truncated == 3
+        # the copied block holds what the kept matrix holds, read in place
+        kept = truncation_report(np.where(np.abs(X) > report.threshold, 0.0, X))
+        assert (kept.count_truncated, kept.post_mean, kept.post_sigma2) == (0, report.post_mean, report.post_sigma2)
 
     def test_count_is_exact(self):
         report = truncation_report(_as_matrix([[10.0, 1.0, -1.0, 0.0]]))
