@@ -8,8 +8,8 @@ semicircle profile and largest eigenvalue near 1.
 Modules:
 
 * ``ensemble``  -- seeded generation of standardized data matrices;
-* ``normalize`` -- the matrix constructions and the truncation pipeline;
-* ``spectral``  -- eigenvalues, semicircle law, exact KS distances;
+* ``normalize`` -- the matrix constructions and the truncation report;
+* ``spectral``  -- eigenvalues, the semicircle law and its exact KS distance;
 * ``momentlab`` -- exact combinatorial oracles for trace moments;
 * ``harness``   -- reproducible Monte Carlo sweeps;
 * ``reports``   -- sweep records, their CSV/JSON/SVG forms and statistics;

@@ -32,11 +32,9 @@ costs O(k^3) log-terms in plain ``math`` instead of the sextuple sum's
 O(k^6); the schedule checker returns a plain JSON-ready dict.
 """
 
-import itertools
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from enum import Enum
 from fractions import Fraction
 
@@ -51,8 +49,6 @@ __all__ = [
     "GraphStats",
     "classify",
     "classify_json",
-    "expectation_of_circuit",
-    "circuits",
     "trace_moment_unscaled",
     "exact_trace_moment",
     "law_trace_moment",
@@ -296,37 +292,15 @@ def _expectation_from_counts(counts, moments):
     return term
 
 
-def expectation_of_circuit(circuit: IndexCircuit, moments):
-    """E of the product of entries along the circuit.
-
-    Edges are grouped into coincidence classes; independence across
-    distinct index pairs factorizes the expectation into a product of
-    per-class moments (moments[s-1] = E X^s).
-    """
-    counts = {}
-    for _, iv, jv in _edges(circuit.i_seq, circuit.j_seq):
-        counts[(iv, jv)] = counts.get((iv, jv), 0) + 1
-    return _expectation_from_counts(counts.values(), moments)
-
-
-def circuits(p: int, n: int, k: int, star: bool = True):
-    """All circuits with indices in [1,p] x [1,n]; star prunes adjacent equals."""
-    if k < 1 or p < 1 or n < 1:
-        raise ValidationError("p, n, k must be >= 1")
-    for i_seq in itertools.product(range(1, p + 1), repeat=k):
-        if star and any(i_seq[a] == i_seq[(a + 1) % k] for a in range(k)):
-            continue
-        for j_seq in itertools.product(range(1, n + 1), repeat=k):
-            yield IndexCircuit(k, i_seq, j_seq, star=star)
-
-
 def _star_edge_chunks(p: int, n: int, k: int):
     """Edge codes of the star circuits with i_1 = 1, i_2 = 2 and j_1 = 1.
 
     Yields int32 arrays of shape (2k, c): column x holds the codes
     (i - 1) n + (j - 1) of circuit x's edges e_1, ..., e_2k, so two edges
-    coincide exactly when their codes are equal.  Circuits come in the
-    order of ``circuits(p, n, k)``, in chunks of about CHUNK_BYTES.
+    coincide exactly when their codes are equal.  Circuits come in
+    lexicographic order of (i_1..i_k, j_1..j_k), the order of the
+    brute-force circuit enumeration in tests/oracles.py, in chunks of
+    about CHUNK_BYTES.
     i_3, ..., i_k are ranked in mixed radix, each i_{a+1} as one of the
     p - 1 values other than i_a (which keeps lexicographic order), and
     sequences with i_k = i_1 are dropped; j_2, ..., j_k are ranked in
@@ -394,70 +368,19 @@ def _pattern(code: int) -> tuple:
     return tuple(b - a for a, b in zip([0] + ends, ends))
 
 
-def _directed_power(base: int, k: int, prec: int, rounding: str) -> tuple:
-    """base^k as (m, e), m in [1, 10) of prec digits, each product rounded toward ``rounding``.
-
-    All factors are positive, so ROUND_FLOOR gives a lower bound of the
-    exact power and ROUND_CEILING an upper one.  The power of ten e is an
-    int kept apart from m, so k log10(base) may exceed decimal's exponent range.
-    """
-    context = Context(prec=prec, rounding=rounding)
-
-    def times(x, y):
-        m = context.multiply(x[0], y[0])
-        return context.scaleb(m, -m.adjusted()), x[1] + y[1] + m.adjusted()
-
-    result, square = (Decimal(1), 0), times((Decimal(base), 0), (Decimal(1), 0))  # base as (m, e)
-    while True:
-        if k & 1:
-            result = times(result, square)
-        k >>= 1
-        if not k:
-            return result
-        square = times(square, square)
-
-
-def _four_digits(m: Decimal, e: int) -> tuple:
-    """(d, e') with 1000 <= d <= 9999 and d/1000 * 10^e' = m * 10^e rounded half to even."""
-    digits = round(Fraction(m) * 1000)
-    if digits == 10**4:  # rounded up to the next power of ten
-        return 1000, e + 1
-    return digits, e
-
-
-def _power_digits(base: int, k: int) -> tuple:
-    """``_four_digits`` of the exact base^k without building it.
-
-    Rounding half to even is monotone, so where a lower and an upper
-    bound round alike the exact power rounds so too.  Otherwise the
-    precision doubles; it ends at the power's own digit count, where both
-    bounds are exact.
-    """
-    prec = 20 + len(str(k))
-    while True:
-        low, high = (_four_digits(*_directed_power(base, k, prec, r)) for r in (ROUND_FLOOR, ROUND_CEILING))
-        if low == high:
-            return low
-        prec *= 2
-
-
 def _check_budget(p: int, n: int, k: int) -> None:
     """p, n, k >= 1 and at most ENUMERATION_BUDGET nominal circuits (pn)^k.
 
-    k log10(pn) decides all but the inputs within a factor of ten of the
-    budget, which compare the exact int.  The message prints (pn)^k as
-    ``:.3e`` prints a float, but rounded half to even from the exact
-    power, so a power beyond the double range prints too.
+    Decided in ints, without building a large power: for pn >= 2 and
+    k >= ENUMERATION_BUDGET.bit_length(), (pn)^k >= 2^k > ENUMERATION_BUDGET.
+    The message prints p, n and k as given, not their product, which may
+    pass the digit limit of Python's int-to-str conversion.
     """
     if k < 1 or p < 1 or n < 1:
         raise ValidationError("p, n, k must be >= 1")
-    if k * math.log10(p * n) < math.log10(ENUMERATION_BUDGET) + 1 and (p * n) ** k <= ENUMERATION_BUDGET:
+    if p * n == 1 or (k < ENUMERATION_BUDGET.bit_length() and (p * n) ** k <= ENUMERATION_BUDGET):
         return
-    digits, e = _power_digits(p * n, k)
-    raise ResourceError(
-        f"(p*n)^k = {digits // 1000}.{digits % 1000:03d}e+{e:02d} "
-        f"exceeds the {ENUMERATION_BUDGET:.0e} term budget"
-    )
+    raise ResourceError(f"(p*n)^k = ({p}*{n})^{k} exceeds the {ENUMERATION_BUDGET:.0e} term budget")
 
 
 def trace_moment_unscaled(p: int, n: int, k: int, moments):
@@ -469,8 +392,10 @@ def trace_moment_unscaled(p: int, n: int, k: int, moments):
     pattern, so each pattern's count over all star circuits is the exact
     integer p (p - 1) n times its count there (see ``_star_edge_chunks``).
 
-    Each pattern's term is evaluated once, when it first occurs.  In the
-    order of ``circuits``, i_1 = 1 and then i_2 = 2 are prefixes and the
+    Each pattern's term is evaluated once, when it first occurs.  Take
+    the circuits in lexicographic order of (i_1..i_k, j_1..j_k), the
+    order in which the brute-force reference in tests/oracles.py sums
+    them one by one.  There i_1 = 1 and then i_2 = 2 are prefixes and the
     j_1 = 1 block comes first within each I-sequence, so the visited
     circuits keep their order, and the transpositions that move
     (i_1, i_2, j_1) to (1, 2, 1) map any other circuit to an earlier one
@@ -535,21 +460,16 @@ def law_trace_moment(dist: DistributionSpec, p: int, n: int, k: int) -> float:
 # Canonical W-graph enumeration.
 
 
-def enumerate_canonical(k: int, p_cap: int | None = None, n_cap: int | None = None, star: bool = False):
+def enumerate_canonical(k: int, star: bool = False):
     """Yield one canonical representative per W-graph isomorphism class.
 
     Canonical means every new I/J vertex takes the smallest unused label
-    (i_1 = j_1 = 1, i_a <= max(i_1..i_{a-1}) + 1, same for j).  p_cap and
-    n_cap bound the number of distinct I and J vertices.
+    (i_1 = j_1 = 1, i_a <= max(i_1..i_{a-1}) + 1, same for j).
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
     if k > CANONICAL_K_LIMIT:
         raise ResourceError(f"canonical enumeration is guarded to k <= {CANONICAL_K_LIMIT}")
-    p_cap = k + 1 if p_cap is None else p_cap
-    n_cap = k if n_cap is None else n_cap
-    if p_cap < 1 or n_cap < 1:
-        return
 
     def rec(a, i_seq, j_seq, imax, jmax):
         if a == k:
@@ -560,16 +480,11 @@ def enumerate_canonical(k: int, p_cap: int | None = None, n_cap: int | None = No
             if stats.is_W:
                 yield circuit
             return
-        if a == 0:
-            i_choices = (1,)
-            j_choices = (1,)
-        else:
-            i_choices = range(1, min(imax + 1, p_cap) + 1)
-            j_choices = range(1, min(jmax + 1, n_cap) + 1)
-        for iv in i_choices:
+        # a new vertex takes label max + 1, so i_1 = j_1 = 1 (imax = jmax = 0 at a = 0)
+        for iv in range(1, imax + 2):
             if star and a > 0 and iv == i_seq[-1]:
                 continue
-            for jv in j_choices:
+            for jv in range(1, jmax + 2):
                 yield from rec(
                     a + 1, i_seq + [iv], j_seq + [jv], max(imax, iv), max(jmax, jv)
                 )
@@ -625,11 +540,12 @@ def bound_rhs_a13(p: int, n: int, k: int, delta: float) -> float:
         raise ValidationError("p, n, k must be >= 1")
     if not (delta > 0 and math.isfinite(delta)):
         raise ValidationError("delta must be a finite number > 0")
-    # terms summed: j for each w_t (t <= 2k-2), then per l the t-sum and
-    # the (r, r1) pairs, min(r, l-r) + 1 of them for each r, l^2//4 + l in all
-    n_terms = k * (2 * k - 1) + sum(l * l // 4 + l + 2 * (k - l) + 1 for l in range(1, k + 1))
+    # terms summed: j for each w_t (t <= 2k-2), then per l the 2(k-l)+1
+    # t-terms and the (r, r1) pairs, min(r, l-r) + 1 of them for each r,
+    # l^2//4 + l in all; over l = 1..k, l^2//4 sums to k(k+2)(2k-1)//24
+    n_terms = k * (2 * k - 1) + k * (k + 2) * (2 * k - 1) // 24 + k * (2 * k + 1) - k * (k + 1) // 2
     if n_terms > BOUND_TERM_BUDGET:
-        raise ResourceError(f"{n_terms} bound terms exceed the {BOUND_TERM_BUDGET} budget")
+        raise ResourceError(f"bound terms at k = {k} exceed the {BOUND_TERM_BUDGET} budget")
     logfact = [0.0] * (2 * k + 1)
     for m in range(2, 2 * k + 1):
         logfact[m] = logfact[m - 1] + math.log(m)

@@ -1,11 +1,10 @@
-"""Matrix constructions and the truncation/recentering pipeline.
+"""Matrix constructions and the truncation step's report.
 
 Builds every matrix the analysis needs from a p x n data matrix X, a
 float64 ndarray (read-only when it comes from ``ensemble``):
 
 * ``build_A``  -- (X X' - n I) / (2 sqrt(np)), the normalized Gram matrix
   whose spectrum concentrates on [-1, 1];
-* ``build_B``  -- the same with the diagonal zeroed;
 * ``build_S1`` -- the centered sample covariance (1/n) sum (s_j - sbar)(...)';
 * ``build_A1`` -- (1/2) sqrt(n/p) (S1 - I), the centered analogue of A;
 * ``build_S2`` -- Sigma^{1/2} S1 Sigma^{1/2} for a population covariance.
@@ -22,23 +21,17 @@ gives the p x p array that ``sqrt_psd`` and ``build_S2`` take.
 The truncation step of the proof uses one fixed delta = ``default_delta``
 = (np)^{-1/8}: entries exceeding delta * (np)^{1/4} become zero (indicator
 truncation, not winsorizing), then the matrix is recentred and rescaled by
-its own sample mean and sd.  It has two entry points:
-
-* ``truncation_report`` returns only the numbers a sweep records (the
-  threshold, the truncated count and fraction, and the mean and variance
-  after standardizing).  It makes three passes over X's row blocks of
-  about ``BLOCK`` entries.  A block with no entry above the threshold is
-  read in place; only a block that holds one is copied, with those
-  entries zeroed.  So it allocates no p x n temporary, also for a
-  transposed or strided X.  Every reduction is numpy's ``.sum()`` over a
-  block, never a BLAS dot (``np.dot``, ``np.vdot``, ``@``): OpenBLAS
-  splits a dot across its threads, so its rounding, and with it the
-  report, would depend on the thread count;
-* ``truncation_pipeline`` returns the standardized matrix as a read-only
-  (p, n) array with the same report.  Every pass runs in place on that
-  result: beside it the pipeline holds only a transient bool mask and
-  numpy's own temporaries, so it never holds more than 2x the input on top
-  of the input itself.
+its own sample mean and sd.  ``truncation_report`` returns the numbers a
+sweep records from that step (the threshold, the truncated count and
+fraction, and the mean and variance after standardizing), never the
+standardized matrix.  It makes three passes over X's row blocks of about
+``BLOCK`` entries.  A block with no entry above the threshold is read in
+place; only a block that holds one is copied, with those entries zeroed.
+So it allocates no p x n temporary, also for a transposed or strided X.
+Every reduction is numpy's ``.sum()`` over a block, never a BLAS dot
+(``np.dot``, ``np.vdot``, ``@``): OpenBLAS splits a dot across its
+threads, so its rounding, and with it the report, would depend on the
+thread count.
 """
 
 import math
@@ -54,13 +47,11 @@ __all__ = [
     "TruncationReport",
     "covariance_from_json",
     "build_A",
-    "build_B",
     "build_S",
     "build_S1",
     "build_A1",
     "default_delta",
     "truncation_report",
-    "truncation_pipeline",
     "sqrt_psd",
     "build_S2",
 ]
@@ -77,13 +68,6 @@ def build_A(X) -> np.ndarray:
     M = X @ X.T
     M[np.diag_indices(p)] -= n
     return _sym(M / (2.0 * math.sqrt(n * p)))
-
-
-def build_B(X) -> np.ndarray:
-    """build_A with the diagonal replaced by zeros."""
-    B = build_A(X)
-    np.fill_diagonal(B, 0.0)
-    return B
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -110,7 +94,7 @@ def build_A1(X) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Truncation pipeline.
+# Truncation.
 
 # Entries per row block of truncation_report: r = max(1, BLOCK // n) rows.
 BLOCK = 2**16
@@ -152,14 +136,16 @@ def _kept(block, truncated: int, threshold: float):
 
 
 def truncation_report(X) -> TruncationReport:
-    """The report of ``truncation_pipeline`` without the standardized matrix.
+    """The truncation step's numbers for X, without the standardized matrix.
 
-    Three passes over the row blocks X[i:i+r], r = max(1, BLOCK // n).  A
-    block with no entry above the threshold is read in place; one that
-    holds such an entry is copied with it set to 0.  Each pass sums its
-    blocks with numpy's ``.sum()``, adds the block sums in order and
-    divides by p n.  It uses no BLAS dot, whose rounding depends on
-    OpenBLAS's thread count:
+    Entries with |x| above the threshold are set to 0; the kept matrix is
+    centred and scaled by its own mean mu and sd sigma.  Three passes over
+    the row blocks X[i:i+r], r = max(1, BLOCK // n).  A block with no
+    entry above the threshold is read in place; one that holds such an
+    entry is copied with it set to 0.  Each pass sums its blocks with
+    numpy's ``.sum()``, adds the block sums in order and divides by p n.
+    It uses no BLAS dot, whose rounding depends on OpenBLAS's thread
+    count:
 
     1. the exact count of |x| > threshold per block, and mu, the mean of
        the kept matrix;
@@ -168,12 +154,11 @@ def truncation_report(X) -> TruncationReport:
        ``post_mean`` = sum z / pn and ``post_sigma2`` = sum z^2 / pn -
        post_mean^2.
 
-    ``threshold``, ``count_truncated`` and ``fraction_truncated`` equal
-    the pipeline's bit for bit; ``post_mean`` and ``post_sigma2`` may
-    differ from its full-array sums in the last bits.  Memory: a few
-    arrays of one block each, never a p x n temporary.  Raises
-    DegenerateInputError when the kept matrix has zero or non-finite
-    variance.
+    ``post_mean`` and ``post_sigma2`` may differ in the last bits from
+    numpy's full-array ``mean()`` and ``var()`` of the standardized
+    matrix.  Memory: a few arrays of one block each, never a p x n
+    temporary.  Raises DegenerateInputError when the kept matrix has zero
+    or non-finite variance.
     """
     shape = MatrixShape(*X.shape)
     size = shape.p * shape.n
@@ -200,47 +185,6 @@ def truncation_report(X) -> TruncationReport:
     post_mean = z_sum / size
     count = sum(counts)
     return TruncationReport(threshold, count / size, count, post_mean, z_squares / size - post_mean**2)
-
-
-def truncation_pipeline(X):
-    """Truncate at default_delta * (np)^{1/4}, then standardize empirically.
-
-    Entries with |x| above the threshold become 0; the kept matrix is
-    centred and scaled by its own sample mean and sd, so the output has
-    entrywise mean 0 and variance 1 to machine precision.  The report
-    gives the threshold, the truncated count and fraction, and
-    ``post_mean`` and ``post_sigma2``, which are numpy's ``mean()`` and
-    ``var()`` of the returned array.
-
-    Memory: the returned array is the only p x n float64 array this
-    function allocates; every step writes into it in place.  Beside it
-    live a transient bool mask (1/8 of the input) and the one p x n
-    temporary numpy's ``std``/``var`` make, so the peak is at most 2x the
-    input's bytes on top of the input.  X itself is never written.
-    """
-    shape = MatrixShape(*X.shape)
-    threshold = _threshold(shape)
-    out = np.abs(X)
-    mask = out > threshold
-    fraction_truncated = float(mask.mean())
-    count_truncated = int(np.count_nonzero(mask))
-    np.copyto(out, X)
-    np.copyto(out, 0.0, where=mask)
-    del mask
-    scale = float(out.std())
-    if scale == 0.0 or not math.isfinite(scale):
-        raise DegenerateInputError("zero variance after truncation")
-    out -= float(out.mean())
-    out /= scale
-    out.setflags(write=False)
-    report = TruncationReport(
-        threshold=threshold,
-        fraction_truncated=fraction_truncated,
-        count_truncated=count_truncated,
-        post_mean=float(out.mean()),
-        post_sigma2=float(out.var()),
-    )
-    return out, report
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,10 @@ it is restarted only when it reaches ``MAX_BASIS`` vectors.  The Ritz
 pair comes from numpy's ``eigh`` on the Lanczos tridiagonal, so numpy is
 the package's only numeric dependency.
 
-Distribution comparisons are exact: the Kolmogorov-Smirnov statistic is
-evaluated with the two-sided jump formula (no grid discretization), and
-the sup distance of two empirical spectral distributions is computed
-over the merged jump set.  ``covariance_error`` is the operator-norm
-error of S2 against a population Sigma, next to its factorized bound.
+The Kolmogorov-Smirnov distance to the semicircle law is exact: it is
+evaluated with the two-sided jump formula, with no grid discretization.
+``covariance_error`` is the operator-norm error of S2 against a
+population Sigma, next to its factorized bound.
 """
 
 import math
@@ -34,7 +33,6 @@ __all__ = [
     "eigvals_sym",
     "symmetric_operator_norm",
     "ks_distance",
-    "esd_sup_diff",
     "diag_max_dev",
     "covariance_error",
     "lambda_max",
@@ -97,18 +95,6 @@ def ks_distance(eigenvalues) -> float:
     F = np.asarray(semicircle_cdf(eigs), dtype=float)
     i = np.arange(1, p + 1, dtype=float)
     return float(max(np.max(np.abs(i / p - F)), np.max(np.abs((i - 1) / p - F))))
-
-
-def esd_sup_diff(eigsA, eigsB) -> float:
-    """Exact sup-norm distance of two ESDs over the merged jump set."""
-    a = np.sort(np.asarray(eigsA, dtype=float))
-    b = np.sort(np.asarray(eigsB, dtype=float))
-    if a.size != b.size:
-        raise ValidationError(f"spectra have different lengths ({a.size} vs {b.size})")
-    grid = np.concatenate([a, b])
-    ca = np.searchsorted(a, grid, side="right")
-    cb = np.searchsorted(b, grid, side="right")
-    return float(np.max(np.abs(ca - cb))) / a.size
 
 
 def diag_max_dev(X) -> float:

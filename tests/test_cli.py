@@ -397,16 +397,18 @@ class TestCovtestAndMoments:
         "argv, power",
         [
             # the 40,000 gaussian moments alone would take minutes
-            (["--p", "10", "--n", "100", "--k", "20000", "--dist", "gaussian"], "1.000e+60000"),
+            (["--p", "10", "--n", "100", "--k", "20000", "--dist", "gaussian"], "(10*100)^20000"),
             # (pn)^k beyond the double range
-            (["--p", "10", "--n", "100", "--k", "110"], "1.000e+330"),
+            (["--p", "10", "--n", "100", "--k", "110"], "(10*100)^110"),
             # p = 1 answers 0.0 without moments, but only within the budget
-            (["--p", "1", "--n", "100", "--k", "5"], "1.000e+10"),
-            # building the exact (pn)^k and formatting it from the int would take seconds
-            (["--p", "10", "--n", "100", "--k", "2000000", "--dist", "gaussian"], "1.000e+6000000"),
-            (["--p", "7", "--n", "13", "--k", "300000"], "2.616e+587712"),
+            (["--p", "1", "--n", "100", "--k", "5"], "(1*100)^5"),
+            # building the exact (pn)^k would take seconds
+            (["--p", "10", "--n", "100", "--k", "2000000", "--dist", "gaussian"], "(10*100)^2000000"),
+            (["--p", "7", "--n", "13", "--k", "300000"], "(7*13)^300000"),
+            # k beyond the double range: k log10(pn) overflowed a float
+            (["--p", "10", "--n", "100", "--k", str(10**400)], f"(10*100)^{10**400}"),
         ],
-        ids=["k20000-gaussian", "k110", "p1", "k2000000-gaussian", "k300000"],
+        ids=["k20000-gaussian", "k110", "p1", "k2000000-gaussian", "k300000", "k1e400"],
     )
     def test_moments_exact_checks_the_budget_first(self, capsys, argv, power):
         start = time.perf_counter()
@@ -414,6 +416,16 @@ class TestCovtestAndMoments:
         elapsed = time.perf_counter() - start
         assert code == 2
         assert capsys.readouterr().err == f"error: (p*n)^k = {power} exceeds the 1e+08 term budget\n"
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("k", [10**8, 10**400], ids=["k1e8", "k1e400"])
+    def test_moments_bound_checks_the_budget_first(self, capsys, k):
+        # counting the terms in a loop over l <= k took seconds at k = 10^7
+        start = time.perf_counter()
+        code = cli.main(["moments", "bound", "--p", "10", "--n", "100", "--k", str(k), "--delta", "0.5"])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert capsys.readouterr().err == f"error: bound terms at k = {k} exceed the 20000000 budget\n"
         assert elapsed < 1.0
 
     def test_moments_exact_at_p_one_builds_no_moments(self, capsys):

@@ -178,15 +178,15 @@ class TestRunExperiment:
         assert record.value == 0.0
 
     @pytest.mark.parametrize(
-        "shape, k, power",
+        "shape, k",
         [
             # the 40,000 gaussian moments alone would take minutes
-            ((10, 100), 20000, "1.000e+60000"),
+            ((10, 100), 20000),
             # (pn)^k beyond the double range
-            ((3, 30), 3000, "5.340e+5862"),
+            ((3, 30), 3000),
         ],
     )
-    def test_moment_check_over_budget_is_a_quick_error_row(self, shape, k, power):
+    def test_moment_check_over_budget_is_a_quick_error_row(self, shape, k):
         config = _config(
             distribution=gaussian(),
             grid=(MatrixShape(*shape),),
@@ -196,7 +196,8 @@ class TestRunExperiment:
         start = time.perf_counter()
         (record,) = run_experiment(config, threads=1)
         assert time.perf_counter() - start < 1.0
-        assert record.aux["error"] == f"ResourceError: (p*n)^k = {power} exceeds the 1e+08 term budget"
+        p, n = shape
+        assert record.aux["error"] == f"ResourceError: (p*n)^k = ({p}*{n})^{k} exceeds the 1e+08 term budget"
 
     def test_two_replicates_distinct_and_rerun_identical(self, tmp_path):
         config = _config()

@@ -1,4 +1,4 @@
-"""Tests for matrix constructions and the truncation pipeline."""
+"""Tests for matrix constructions and the truncation report."""
 
 import math
 import tracemalloc
@@ -21,15 +21,14 @@ from covspectrum.normalize import (
     CovarianceSpec,
     build_A,
     build_A1,
-    build_B,
     build_S1,
     build_S2,
     covariance_from_json,
     default_delta,
     sqrt_psd,
-    truncation_pipeline,
     truncation_report,
 )
+from covspectrum.spectral import eigvals_sym, lambda_max
 
 
 def _as_matrix(rows):
@@ -87,21 +86,23 @@ class TestBuildA:
 
 
 class TestBuildB:
+    """B, build_A with the diagonal zeroed, as ``spectral.lambda_max`` builds it for ``lambda_max_b``."""
+
     def test_zero_diagonal(self):
-        rng = np.random.default_rng(2)
-        B = build_B(rng.standard_normal((6, 30)))
-        assert np.all(np.diag(B) == 0.0)
+        x = np.random.default_rng(2).standard_normal((6, 30))
+        B = build_A(x)
+        np.fill_diagonal(B, 0.0)
+        assert lambda_max(x)[1]["lambda_max_b"] == eigvals_sym(B)[-1]
 
     def test_p_equal_one_is_zero(self):
-        B = build_B(_as_matrix([[1.0, 2.0, 3.0]]))
-        assert np.array_equal(B, np.zeros((1, 1)))
+        assert lambda_max(_as_matrix([[1.0, 2.0, 3.0]]))[1]["lambda_max_b"] == 0.0
 
     def test_difference_is_diagonal_of_row_sums(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 5))
-        D = build_A(x) - build_B(x)
-        expect = np.diag((np.sum(x * x, axis=1) - 5) / (2.0 * math.sqrt(15)))
-        np.testing.assert_allclose(D, expect, atol=1e-14)
+        D = np.diag((np.sum(x * x, axis=1) - 5) / (2.0 * math.sqrt(15)))
+        expected = np.linalg.eigvalsh(build_A(x) - D)[-1]
+        assert lambda_max(x)[1]["lambda_max_b"] == pytest.approx(expected, rel=0, abs=1e-14)
 
 
 class TestBuildS1:
@@ -175,123 +176,93 @@ class TestDefaultDelta:
         assert thr2 > thr1
 
 
+def _three_pass_pipeline(X):
+    """Reference report: each step as a fresh full array -- np.where, kept.std(), (kept - mean) / scale.
+
+    Returns (threshold, count_truncated, fraction_truncated, post_mean, post_sigma2).
+    """
+    threshold = default_delta(MatrixShape(*X.shape)) * float(X.shape[0] * X.shape[1]) ** 0.25
+    mask = np.abs(X) > threshold
+    kept = np.where(mask, 0.0, X)
+    out = (kept - float(kept.mean())) / float(kept.std())
+    return threshold, int(np.count_nonzero(mask)), float(mask.mean()), float(out.mean()), float(out.var())
+
+
 class TestTruncate:
-    """The truncation step of ``truncation_pipeline``: |x| > (np)^{1/8} becomes 0."""
+    """The truncation step of ``truncation_report``: |x| > (np)^{1/8} becomes 0."""
 
     def test_no_op_below_threshold(self):
         # threshold = (np)^{1/8} = 4^{1/8} > 1 for p = n = 2: nothing truncated
         X = _as_matrix([[0.5, -0.25], [0.1, 0.0]])
-        out, report = truncation_pipeline(X)
-        assert report.fraction_truncated == 0.0
-        expected = (X - X.mean()) / X.std()
-        assert np.array_equal(out, expected)
+        report = truncation_report(X)
+        assert (report.count_truncated, report.fraction_truncated) == (0, 0.0)
+        _, _, _, post_mean, post_sigma2 = _three_pass_pipeline(X)
+        assert report.post_mean == pytest.approx(post_mean, rel=0, abs=1e-16)
+        assert report.post_sigma2 == pytest.approx(post_sigma2, rel=1e-15)
 
     def test_indicator_truncation_to_zero(self):
         # threshold = (np)^{1/8} = 2^{1/4} for p=1, n=4: only 10.0 exceeds it
-        out, report = truncation_pipeline(_as_matrix([[10.0, 1.0, -1.0, 0.0]]))
+        report = truncation_report(_as_matrix([[10.0, 1.0, -1.0, 0.0]]))
         assert report.threshold == pytest.approx(2.0**0.25, rel=1e-15)
-        assert report.fraction_truncated == 0.25
-        # kept entries [0, 1, -1, 0] have mean 0 and sd 1/sqrt(2)
-        np.testing.assert_allclose(out, [[0.0, math.sqrt(2), -math.sqrt(2), 0.0]], rtol=1e-15, atol=0)
-        assert not out.flags.writeable
+        assert (report.count_truncated, report.fraction_truncated) == (1, 0.25)
+        # kept entries [0, 1, -1, 0] have mean 0 and sd 1/sqrt(2): z = [0, sqrt 2, -sqrt 2, 0]
+        assert report.post_mean == 0.0
+        assert report.post_sigma2 == pytest.approx(1.0, rel=1e-15)
 
     def test_gaussian_default_delta_truncates_almost_nothing(self):
         X = sample_matrix(gaussian(), MatrixShape(200, 20000), SeedSpec(123), 0)
-        _, report = truncation_pipeline(X)
+        report = truncation_report(X)
         # threshold ~ 6.69 sd; the expected exceedance count is ~1e-4 entries
         assert report.fraction_truncated <= 1e-6
 
 
 class TestRecenterRescale:
-    """The empirical standardization step of ``truncation_pipeline``."""
+    """The empirical standardization step of ``truncation_report``."""
 
     def test_fixed_point_when_already_standardized(self):
-        # threshold = 2^{1/8} > 1 for p=1, n=2: nothing truncated
-        X = _as_matrix([[-1.0, 1.0]])
-        out, _ = truncation_pipeline(X)
-        assert np.array_equal(out, X)
+        # threshold = 2^{1/8} > 1 for p=1, n=2: nothing truncated, and [-1, 1] has mean 0 and sd 1
+        report = truncation_report(_as_matrix([[-1.0, 1.0]]))
+        assert (report.count_truncated, report.post_mean, report.post_sigma2) == (0, 0.0, 1.0)
 
     def test_two_entry_example(self):
         # 3.0 exceeds the threshold 2^{1/8}; [1, 0] standardizes to [1, -1]
-        out, _ = truncation_pipeline(_as_matrix([[1.0, 3.0]]))
-        np.testing.assert_allclose(out, [[1.0, -1.0]], atol=0)
+        report = truncation_report(_as_matrix([[1.0, 3.0]]))
+        assert (report.count_truncated, report.fraction_truncated) == (1, 0.5)
+        assert (report.post_mean, report.post_sigma2) == (0.0, 1.0)
 
     def test_empirical_exactness(self):
         X = sample_matrix(uniform_symmetric(), MatrixShape(30, 100), SeedSpec(10), 0)
-        out, report = truncation_pipeline(X)
+        report = truncation_report(X)
         assert report.fraction_truncated == 0.0  # the support ends at sqrt(3) < 3000^{1/8}
-        assert abs(float(out.mean())) <= 1e-15
-        assert abs(float(out.var() - 1.0)) <= 1e-12
+        assert abs(report.post_mean) <= 1e-15
+        assert abs(report.post_sigma2 - 1.0) <= 1e-12
 
     def test_degenerate_input(self):
+        # the standardization divides by the kept matrix's sd
         with pytest.raises(DegenerateInputError):
-            truncation_pipeline(_as_matrix([[2.0, 2.0], [2.0, 2.0]]))  # every entry truncated
+            truncation_report(_as_matrix([[3.0, 0.0]]))  # the kept [0, 0] has sd 0
         with pytest.raises(DegenerateInputError):
-            truncation_pipeline(_as_matrix([[0.5, 0.5]]))  # constant, nothing truncated
+            truncation_report(_as_matrix([[math.nan, 1.0]]))  # NaN is kept, and its sd is NaN
 
 
 class TestPipeline:
     def test_empirical_pipeline_machine_precision(self):
         X = sample_matrix(student_t(5), MatrixShape(60, 400), SeedSpec(11), 0)
-        out, report = truncation_pipeline(X)
+        report = truncation_report(X)
         assert report.threshold == pytest.approx(default_delta(MatrixShape(60, 400)) * (60 * 400) ** 0.25)
         assert 0.0 < report.fraction_truncated < 0.05
-        # the report describes the returned matrix
-        assert report.post_mean == float(out.mean())
-        assert report.post_sigma2 == float(out.var())
         assert abs(report.post_mean) <= 1e-15
         assert abs(report.post_sigma2 - 1.0) <= 1e-12
 
-    @staticmethod
-    def _three_pass_pipeline(X):
-        """Reference: each step as a fresh array -- np.where, kept.std(), (kept - mean) / scale."""
-        threshold = default_delta(MatrixShape(*X.shape)) * float(X.shape[0] * X.shape[1]) ** 0.25
-        mask = np.abs(X) > threshold
-        kept = np.where(mask, 0.0, X)
-        scale = float(kept.std())
-        out = (kept - float(kept.mean())) / scale
-        return out, (threshold, float(mask.mean()), float(out.mean()), float(out.var()))
-
-    @pytest.mark.parametrize(
-        "spec, shape",
-        [(gaussian(), (40, 900)), (student_t(3), (60, 400)), (two_point(0.01), (30, 500))],
-        ids=["gaussian", "student-t3", "two-point"],
-    )
-    def test_bit_identical_to_three_pass_reference(self, spec, shape):
-        X = sample_matrix(spec, MatrixShape(*shape), SeedSpec(21), 0)
-        before = X.tobytes()
-        out, report = truncation_pipeline(X)
-        expected, fields = self._three_pass_pipeline(X)
-        if spec.kind != "gaussian":
-            assert report.fraction_truncated > 0.0  # the mask path runs
-        assert out.tobytes() == expected.tobytes()
-        assert (report.threshold, report.fraction_truncated, report.post_mean, report.post_sigma2) == fields
-        assert X.tobytes() == before
-        assert not out.flags.writeable
-
-    def test_peak_memory_is_twice_the_input(self):
-        X = sample_matrix(student_t(3), MatrixShape(200, 4000), SeedSpec(8), 0)
-        tracemalloc.start()
-        try:
-            _, report = truncation_pipeline(X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.fraction_truncated > 0.0
-        # the output plus numpy's one std/var temporary; the mask is gone by then
-        assert peak <= 2.1 * X.nbytes
-
 
 class TestTruncationReport:
-    """``truncation_report`` reads X in row blocks; ``truncation_pipeline`` is its reference."""
+    """``truncation_report`` reads X in row blocks; ``_three_pass_pipeline`` is its reference."""
 
     @staticmethod
     def _assert_matches_pipeline(X):
         report = truncation_report(X)
-        _, reference = truncation_pipeline(X)
-        assert report.threshold == reference.threshold
-        assert report.fraction_truncated == reference.fraction_truncated
-        assert report.count_truncated == reference.count_truncated
+        threshold, count, fraction, _, _ = _three_pass_pipeline(X)
+        assert (report.threshold, report.count_truncated, report.fraction_truncated) == (threshold, count, fraction)
         # the rounding of mu shows in post_mean scaled by |mu| / sigma, which is
         # about 10 for two-point(0.01) and far below 1 for centred laws
         kept = np.where(np.abs(X) > report.threshold, 0.0, X)
