@@ -3,8 +3,9 @@
 A sweep runs a task set over a (p, n) grid with R replicates.  Each run
 seeds its own stream from (master_seed, p, n, replicate) by avalanche
 mixing, so results are independent of scheduling; the persisted CSV is
-byte-identical across reruns.  Failures of individual runs become error
-rows and never abort the sweep.
+byte-identical across reruns.  A task that fails becomes an error row, and
+a cell that cannot be sampled becomes one error row per task; neither
+aborts the sweep.
 
 Threads: with ``threads >= 2`` and more than one job, cells run on a
 thread pool and numpy's bundled OpenBLAS is capped at one thread while
@@ -24,7 +25,6 @@ import glob
 import math
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -142,31 +142,29 @@ class ExperimentConfig:
             raise ValidationError(f"malformed experiment config: {exc}") from exc
 
 
+def _error_row(exc: Exception):
+    return math.nan, {"error": f"{type(exc).__name__}: {exc}"}
+
+
 def _run_tasks(config: ExperimentConfig, shape: MatrixShape, replicate: int) -> list:
     if not config.tasks:
         return []
-    X = sample_matrix(config.distribution, shape, SeedSpec(config.master_seed), replicate)
+    try:
+        X = sample_matrix(config.distribution, shape, SeedSpec(config.master_seed), replicate)
+    except Exception as exc:  # an unsampleable cell must not abort the sweep either
+        outcomes = [_error_row(exc) for _ in config.tasks]
+    else:
+        outcomes = []
+        for task in config.tasks:
+            try:
+                outcomes.append(_execute_task(task, X, config.distribution))
+            except Exception as exc:  # error rows must never abort the sweep
+                outcomes.append(_error_row(exc))
     ratio = shape.p / shape.n
-    records = []
-    for task in config.tasks:
-        start = time.perf_counter()
-        try:
-            value, aux = _execute_task(task, X, config.distribution)
-        except Exception as exc:  # error rows must never abort the sweep
-            value, aux = math.nan, {"error": f"{type(exc).__name__}: {exc}"}
-        aux["wall_ms"] = (time.perf_counter() - start) * 1000.0
-        records.append(
-            RunRecord(
-                p=shape.p,
-                n=shape.n,
-                ratio=ratio,
-                replicate=replicate,
-                task=task.name,
-                value=value,
-                aux=aux,
-            )
-        )
-    return records
+    return [
+        RunRecord(p=shape.p, n=shape.n, ratio=ratio, replicate=replicate, task=task.name, value=value, aux=aux)
+        for task, (value, aux) in zip(config.tasks, outcomes)
+    ]
 
 
 def _execute_task(task: TaskSpec, X: np.ndarray, dist: DistributionSpec):

@@ -275,10 +275,10 @@ def classify_json(circuit: IndexCircuit) -> dict:
 # Expectations and exact trace moments.
 
 
-def _expectation_from_counts(counts, moments):
-    """Product of per-class moments; counts maps edge value -> multiplicity."""
+def _expectation_from_counts(multiplicities, moments):
+    """Product of the moments E X^m over an iterable of edge multiplicities m."""
     term = 1
-    for mult in counts:
+    for mult in multiplicities:
         if mult > len(moments):
             raise ValidationError(
                 f"need moments up to order {mult}, got only {len(moments)}"
@@ -437,9 +437,13 @@ def exact_trace_moment(p: int, n: int, k: int, moments) -> float:
     float of the exact sum of the float terms), and so is its division by
     the integer 2^k (np)^{floor(k/2)}, rounded once to a float; odd k then
     divides by sqrt(np) in float.  A non-finite float sum is returned as
-    it is.
+    it is.  At p < 2 or k < 2 no star circuit exists, so 0.0 is returned
+    without building the divisor, whose size the budget does not bound at
+    p = n = 1.
     """
     unscaled = trace_moment_unscaled(p, n, k, moments)
+    if p < 2 or k < 2:
+        return 0.0
     if isinstance(unscaled, float) and not math.isfinite(unscaled):
         return unscaled
     value = float(Fraction(unscaled) / (2**k * (n * p) ** (k // 2)))

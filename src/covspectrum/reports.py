@@ -2,9 +2,9 @@
 
 The CSV schema is fixed (column set and order are golden-tested) and the
 serialization is fully deterministic: floats use repr (shortest
-round-trip), aux maps are canonical JSON, and volatile keys such as wall
-clock timings are stripped so identical configs reproduce identical
-bytes across runs and thread counts.
+round-trip) and aux maps are canonical JSON.  A record is written as it
+is held, so reading a records file back gives the records that wrote it.
+Every per-group statistic reads its groups from one helper, ``_grouped``.
 """
 
 import csv
@@ -19,7 +19,6 @@ from .errors import ValidationError
 
 __all__ = [
     "CSV_COLUMNS",
-    "VOLATILE_AUX_KEYS",
     "RunRecord",
     "SummaryRow",
     "RateFit",
@@ -33,7 +32,6 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("p", "n", "ratio", "replicate", "task", "value", "aux")
-VOLATILE_AUX_KEYS = ("wall_ms",)
 
 DEFAULT_TAIL_EPS = 0.3
 WILSON_Z = 1.96  # two-sided 95% normal quantile
@@ -59,10 +57,6 @@ class RunRecord:
         return (self.p, self.n, self.replicate, self.task)
 
 
-def _stable_aux(aux: dict) -> dict:
-    return {k: v for k, v in aux.items() if k not in VOLATILE_AUX_KEYS}
-
-
 def records_to_csv(records, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -76,7 +70,7 @@ def records_to_csv(records, path) -> None:
                     rec.replicate,
                     rec.task,
                     repr(float(rec.value)),
-                    json.dumps(_stable_aux(rec.aux), sort_keys=True, separators=(",", ":")),
+                    json.dumps(rec.aux, sort_keys=True, separators=(",", ":")),
                 ]
             )
 
@@ -145,22 +139,23 @@ def _lower_median(sorted_values):
     return sorted_values[(len(sorted_values) - 1) // 2]
 
 
+def _grouped(records, key, value=lambda rec: rec.value) -> dict:
+    """key(rec) -> sorted finite value(rec) over the records that did not fail, in key order."""
+    groups = {}
+    for rec in records:
+        if not rec.failed and math.isfinite(v := value(rec)):
+            groups.setdefault(key(rec), []).append(v)
+    return {k: sorted(groups[k]) for k in sorted(groups)}
+
+
 def summarize(records) -> list:
     """Per-(p, n, task) order statistics; error rows are excluded.
 
     The median is the lower median for even counts, so it is always an
-    observed value.
+    observed value.  No records, or none that succeeded, give no rows.
     """
-    if not records:
-        raise ValidationError("no records to summarize")
-    groups = {}
-    for rec in records:
-        if rec.failed or not math.isfinite(rec.value):
-            continue
-        groups.setdefault((rec.p, rec.n, rec.task), []).append(rec.value)
     rows = []
-    for (p, n, task), values in sorted(groups.items()):
-        values.sort()
+    for (p, n, task), values in _grouped(records, lambda rec: (rec.p, rec.n, rec.task)).items():
         arr = np.asarray(values)
         rows.append(
             SummaryRow(
@@ -189,22 +184,17 @@ class RateFit:
 
 
 def fit_rate(records) -> RateFit | None:
-    """Fit the covariance-error rate; None with fewer than 3 distinct p/n ratios."""
-    groups = {}
-    for rec in records:
-        if rec.task != "cov_rate" or rec.failed or not math.isfinite(rec.value):
-            continue
-        groups.setdefault((rec.p, rec.n), []).append(rec.value)
-    if len({p / n for p, n in groups}) < 3:
+    """Fit the covariance-error rate to summarize's cov_rate medians; None
+    with fewer than 3 distinct p/n ratios."""
+    rows = [row for row in summarize(records) if row.task == "cov_rate"]
+    if len({row.p / row.n for row in rows}) < 3:
         return None
-    points = []
-    for (p, n), values in groups.items():
-        values.sort()
-        median = _lower_median(values)
-        if median <= 0:
-            raise ValidationError(f"cov_rate median at p={p}, n={n} is {median!r}; the rate fit needs it > 0")
-        points.append((math.log(p / n), math.log(median)))
-    points.sort()
+    for row in rows:
+        if row.median <= 0:
+            raise ValidationError(
+                f"cov_rate median at p={row.p}, n={row.n} is {row.median!r}; the rate fit needs it > 0"
+            )
+    points = sorted((math.log(row.p / row.n), math.log(row.median)) for row in rows)
     x = np.array([a for a, _ in points])
     y = np.array([b for _, b in points])
     slope, intercept = np.polyfit(x, y, 1)
@@ -245,13 +235,12 @@ def tail_probability_report(records, eps: float = DEFAULT_TAIL_EPS) -> list:
     rows come back sorted by decreasing ratio, so the frequency column
     should read nonincreasing when the tail event thins out.
     """
-    groups = {}
-    for rec in records:
-        if rec.task != "lambda_max" or rec.failed or "lambda_max_b" not in rec.aux:
-            continue
-        groups.setdefault((rec.p, rec.n), []).append(float(rec.aux["lambda_max_b"]))
     rows = []
-    for (p, n), values in groups.items():
+    for (p, n), values in _grouped(
+        (rec for rec in records if rec.task == "lambda_max" and "lambda_max_b" in rec.aux),
+        lambda rec: (rec.p, rec.n),
+        lambda rec: float(rec.aux["lambda_max_b"]),
+    ).items():
         exceed = sum(1 for v in values if v > 1.0 + eps)
         low, high = _wilson(exceed, len(values))
         rows.append(
@@ -320,45 +309,33 @@ def _svg_scatter(points, medians, title: str) -> str:
 def emit_report(records, fmt: str, out_dir) -> list:
     """Write records in the requested format; returns the written paths."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
     if fmt == "csv":
         rec_path = os.path.join(out_dir, "report_records.csv")
         records_to_csv(records, rec_path)
-        paths.append(rec_path)
-        if records:
-            sum_path = os.path.join(out_dir, "report_summary.csv")
-            with open(sum_path, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(f.name for f in fields(SummaryRow))
-                writer.writerows(astuple(row) for row in summarize(records))
-            paths.append(sum_path)
-        return paths
+        sum_path = os.path.join(out_dir, "report_summary.csv")
+        with open(sum_path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(f.name for f in fields(SummaryRow))
+            writer.writerows(astuple(row) for row in summarize(records))
+        return [rec_path, sum_path]
     if fmt == "json":
         # vars(), not asdict(), which deep-copies every aux value
-        payload = {"records": [
-            dict(vars(r), value=r.value if math.isfinite(r.value) else None, aux=_stable_aux(r.aux))
-            for r in records
-        ]}
-        if records:
-            payload["summary"] = [vars(row) for row in summarize(records)]
+        payload = {
+            "records": [dict(vars(r), value=r.value if math.isfinite(r.value) else None) for r in records],
+            "summary": [vars(row) for row in summarize(records)],
+        }
         path = os.path.join(out_dir, "report.json")
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
         return [path]
     if fmt == "svg":
-        by_task = {}
-        for rec in records:
-            if rec.failed or not math.isfinite(rec.value):
-                continue
-            by_task.setdefault(rec.task, []).append(rec)
-        for task in sorted(by_task):
-            recs = by_task[task]
-            points = sorted((r.ratio, r.value) for r in recs)
-            med = {}
-            for r in recs:
-                med.setdefault(r.ratio, []).append(r.value)
-            medians = sorted((ratio, _lower_median(sorted(vals))) for ratio, vals in med.items())
+        groups = _grouped(records, lambda rec: (rec.task, rec.ratio))
+        paths = []
+        for task in sorted({task for task, _ in groups}):
+            cells = [(ratio, values) for (t, ratio), values in groups.items() if t == task]
+            points = [(ratio, v) for ratio, values in cells for v in values]
+            medians = [(ratio, _lower_median(values)) for ratio, values in cells]
             path = os.path.join(out_dir, f"report_{task}.svg")
             with open(path, "w") as fh:
                 fh.write(_svg_scatter(points, medians, task))

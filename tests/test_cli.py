@@ -99,7 +99,7 @@ class TestGenAndSpectrum:
         path = capsys.readouterr().out.splitlines()[-1]
         assert cli.main(["spectrum", "--in", path]) == 0
         out = json.loads(capsys.readouterr().out)
-        aux = {key: value for key, value in record.aux.items() if key != "wall_ms"}
+        aux = record.aux
         assert aux["method"] == method
         assert set(out) == {"p", "n", "lambda_max", "diag_max_dev", *aux}
         assert {key: out[key] for key in ("lambda_max", *aux)} == {"lambda_max": record.value, **aux}
@@ -592,6 +592,20 @@ class TestSweepAndReport:
         assert len(paths) == 2  # one svg per task
         for p in paths:
             assert Path(p).read_text().startswith("<svg")
+
+    def test_unsampleable_cell_is_error_rows_not_an_abort(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"distribution": "gaussian", "grid": [[10, 100], [2**40, 2**40]],
+                                      "replicates": 2, "tasks": ["diag_dev", "lambda_max"]}))
+        res = run_cli("sweep", "--config", str(config), "--out", str(tmp_path))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["failed"] == 4
+        records = read_records(tmp_path / "records.csv")
+        assert [(r.p, r.replicate, r.task, r.failed) for r in records] == [
+            (p, rep, task, p == 2**40)
+            for p in (10, 2**40) for rep in (0, 1) for task in ("diag_dev", "lambda_max")
+        ]
+        assert all("ValidationError: cannot sample" in r.aux["error"] for r in records if r.failed)
 
     def test_sweep_thread_flag_reproducible(self, tmp_path):
         config = self._write_config(tmp_path)

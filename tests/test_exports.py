@@ -3,7 +3,9 @@
 ``from covspectrum.x import *`` and tools that walk ``__all__`` (such as
 perfbench's tracer, which skips a missing name silently) rely on it.
 Imports sit at module level only, so an import cycle fails at import time
-instead of hiding inside a function.
+instead of hiding inside a function, and every imported name is used in
+its module or re-exported through ``__all__``, so deleting the last use of
+a name cannot leave a stale import behind.
 """
 
 import ast
@@ -37,3 +39,24 @@ def test_no_import_inside_a_function(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert nested == []
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(covspectrum.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used_or_exported(path):
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name != "*"
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - _exported(tree)) == []

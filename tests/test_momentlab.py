@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -335,6 +336,13 @@ class TestExactTraceMoment:
 
     def test_p_one_vanishes(self):
         assert exact_trace_moment(1, 5, 3, RADEMACHER_MOMENTS) == 0.0
+
+    def test_no_star_circuit_returns_before_the_divisor(self):
+        # p = n = 1 passes the budget at any k; the divisor 2^k would have 10^8 bits
+        start = time.perf_counter()
+        assert exact_trace_moment(1, 1, 10**8, (0.0, 1.0)) == 0.0
+        assert exact_trace_moment(1, 1, 10**8, (0, 1)) == 0.0
+        assert time.perf_counter() - start < 0.1
 
     def test_fraction_mode_cross_checks_float_path(self):
         frac = tuple(Fraction(m) for m in (0, 1, 0, 1, 0, 1))
