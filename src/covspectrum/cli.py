@@ -7,7 +7,9 @@ sweep, --format on gen and report, --out on the commands that write files
 schedule) is its own subcommand with its own flags.  spectrum, esd and
 covtest print what a sweep records for the lambda_max, esd_ks and
 cov_rate tasks, through the same spectral functions: spectrum runs
-spectral.lambda_max, which picks dense LAPACK or Lanczos from p.
+spectral.lambda_max, which picks dense LAPACK or Lanczos from p.  Every
+command but gen (which prints the path it wrote) prints one line of strict
+JSON: a non-finite number is printed as null, never as NaN or Infinity.
 Exit codes: 0 success, 1 validation error, 2 resource/convergence error
 or failed allocation, 3 I/O error.  Every command that writes files takes
 its output directory from --out, falling back to the COVSPECTRUM_OUT
@@ -35,7 +37,7 @@ from .errors import ConvergenceError, ResourceError, ValidationError
 from .harness import ExperimentConfig, run_experiment
 from .momentlab import IndexCircuit, bound_rhs_a13, check_schedule, classify_json, law_trace_moment
 from .normalize import build_A, covariance_from_json
-from .reports import emit_report, fit_rate, read_records
+from .reports import emit_report, fit_rate, json_text, read_records
 from .spectral import (
     DENSE_P_LIMIT,
     covariance_error,
@@ -160,7 +162,7 @@ def _cmd_spectrum(args) -> int:
     X = load_matrix(args.infile)
     lam, aux = lambda_max(X)
     p, n = X.shape
-    print(json.dumps({"p": p, "n": n, "lambda_max": lam, "diag_max_dev": diag_max_dev(X), **aux}, sort_keys=True))
+    print(json_text({"p": p, "n": n, "lambda_max": lam, "diag_max_dev": diag_max_dev(X), **aux}))
     return 0
 
 
@@ -171,51 +173,32 @@ def _cmd_esd(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "spectrum.csv")
     spectrum_to_csv(eigs, path)
-    print(
-        json.dumps(
-            {"spectrum_csv": path, "lambda_max": float(eigs[-1]), "ks_to_semicircle": ks_distance(eigs)},
-            sort_keys=True,
-        )
-    )
+    print(json_text({"spectrum_csv": path, "lambda_max": float(eigs[-1]), "ks_to_semicircle": ks_distance(eigs)}))
     return 0
 
 
 def _cmd_covtest(args) -> int:
     X = load_matrix(args.infile)
     err, bound, sigma_norm = covariance_error(X, covariance_from_json(_json_arg(args.sigma, "covariance")))
-    print(
-        json.dumps(
-            {
-                "norm_error": err,
-                "factorized_bound": bound,
-                "sigma_norm": sigma_norm,
-                "within_bound": err <= bound + 1e-10 * max(1.0, bound),
-            },
-            sort_keys=True,
-        )
-    )
+    within = err <= bound + 1e-10 * max(1.0, bound)
+    print(json_text({"norm_error": err, "factorized_bound": bound, "sigma_norm": sigma_norm, "within_bound": within}))
     return 0
 
 
 def _cmd_moments(args) -> int:
     if args.mode == "classify":
         circuit = IndexCircuit.from_json(_json_arg(args.circuit, "circuit"))
-        print(json.dumps(classify_json(circuit), sort_keys=True))
+        print(json_text(classify_json(circuit)))
         return 0
     if args.mode == "exact":
         value = law_trace_moment(_dist_arg(args.dist), args.p, args.n, args.k)
-        print(json.dumps({"p": args.p, "n": args.n, "k": args.k, "exact": value}, sort_keys=True))
+        print(json_text({"p": args.p, "n": args.n, "k": args.k, "exact": value}))
         return 0
     if args.mode == "bound":
         value = bound_rhs_a13(args.p, args.n, args.k, args.delta)
-        print(
-            json.dumps(
-                {"p": args.p, "n": args.n, "k": args.k, "delta": args.delta, "bound": value},
-                sort_keys=True,
-            )
-        )
+        print(json_text({"p": args.p, "n": args.n, "k": args.k, "delta": args.delta, "bound": value}))
         return 0
-    print(json.dumps(check_schedule(args.p, args.delta, C1=args.c1), sort_keys=True))
+    print(json_text(check_schedule(args.p, args.delta, C1=args.c1)))
     return 0
 
 
@@ -231,16 +214,7 @@ def _cmd_sweep(args) -> int:
     out_dir = _out_dir(args)
     records = run_experiment(config, threads=args.threads, out_dir=out_dir)
     failed = sum(1 for r in records if r.failed)
-    print(
-        json.dumps(
-            {
-                "records": len(records),
-                "failed": failed,
-                "records_csv": os.path.join(out_dir, "records.csv"),
-            },
-            sort_keys=True,
-        )
-    )
+    print(json_text({"records": len(records), "failed": failed, "records_csv": os.path.join(out_dir, "records.csv")}))
     return 0
 
 
@@ -250,7 +224,7 @@ def _cmd_report(args) -> int:
     out = {"paths": emit_report(records, args.format, _out_dir(args))}
     if fit is not None:
         out.update(rate_slope=fit.slope, rate_r2=fit.r2)
-    print(json.dumps(out, sort_keys=True))
+    print(json_text(out))
     return 0
 
 

@@ -160,9 +160,8 @@ def _run_tasks(config: ExperimentConfig, shape: MatrixShape, replicate: int) -> 
                 outcomes.append(_execute_task(task, X, config.distribution))
             except Exception as exc:  # error rows must never abort the sweep
                 outcomes.append(_error_row(exc))
-    ratio = shape.p / shape.n
     return [
-        RunRecord(p=shape.p, n=shape.n, ratio=ratio, replicate=replicate, task=task.name, value=value, aux=aux)
+        RunRecord(p=shape.p, n=shape.n, replicate=replicate, task=task.name, value=value, aux=aux)
         for task, (value, aux) in zip(config.tasks, outcomes)
     ]
 

@@ -605,8 +605,8 @@ def check_schedule(p, delta: float, C1: float = 2.0) -> dict:
     The growth/decay conditions are asymptotic; the pass/fail verdicts use
     the finite-scale thresholds LARGE_MIN and SMALL_MAX and are diagnostic,
     not a guarantee.  C1 is the second moment of X^2 - 1 (2.0 for gaussian).
-    Returns the parameters, one {name, value, passed} per condition (a
-    value too large for a double is None) and the h, k and overall verdicts.
+    Returns the parameters, one {name, value, passed} per condition (a value
+    too large for a double is inf; the CLI prints null) and the verdicts.
     """
     if not p >= 2:
         raise ValidationError("p must be >= 2")
@@ -635,7 +635,7 @@ def check_schedule(p, delta: float, C1: float = 2.0) -> dict:
         "p": p,
         "C1": C1,
         "conditions": [
-            {"name": name, "value": value if math.isfinite(value) else None, "passed": passed}
+            {"name": name, "value": value, "passed": passed}
             for name, value, passed in conditions
         ],
         "h_feasible": all(passed for name, _, passed in conditions if name.startswith("h_")),

@@ -5,6 +5,8 @@ serialization is fully deterministic: floats use repr (shortest
 round-trip) and aux maps are canonical JSON.  A record is written as it
 is held, so reading a records file back gives the records that wrote it.
 Every per-group statistic reads its groups from one helper, ``_grouped``.
+All JSON the package writes goes through one strict encoder, ``json_text``,
+which writes a non-finite number as ``null``.
 """
 
 import csv
@@ -29,6 +31,7 @@ __all__ = [
     "fit_rate",
     "tail_probability_report",
     "emit_report",
+    "json_text",
 ]
 
 CSV_COLUMNS = ("p", "n", "ratio", "replicate", "task", "value", "aux")
@@ -43,11 +46,14 @@ class RunRecord:
 
     p: int
     n: int
-    ratio: float
     replicate: int
     task: str
     value: float
     aux: dict = field(default_factory=dict)
+
+    @property
+    def ratio(self) -> float:
+        return self.p / self.n
 
     @property
     def failed(self) -> bool:
@@ -55,6 +61,19 @@ class RunRecord:
 
     def sort_key(self):
         return (self.p, self.n, self.replicate, self.task)
+
+
+def _null_non_finite(obj):
+    if isinstance(obj, dict):
+        return {key: _null_non_finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def json_text(obj, **layout) -> str:
+    """Key-sorted strict JSON of obj; a non-finite float at any depth is written as null."""
+    return json.dumps(_null_non_finite(obj), sort_keys=True, allow_nan=False, **layout)
 
 
 def records_to_csv(records, path) -> None:
@@ -70,7 +89,7 @@ def records_to_csv(records, path) -> None:
                     rec.replicate,
                     rec.task,
                     repr(float(rec.value)),
-                    json.dumps(rec.aux, sort_keys=True, separators=(",", ":")),
+                    json_text(rec.aux, separators=(",", ":")),
                 ]
             )
 
@@ -82,8 +101,8 @@ def _reject_constant(name):
 def read_records(path):
     """Parse a records CSV back into RunRecord objects.
 
-    ``value`` may be ``nan`` (error rows carry it); aux must be strict JSON,
-    so a ``NaN`` or ``Infinity`` there is a malformed row.
+    ``value`` may be ``nan`` (error rows carry it); aux must be strict JSON
+    (a ``NaN`` or ``Infinity`` there is malformed) and ratio must be p / n.
     """
     out = []
     try:
@@ -98,7 +117,6 @@ def read_records(path):
                     record = RunRecord(
                         p=int(p),
                         n=int(n),
-                        ratio=float(ratio),
                         replicate=int(replicate),
                         task=task,
                         value=float(value),
@@ -108,6 +126,8 @@ def read_records(path):
                         raise ValueError(f"aux {aux!r} is not a JSON object")
                     if record.p < 1 or record.n < 1 or record.replicate < 0:
                         raise ValueError("p and n must be >= 1 and replicate >= 0")
+                    if float(ratio) != record.ratio:
+                        raise ValueError(f"ratio {ratio} is not p / n")
                 except ValueError as exc:
                     raise ValidationError(f"{path}, line {reader.line_num}: malformed record: {exc}") from exc
                 out.append(record)
@@ -148,11 +168,13 @@ def _grouped(records, key, value=lambda rec: rec.value) -> dict:
     return {k: sorted(groups[k]) for k in sorted(groups)}
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def summarize(records) -> list:
     """Per-(p, n, task) order statistics; error rows are excluded.
 
     The median is the lower median for even counts, so it is always an
     observed value.  No records, or none that succeeded, give no rows.
+    Values near the double limit give an inf mean or std, without a warning.
     """
     rows = []
     for (p, n, task), values in _grouped(records, lambda rec: (rec.p, rec.n, rec.task)).items():
@@ -321,13 +343,12 @@ def emit_report(records, fmt: str, out_dir) -> list:
     if fmt == "json":
         # vars(), not asdict(), which deep-copies every aux value
         payload = {
-            "records": [dict(vars(r), value=r.value if math.isfinite(r.value) else None) for r in records],
+            "records": [dict(vars(r), ratio=r.ratio) for r in records],
             "summary": [vars(row) for row in summarize(records)],
         }
         path = os.path.join(out_dir, "report.json")
         with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(json_text(payload, indent=2) + "\n")
         return [path]
     if fmt == "svg":
         groups = _grouped(records, lambda rec: (rec.task, rec.ratio))

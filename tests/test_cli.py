@@ -475,23 +475,41 @@ class TestCovtestAndMoments:
         assert "feasible" in payload and len(payload["conditions"]) == 6
 
     @pytest.mark.parametrize(
-        "p, delta, passed",
+        "argv, null_at, passed",
         [
-            ("100", "1e300", [False, False, True, False, False, True]),
-            ("1" + "0" * 700, "0.5", [True, False, True, True, False, True]),
+            (["moments", "schedule", "--p", "100", "--delta", "1e300"], ("conditions", 2, "value"),
+             [False, False, True, False, False, True]),
+            (["moments", "schedule", "--p", "1" + "0" * 700, "--delta", "0.5"], ("conditions", 2, "value"),
+             [True, False, True, True, False, True]),
+            # E X^8 = (1 - q)^4 / q^3 overflows a double
+            (["moments", "exact", "--p", "2", "--n", "1", "--k", "4", "--dist", '{"kind":"two-point","q":1e-200}'],
+             ("exact",), None),
+            # the factorized bound ||Sigma|| (1 + ||S1 - I||) overflows, the error itself does not
+            (["covtest", "--in", "DATA", "--sigma", "SIGMA"], ("factorized_bound",), None),
         ],
-        ids=["huge-delta", "huge-p"],
+        ids=["huge-delta", "huge-p", "exact-overflow", "covtest-overflow"],
     )
-    def test_schedule_prints_strict_json(self, p, delta, passed):
+    def test_schedule_prints_strict_json(self, tmp_path, argv, null_at, passed):
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
 
-        res = run_cli("moments", "schedule", "--p", p, "--delta", delta)
+        data, sigma = tmp_path / "m.bin", tmp_path / "sigma.bin"
+        if "DATA" in argv:
+            gen = run_cli("gen", "--dist", "gaussian", "--p", "4", "--n", "4", "--seed", "0", "--replicate", "2",
+                          "--name", "m", "--out", str(tmp_path))
+            assert gen.returncode == 0, gen.stderr
+            save_matrix(np.full((4, 4), 2e307), sigma)
+        argv = [a.replace("DATA", str(data)) for a in argv]
+        argv = [a.replace("SIGMA", json.dumps({"kind": "explicit", "path": str(sigma)})) for a in argv]
+        res = run_cli(*argv)
         assert res.returncode == 0, res.stderr
-        payload = json.loads(res.stdout, parse_constant=reject)
-        assert [c["passed"] for c in payload["conditions"]] == passed
-        assert {c["name"] for c in payload["conditions"] if c["value"] is None} >= {"h_tail"}
-        assert payload["feasible"] is False
+        payload = value = json.loads(res.stdout, parse_constant=reject)
+        for key in null_at:
+            value = value[key]
+        assert value is None
+        if passed is not None:
+            assert [c["passed"] for c in payload["conditions"]] == passed
+            assert payload["feasible"] is False
 
     def test_missing_required_knob_is_validation_error(self):
         res = run_cli("moments", "exact", "--p", "3")
@@ -695,6 +713,7 @@ class TestSweepAndReport:
             ('10,100,0.1,-1,diag_dev,0.5,"{}"', "{records}, line 2"),
             ('10,100,0.1,0,cov_rate,0.5,"{""bound"":NaN}"', "{records}, line 2"),
             ('10,100,0.1,0,cov_rate,0.5,"{""bound"":Infinity}"', "{records}, line 2"),
+            ('10,200,0.9,0,lambda_max,1.0,"{}"', "{records}, line 2"),
             (
                 '10,100,0.1,0,cov_rate,0.3,"{}"\n10,500,0.02,0,cov_rate,0.0,"{}"\n10,1000,0.01,0,cov_rate,0.1,"{}"',
                 "p=10, n=500",
@@ -710,6 +729,7 @@ class TestSweepAndReport:
             "negative-replicate",
             "aux-nan",
             "aux-infinity",
+            "ratio-not-p-over-n",
             "non-positive-cov-rate-median",
         ],
     )
@@ -736,6 +756,32 @@ class TestSweepAndReport:
         assert not records["lambda_max"].failed
         assert records["cov_rate"].failed
         assert records["cov_rate"].aux["error"] == "ValidationError: matrix has non-finite entries; did the input overflow?"
+
+    def test_overflowing_aux_round_trips(self, tmp_path):
+        # replicate 2's factorized bound overflows to inf: records.csv holds
+        # null for it, and report reads the file back and writes strict JSON
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        sigma = tmp_path / "sigma.bin"
+        save_matrix(np.full((4, 4), 2e307), sigma)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "distribution": "gaussian",
+            "grid": [[4, 4]],
+            "replicates": 3,
+            "master_seed": 0,
+            "tasks": [{"name": "cov_rate", "sigma": {"kind": "explicit", "path": str(sigma)}}],
+        }))
+        sweep = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
+        assert sweep.returncode == 0, sweep.stderr
+        records = tmp_path / "run" / "records.csv"
+        assert '""bound"":null' in records.read_text()
+        rep = run_cli("report", "--records", str(records), "--format", "json", "--out", str(tmp_path / "report"))
+        assert rep.returncode == 0, rep.stderr
+        (path,) = json.loads(rep.stdout, parse_constant=reject)["paths"]
+        payload = json.loads(Path(path).read_text(), parse_constant=reject)
+        assert [r["aux"]["bound"] for r in payload["records"]].count(None) == 1
 
     def test_report_without_a_usable_rate_fit_exits_0(self, tmp_path):
         # the diagonal Sigma has 10 entries, so every p = 20 cov_rate row fails

@@ -5,7 +5,9 @@ perfbench's tracer, which skips a missing name silently) rely on it.
 Imports sit at module level only, so an import cycle fails at import time
 instead of hiding inside a function, and every imported name is used in
 its module or re-exported through ``__all__``, so deleting the last use of
-a name cannot leave a stale import behind.
+a name cannot leave a stale import behind.  Only ``reports`` calls
+``json.dump``/``json.dumps``: every other module writes JSON through its
+strict encoder.
 """
 
 import ast
@@ -60,3 +62,25 @@ def test_every_import_is_used_or_exported(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - _exported(tree)) == []
+
+
+def test_json_is_written_only_by_the_strict_encoder():
+    # reports.json_text writes a non-finite number as null; a bare json.dump(s)
+    # anywhere else would print NaN or Infinity again
+    found = []
+    for path in sorted(pathlib.Path(covspectrum.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {
+            id(node): func.name
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+        }
+        found += [
+            (path.name, owner.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("dump", "dumps")
+            and getattr(node.value, "id", None) == "json"
+        ]
+    assert found == [("reports.py", "json_text")]

@@ -549,24 +549,24 @@ class TestBlasKernel:
 
 class TestSummarize:
     def test_single_record(self):
-        rec = RunRecord(p=2, n=4, ratio=0.5, replicate=0, task="diag_dev", value=1.5)
+        rec = RunRecord(p=2, n=4, replicate=0, task="diag_dev", value=1.5)
         row = summarize([rec])[0]
         assert row.median == 1.5 and row.count == 1 and row.std == 0.0
 
     def test_lower_median(self):
         recs = [
-            RunRecord(p=2, n=4, ratio=0.5, replicate=i, task="t", value=v)
+            RunRecord(p=2, n=4, replicate=i, task="t", value=v)
             for i, v in enumerate([1.0, 2.0, 3.0])
         ]
         assert summarize(recs)[0].median == 2.0
-        recs.append(RunRecord(p=2, n=4, ratio=0.5, replicate=3, task="t", value=4.0))
+        recs.append(RunRecord(p=2, n=4, replicate=3, task="t", value=4.0))
         assert summarize(recs)[0].median == 2.0  # lower median of 4 values
 
     def test_against_sort_oracle(self):
         rng = np.random.default_rng(35)
         values = rng.standard_normal(1000)
         recs = [
-            RunRecord(p=1, n=1, ratio=1.0, replicate=i, task="t", value=float(v))
+            RunRecord(p=1, n=1, replicate=i, task="t", value=float(v))
             for i, v in enumerate(values)
         ]
         row = summarize(recs)[0]
@@ -578,6 +578,15 @@ class TestSummarize:
     def test_empty_gives_no_rows(self):
         assert summarize([]) == []
 
+    def test_values_near_the_double_limit_overflow_quietly(self):
+        # the sum and the squared deviations overflow: mean and std are inf,
+        # with no RuntimeWarning, and the order statistics stay exact
+        values = [1.7e308, 1.6e308, 1.5e308]
+        recs = [RunRecord(p=4, n=8, replicate=i, task="cov_rate", value=v) for i, v in enumerate(values)]
+        (row,) = summarize(recs)
+        assert row.mean == math.inf and row.std == math.inf
+        assert (row.median, row.min, row.max) == (1.6e308, 1.5e308, 1.7e308)
+
 
 class TestFitRate:
     @staticmethod
@@ -585,11 +594,7 @@ class TestFitRate:
         recs = []
         for (p, n), value in ratio_to_value.items():
             for rep in range(replicates):
-                recs.append(
-                    RunRecord(
-                        p=p, n=n, ratio=p / n, replicate=rep, task="cov_rate", value=value
-                    )
-                )
+                recs.append(RunRecord(p=p, n=n, replicate=rep, task="cov_rate", value=value))
         return recs
 
     def test_exact_square_root_law(self):
@@ -609,7 +614,7 @@ class TestFitRate:
         recs = self._cov_records({(10, 100): 1.0, (10, 1000): 2.0})
         assert fit_rate(recs) is None
         # a ratio whose rows all failed is not usable
-        recs.append(RunRecord(p=10, n=10000, ratio=0.001, replicate=0, task="cov_rate",
+        recs.append(RunRecord(p=10, n=10000, replicate=0, task="cov_rate",
                               value=math.nan, aux={"error": "ValidationError: boom"}))
         assert fit_rate(recs) is None
 
@@ -618,10 +623,10 @@ class TestFitRate:
         recs = self._cov_records({(10, 100): 0.3, (10, 1000): 0.1, (10, 10000): 0.04}, replicates=3)
         recs = [replace(r, value=r.value * (1 + r.replicate / 10)) for r in recs]
         recs += [
-            RunRecord(p=10, n=100, ratio=0.1, replicate=3, task="cov_rate", value=1e-9,
+            RunRecord(p=10, n=100, replicate=3, task="cov_rate", value=1e-9,
                       aux={"error": "ValidationError: boom"}),
-            RunRecord(p=10, n=1000, ratio=0.01, replicate=3, task="cov_rate", value=math.nan),
-            RunRecord(p=10, n=100, ratio=0.1, replicate=0, task="diag_dev", value=5.0),
+            RunRecord(p=10, n=1000, replicate=3, task="cov_rate", value=math.nan),
+            RunRecord(p=10, n=100, replicate=0, task="diag_dev", value=5.0),
         ]
         rows = [row for row in summarize(recs) if row.task == "cov_rate"]
         assert [row.count for row in rows] == [3, 3, 3]
@@ -637,13 +642,13 @@ class TestTailReport:
         for rep in range(20):
             recs.append(
                 RunRecord(
-                    p=8, n=80, ratio=0.1, replicate=rep, task="lambda_max",
+                    p=8, n=80, replicate=rep, task="lambda_max",
                     value=1.0, aux={"lambda_max_b": 1.5 if rep < 4 else 0.9},
                 )
             )
             recs.append(
                 RunRecord(
-                    p=8, n=800, ratio=0.01, replicate=rep, task="lambda_max",
+                    p=8, n=800, replicate=rep, task="lambda_max",
                     value=1.0, aux={"lambda_max_b": 0.9},
                 )
             )
@@ -677,11 +682,11 @@ class TestReports:
     def _records():
         return [
             RunRecord(
-                p=10, n=100, ratio=0.1, replicate=0, task="lambda_max",
+                p=10, n=100, replicate=0, task="lambda_max",
                 value=1.25, aux={"method": "dense", "lambda_max_b": 0.5},
             ),
             RunRecord(
-                p=10, n=1000, ratio=0.01, replicate=0, task="lambda_max",
+                p=10, n=1000, replicate=0, task="lambda_max",
                 value=1.1, aux={"method": "dense", "lambda_max_b": 0.25},
             ),
         ]
@@ -711,7 +716,6 @@ class TestReports:
         RunRecord,
         p=st.integers(1, 10**6),
         n=st.integers(1, 10**6),
-        ratio=_finite,
         replicate=st.integers(0, 10**4),
         task=st.sampled_from(TASK_NAMES),
         value=_finite,
@@ -737,7 +741,7 @@ class TestReports:
         assert any(p.endswith("report_summary.csv") for p in paths)
         (json_path,) = emit_report(self._records(), "json", str(tmp_path))
         payload = json.loads(Path(json_path).read_text())
-        assert payload["records"] == [vars(r) for r in self._records()]
+        assert payload["records"] == [dict(vars(r), ratio=r.ratio) for r in self._records()]
 
     def test_summary_golden(self, tmp_path):
         # SummaryRow's field names are both the CSV header and the JSON keys
