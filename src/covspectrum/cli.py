@@ -19,6 +19,7 @@ output directory.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -180,7 +181,8 @@ def _cmd_esd(args) -> int:
 def _cmd_covtest(args) -> int:
     X = load_matrix(args.infile)
     err, bound, sigma_norm = covariance_error(X, covariance_from_json(_json_arg(args.sigma, "covariance")))
-    within = err <= bound + 1e-10 * max(1.0, bound)
+    # an overflowed bound bounds nothing: err <= inf would always hold
+    within = err <= bound + 1e-10 * max(1.0, bound) if math.isfinite(bound) else None
     print(json_text({"norm_error": err, "factorized_bound": bound, "sigma_norm": sigma_norm, "within_bound": within}))
     return 0
 

@@ -28,11 +28,6 @@ __all__ = [
     "MatrixShape",
     "SeedSpec",
     "gaussian",
-    "rademacher",
-    "uniform_symmetric",
-    "centered_exponential",
-    "student_t",
-    "two_point",
     "distribution_from_json",
     "moment_sequence",
     "sample_matrix",
@@ -131,28 +126,9 @@ class DistributionSpec:
         return ((x_lo, 1.0 - self.q), (x_hi, self.q))
 
 
+# perfbench/checks.py samples through this name; the tests build DistributionSpec directly
 def gaussian() -> DistributionSpec:
     return DistributionSpec("gaussian")
-
-
-def rademacher() -> DistributionSpec:
-    return DistributionSpec("rademacher")
-
-
-def uniform_symmetric() -> DistributionSpec:
-    return DistributionSpec("uniform-symmetric")
-
-
-def centered_exponential() -> DistributionSpec:
-    return DistributionSpec("centered-exponential")
-
-
-def student_t(df: float) -> DistributionSpec:
-    return DistributionSpec("student-t", df=df)
-
-
-def two_point(q: float) -> DistributionSpec:
-    return DistributionSpec("two-point", q=q)
 
 
 def distribution_from_json(obj) -> DistributionSpec:

@@ -174,11 +174,14 @@ def summarize(records) -> list:
 
     The median is the lower median for even counts, so it is always an
     observed value.  No records, or none that succeeded, give no rows.
-    Values near the double limit give an inf mean or std, without a warning.
+    Mean and std are finite whenever their true values fit a double.
     """
     rows = []
     for (p, n, task), values in _grouped(records, lambda rec: (rec.p, rec.n, rec.task)).items():
-        arr = np.asarray(values)
+        # scaled by a power of two to a largest magnitude in [1, 2), exact
+        # but for subnormals, so neither the sum nor the squares can overflow
+        scale = math.ldexp(0.5, math.frexp(max(-values[0], values[-1]))[1])
+        arr = np.asarray(values) / scale
         rows.append(
             SummaryRow(
                 p=p,
@@ -186,8 +189,8 @@ def summarize(records) -> list:
                 task=task,
                 count=len(values),
                 median=float(_lower_median(values)),
-                mean=float(arr.mean()),
-                std=float(arr.std(ddof=1)) if len(values) > 1 else 0.0,
+                mean=float(arr.mean() * scale),
+                std=float(arr.std(ddof=1) * scale) if len(values) > 1 else 0.0,
                 min=float(values[0]),
                 max=float(values[-1]),
             )

@@ -477,15 +477,16 @@ class TestCovtestAndMoments:
     @pytest.mark.parametrize(
         "argv, null_at, passed",
         [
-            (["moments", "schedule", "--p", "100", "--delta", "1e300"], ("conditions", 2, "value"),
+            (["moments", "schedule", "--p", "100", "--delta", "1e300"], [("conditions", 2, "value")],
              [False, False, True, False, False, True]),
-            (["moments", "schedule", "--p", "1" + "0" * 700, "--delta", "0.5"], ("conditions", 2, "value"),
+            (["moments", "schedule", "--p", "1" + "0" * 700, "--delta", "0.5"], [("conditions", 2, "value")],
              [True, False, True, True, False, True]),
             # E X^8 = (1 - q)^4 / q^3 overflows a double
             (["moments", "exact", "--p", "2", "--n", "1", "--k", "4", "--dist", '{"kind":"two-point","q":1e-200}'],
-             ("exact",), None),
-            # the factorized bound ||Sigma|| (1 + ||S1 - I||) overflows, the error itself does not
-            (["covtest", "--in", "DATA", "--sigma", "SIGMA"], ("factorized_bound",), None),
+             [("exact",)], None),
+            # the factorized bound ||Sigma|| (1 + ||S1 - I||) overflows, the error itself does not,
+            # and an infinite bound gives no verdict
+            (["covtest", "--in", "DATA", "--sigma", "SIGMA"], [("factorized_bound",), ("within_bound",)], None),
         ],
         ids=["huge-delta", "huge-p", "exact-overflow", "covtest-overflow"],
     )
@@ -503,10 +504,12 @@ class TestCovtestAndMoments:
         argv = [a.replace("SIGMA", json.dumps({"kind": "explicit", "path": str(sigma)})) for a in argv]
         res = run_cli(*argv)
         assert res.returncode == 0, res.stderr
-        payload = value = json.loads(res.stdout, parse_constant=reject)
-        for key in null_at:
-            value = value[key]
-        assert value is None
+        payload = json.loads(res.stdout, parse_constant=reject)
+        for path in null_at:
+            value = payload
+            for key in path:
+                value = value[key]
+            assert value is None, path
         if passed is not None:
             assert [c["passed"] for c in payload["conditions"]] == passed
             assert payload["feasible"] is False
@@ -797,6 +800,23 @@ class TestSweepAndReport:
         rep = run_cli("report", "--records", str(tmp_path / "run" / "records.csv"), "--out", str(tmp_path / "run"))
         assert rep.returncode == 0, rep.stderr
         assert sorted(json.loads(rep.stdout)) == ["paths"]
+
+    def test_report_csv_copies_the_records_it_read(self, tmp_path):
+        # records are written as held: error rows, aux and every float come
+        # back as the same bytes
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "distribution": {"kind": "student-t", "df": 5},
+            "grid": [[10, 500], [20, 400]],
+            "replicates": 2,
+            "tasks": ["lambda_max", "diag_dev", {"name": "cov_rate", "sigma": {"kind": "diagonal", "d": [2.0] * 10}}],
+        }))
+        sweep = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
+        assert json.loads(sweep.stdout)["failed"] == 2
+        records = tmp_path / "run" / "records.csv"
+        rep = run_cli("report", "--records", str(records), "--format", "csv", "--out", str(tmp_path / "report"))
+        assert rep.returncode == 0, rep.stderr
+        assert (tmp_path / "report" / "report_records.csv").read_bytes() == records.read_bytes()
 
     def test_report_rejects_undecodable_bytes(self, tmp_path):
         records = tmp_path / "records.csv"

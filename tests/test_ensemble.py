@@ -20,18 +20,12 @@ from covspectrum.ensemble import (
     DistributionSpec,
     MatrixShape,
     SeedSpec,
-    centered_exponential,
     distribution_from_json,
-    gaussian,
     load_matrix,
     matrix_to_csv,
     moment_sequence,
-    rademacher,
     sample_matrix,
     save_matrix,
-    student_t,
-    two_point,
-    uniform_symmetric,
 )
 from covspectrum.errors import ResourceError, ValidationError
 
@@ -42,10 +36,10 @@ def _first_four(spec):
 
 class TestStandardizedMoments:
     def test_gaussian(self):
-        assert _first_four(gaussian()) == (0.0, 1.0, 0.0, 3.0)
+        assert _first_four(DistributionSpec("gaussian")) == (0.0, 1.0, 0.0, 3.0)
 
     def test_rademacher(self):
-        assert _first_four(rademacher()) == (0.0, 1.0, 0.0, 1.0)
+        assert _first_four(DistributionSpec("rademacher")) == (0.0, 1.0, 0.0, 1.0)
 
     def test_student_t5_matches_integration_oracle(self):
         # independent oracle: quadrature of the scipy.stats t5 density,
@@ -57,7 +51,7 @@ class TestStandardizedMoments:
                 lambda x, s=order: x**s * stats.t.pdf(x * sd, 5) * sd, -np.inf, np.inf, limit=400
             )
             oracle.append(val)
-        m1, m2, m3, m4 = _first_four(student_t(5))
+        m1, m2, m3, m4 = _first_four(DistributionSpec("student-t", df=5))
         np.testing.assert_allclose([m1, m2, m3, m4], oracle, atol=1e-7)
         assert (m1, m2, m3) == (0.0, 1.0, 0.0)
         assert m4 == pytest.approx(9.0, rel=1e-12)
@@ -65,24 +59,30 @@ class TestStandardizedMoments:
     def test_uniform_and_exponential_against_quadrature(self):
         root3 = math.sqrt(3)
         for spec, pdf, lo, hi in (
-            (uniform_symmetric(), lambda x: stats.uniform.pdf(x, -root3, 2 * root3), -root3, root3),
-            (centered_exponential(), lambda x: stats.expon.pdf(x + 1.0), -1.0, 80.0),
+            (
+                DistributionSpec("uniform-symmetric"),
+                lambda x: stats.uniform.pdf(x, -root3, 2 * root3),
+                -root3,
+                root3,
+            ),
+            (DistributionSpec("centered-exponential"), lambda x: stats.expon.pdf(x + 1.0), -1.0, 80.0),
         ):
             for order in (1, 2, 3, 4, 5, 6):
                 val, _ = integrate.quad(lambda x, s=order: x**s * pdf(x), lo, hi, limit=400)
                 assert spec.moment(order) == pytest.approx(val, abs=1e-7), (spec.kind, order)
 
     def test_gaussian_higher_orders(self):
-        assert gaussian().moment(6) == 15.0
-        assert gaussian().moment(8) == 105.0
+        assert DistributionSpec("gaussian").moment(6) == 15.0
+        assert DistributionSpec("gaussian").moment(8) == 105.0
 
     def test_two_point_symmetric_reduces_to_rademacher(self):
-        assert _first_four(two_point(q=0.5)) == (0.0, 1.0, 0.0, 1.0)
-        assert moment_sequence(two_point(q=0.5), 8) == moment_sequence(rademacher(), 8)
+        assert _first_four(DistributionSpec("two-point", q=0.5)) == (0.0, 1.0, 0.0, 1.0)
+        rademacher = moment_sequence(DistributionSpec("rademacher"), 8)
+        assert moment_sequence(DistributionSpec("two-point", q=0.5), 8) == rademacher
 
     def test_student_t5_fourth_moment_is_exact(self):
         # (1 * 3/3) * (3 * 3/1): the telescoped product rounds nowhere
-        assert student_t(5).moment(4) == 9.0
+        assert DistributionSpec("student-t", df=5).moment(4) == 9.0
 
     @pytest.mark.parametrize("df, order", [(306.0, 60), (330.0, 28), (341.0, 10), (343.0, 4)])
     def test_student_t_moments_finite_where_the_gamma_product_overflowed(self, df, order):
@@ -90,11 +90,11 @@ class TestStandardizedMoments:
         exact = Fraction(1)
         for i in range(1, order // 2 + 1):
             exact *= (2 * i - 1) * Fraction(df - 2) / Fraction(df - 2 * i)
-        assert student_t(df).moment(order) == pytest.approx(float(exact), rel=1e-15)
+        assert DistributionSpec("student-t", df=df).moment(order) == pytest.approx(float(exact), rel=1e-15)
 
     def test_two_point_asymmetric(self):
         q = 0.2
-        m1, m2, m3, m4 = _first_four(two_point(q=q))
+        m1, m2, m3, m4 = _first_four(DistributionSpec("two-point", q=q))
         assert m1 == pytest.approx(0.0, abs=1e-15)
         assert m2 == pytest.approx(1.0, abs=1e-15)
         # closed forms for the standardized two-point law
@@ -102,15 +102,15 @@ class TestStandardizedMoments:
         assert m4 == pytest.approx(1.0 / (q * (1 - q)) - 3.0, rel=1e-12)
 
     def test_student_t_fourth_moment_flag(self):
-        assert math.isinf(student_t(3.0).moment(4))
-        assert math.isinf(student_t(4.0).moment(4))
-        assert math.isfinite(student_t(4.5).moment(4))
+        assert math.isinf(DistributionSpec("student-t", df=3.0).moment(4))
+        assert math.isinf(DistributionSpec("student-t", df=4.0).moment(4))
+        assert math.isfinite(DistributionSpec("student-t", df=4.5).moment(4))
 
     def test_parameter_errors(self):
         with pytest.raises(ValidationError):
-            student_t(2.0)
+            DistributionSpec("student-t", df=2.0)
         with pytest.raises(ValidationError):
-            two_point(q=1.0)
+            DistributionSpec("two-point", q=1.0)
         with pytest.raises(ValidationError):
             DistributionSpec("lognormal")
         with pytest.raises(ValidationError):
@@ -122,8 +122,8 @@ class TestStandardizedMoments:
             st.sampled_from(["gaussian", "rademacher", "uniform-symmetric", "centered-exponential"]).map(
                 DistributionSpec
             ),
-            st.floats(1e-300, 1 - 1e-16).map(two_point),
-            st.floats(2.0, 1e6, exclude_min=True).map(student_t),
+            st.floats(1e-300, 1 - 1e-16).map(lambda q: DistributionSpec("two-point", q=q)),
+            st.floats(2.0, 1e6, exclude_min=True).map(lambda df: DistributionSpec("student-t", df=df)),
         ),
         order=st.integers(0, 400),
     )
@@ -136,7 +136,12 @@ class TestStandardizedMoments:
 
     @pytest.mark.parametrize(
         "spec, order",
-        [(two_point(q=1e-100), 8), (two_point(q=1 - 1e-16), 40), (student_t(400), 4), (student_t(1e6), 300)],
+        [
+            (DistributionSpec("two-point", q=1e-100), 8),
+            (DistributionSpec("two-point", q=1 - 1e-16), 40),
+            (DistributionSpec("student-t", df=400), 4),
+            (DistributionSpec("student-t", df=1e6), 300),
+        ],
         ids=["two-point-small-q", "two-point-q-near-1", "t400", "t1e6"],
     )
     def test_overflow_prone_moment_matches_mpmath(self, spec, order):
@@ -154,9 +159,9 @@ class TestStandardizedMoments:
             assert abs(spec.moment(order) - expected) <= 1e-12 * abs(expected)
 
     def test_moment_sequence(self):
-        assert moment_sequence(rademacher(), 6) == (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+        assert moment_sequence(DistributionSpec("rademacher"), 6) == (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValidationError):
-            moment_sequence(rademacher(), 0)
+            moment_sequence(DistributionSpec("rademacher"), 0)
 
     def test_parses_literal_json(self):
         gauss = distribution_from_json({"kind": "gaussian"})
@@ -165,7 +170,7 @@ class TestStandardizedMoments:
         assert (t5.kind, t5.df, t5.q) == ("student-t", 5, None)
         two = distribution_from_json({"kind": "two-point", "q": 0.25})
         assert (two.kind, two.df, two.q) == ("two-point", None, 0.25)
-        assert distribution_from_json("rademacher") == rademacher()
+        assert distribution_from_json("rademacher") == DistributionSpec("rademacher")
         with pytest.raises(ValidationError):
             distribution_from_json({"kind": "gaussian", "bogus": 1})
 
@@ -193,25 +198,32 @@ class TestShapesAndSeeds:
 
 class TestSampling:
     def test_determinism(self):
-        a = sample_matrix(rademacher(), MatrixShape(2, 3), SeedSpec(7), 0)
-        b = sample_matrix(rademacher(), MatrixShape(2, 3), SeedSpec(7), 0)
+        a = sample_matrix(DistributionSpec("rademacher"), MatrixShape(2, 3), SeedSpec(7), 0)
+        b = sample_matrix(DistributionSpec("rademacher"), MatrixShape(2, 3), SeedSpec(7), 0)
         assert np.array_equal(a, b)
 
     def test_replicates_differ(self):
-        a = sample_matrix(gaussian(), MatrixShape(5, 20), SeedSpec(7), 0)
-        b = sample_matrix(gaussian(), MatrixShape(5, 20), SeedSpec(7), 1)
+        a = sample_matrix(DistributionSpec("gaussian"), MatrixShape(5, 20), SeedSpec(7), 0)
+        b = sample_matrix(DistributionSpec("gaussian"), MatrixShape(5, 20), SeedSpec(7), 1)
         assert not np.array_equal(a, b)
 
     def test_replicate_must_fit_in_64_bits(self):
         # the stream seed keeps 64 bits of the replicate, so 2**64 would alias 0
         shape, seed = MatrixShape(2, 2), SeedSpec(0)
-        assert sample_matrix(gaussian(), shape, seed, 2**64 - 1).shape == (2, 2)
+        assert sample_matrix(DistributionSpec("gaussian"), shape, seed, 2**64 - 1).shape == (2, 2)
         for replicate in (-1, 2**64):
             with pytest.raises(ValidationError):
-                sample_matrix(gaussian(), shape, seed, replicate)
+                sample_matrix(DistributionSpec("gaussian"), shape, seed, replicate)
 
     @pytest.mark.parametrize(
-        "spec", [gaussian(), rademacher(), student_t(5), two_point(q=0.3)], ids=lambda spec: spec.kind
+        "spec",
+        [
+            DistributionSpec("gaussian"),
+            DistributionSpec("rademacher"),
+            DistributionSpec("student-t", df=5),
+            DistributionSpec("two-point", q=0.3),
+        ],
+        ids=lambda spec: spec.kind,
     )
     def test_shape_numpy_refuses_is_a_library_error(self, spec):
         with pytest.raises(ValidationError, match="Maximum allowed dimension exceeded"):
@@ -221,11 +233,11 @@ class TestSampling:
             sample_matrix(spec, MatrixShape(2**27, 2**27), SeedSpec(0))
 
     def test_two_point_support(self):
-        X = sample_matrix(two_point(q=0.5), MatrixShape(10, 50), SeedSpec(3), 0)
+        X = sample_matrix(DistributionSpec("two-point", q=0.5), MatrixShape(10, 50), SeedSpec(3), 0)
         assert set(np.unique(X)) <= {-1.0, 1.0}
 
     def test_gaussian_empirical_moments_clt_sized(self):
-        X = sample_matrix(gaussian(), MatrixShape(200, 20000), SeedSpec(2024), 0)
+        X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(200, 20000), SeedSpec(2024), 0)
         assert abs(np.mean(X)) <= 4.0 / math.sqrt(200 * 20000)
         assert abs(np.mean(X**2) - 1.0) <= 0.02
 
@@ -233,12 +245,12 @@ class TestSampling:
         # |m1| and |m2 - 1| small at CLT scale for every built-in law
         shape = MatrixShape(100, 2000)
         for spec in (
-            gaussian(),
-            rademacher(),
-            uniform_symmetric(),
-            centered_exponential(),
-            student_t(5),
-            two_point(q=0.3),
+            DistributionSpec("gaussian"),
+            DistributionSpec("rademacher"),
+            DistributionSpec("uniform-symmetric"),
+            DistributionSpec("centered-exponential"),
+            DistributionSpec("student-t", df=5),
+            DistributionSpec("two-point", q=0.3),
         ):
             X = sample_matrix(spec, shape, SeedSpec(99), 0)
             m4 = spec.moment(4)
@@ -248,18 +260,18 @@ class TestSampling:
 
     def test_replicate_streams_uncorrelated(self):
         shape = MatrixShape(50, 200)
-        X0 = sample_matrix(gaussian(), shape, SeedSpec(11), 0).ravel()
-        X1 = sample_matrix(gaussian(), shape, SeedSpec(11), 1).ravel()
+        X0 = sample_matrix(DistributionSpec("gaussian"), shape, SeedSpec(11), 0).ravel()
+        X1 = sample_matrix(DistributionSpec("gaussian"), shape, SeedSpec(11), 1).ravel()
         corr = float(np.mean(X0 * X1))
         assert abs(corr) < 4.0 / math.sqrt(shape.p * shape.n)
 
     def test_entries_immutable(self):
-        X = sample_matrix(gaussian(), MatrixShape(3, 4), SeedSpec(1), 0)
+        X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(3, 4), SeedSpec(1), 0)
         with pytest.raises(ValueError):
             X[0, 0] = 0.0
 
     def test_returns_float64_array_of_the_shape(self):
-        X = sample_matrix(rademacher(), MatrixShape(3, 4), SeedSpec(1), 0)
+        X = sample_matrix(DistributionSpec("rademacher"), MatrixShape(3, 4), SeedSpec(1), 0)
         assert isinstance(X, np.ndarray)
         assert (X.shape, X.dtype) == ((3, 4), np.float64)
 
@@ -268,17 +280,17 @@ class TestEmpiricalMomentReport:
     """Empirical moments of sampled matrices, computed on the array."""
 
     def test_rademacher_second_moment_exact(self):
-        X = sample_matrix(rademacher(), MatrixShape(8, 25), SeedSpec(5), 0)
+        X = sample_matrix(DistributionSpec("rademacher"), MatrixShape(8, 25), SeedSpec(5), 0)
         assert np.mean(X**2) == 1.0
 
     def test_gaussian_fourth_moment(self):
-        X = sample_matrix(gaussian(), MatrixShape(100, 1000), SeedSpec(5), 0)
+        X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(100, 1000), SeedSpec(5), 0)
         assert abs(np.mean(X**4) - 3.0) <= 0.5
 
 
 class TestMatrixIO:
     def test_binary_round_trip(self, tmp_path):
-        X = sample_matrix(student_t(5), MatrixShape(7, 13), SeedSpec(77), 2)
+        X = sample_matrix(DistributionSpec("student-t", df=5), MatrixShape(7, 13), SeedSpec(77), 2)
         path = tmp_path / "m.bin"
         save_matrix(X, path)
         Y = load_matrix(path)
@@ -286,7 +298,7 @@ class TestMatrixIO:
         assert np.array_equal(X, Y)
 
     def test_binary_header_layout(self, tmp_path):
-        X = sample_matrix(rademacher(), MatrixShape(2, 3), SeedSpec(0), 0)
+        X = sample_matrix(DistributionSpec("rademacher"), MatrixShape(2, 3), SeedSpec(0), 0)
         path = tmp_path / "m.bin"
         save_matrix(X, path)
         raw = path.read_bytes()
@@ -297,7 +309,7 @@ class TestMatrixIO:
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["c-order", "transposed"])
     def test_binary_bytes(self, tmp_path, transpose):
-        X = sample_matrix(gaussian(), MatrixShape(5, 3), SeedSpec(4), 0)
+        X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(5, 3), SeedSpec(4), 0)
         X = X.T if transpose else X
         path = tmp_path / "m.bin"
         save_matrix(X, path)
@@ -305,7 +317,7 @@ class TestMatrixIO:
         assert path.read_bytes() == _MAGIC + struct.pack("<QQ", p, n) + X.astype("<f8").tobytes()
 
     def test_save_peak_memory_is_no_copy(self, tmp_path):
-        X = sample_matrix(gaussian(), MatrixShape(512, 8192), SeedSpec(5), 0)  # 32 MiB
+        X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(512, 8192), SeedSpec(5), 0)  # 32 MiB
         path = tmp_path / "m.bin"
         tracemalloc.start()
         try:
@@ -323,7 +335,7 @@ class TestMatrixIO:
             load_matrix(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
-        X = sample_matrix(rademacher(), MatrixShape(2, 3), SeedSpec(0), 0)
+        X = sample_matrix(DistributionSpec("rademacher"), MatrixShape(2, 3), SeedSpec(0), 0)
         path = tmp_path / "m.bin"
         save_matrix(X, path)
         path.write_bytes(path.read_bytes()[:-8])
@@ -331,7 +343,7 @@ class TestMatrixIO:
             load_matrix(path)
 
     def test_reads_from_a_pipe(self, tmp_path):
-        X = sample_matrix(rademacher(), MatrixShape(2, 3), SeedSpec(0), 0)
+        X = sample_matrix(DistributionSpec("rademacher"), MatrixShape(2, 3), SeedSpec(0), 0)
         path = tmp_path / "m.bin"
         save_matrix(X, path)
         fifo = tmp_path / "pipe"
@@ -347,7 +359,7 @@ class TestMatrixIO:
 
     def test_forged_header_on_a_pipe_rejected(self, tmp_path):
         # a pipe has no size to check the header against: the read must stop at EOF
-        X = sample_matrix(rademacher(), MatrixShape(2, 3), SeedSpec(0), 0)
+        X = sample_matrix(DistributionSpec("rademacher"), MatrixShape(2, 3), SeedSpec(0), 0)
         path = tmp_path / "m.bin"
         save_matrix(X, path)
         forged = path.read_bytes()[:16] + (2**40).to_bytes(8, "little") * 2 + path.read_bytes()[32:]
@@ -363,7 +375,7 @@ class TestMatrixIO:
         assert not writer.is_alive()
 
     def test_load_peak_memory_is_one_payload(self, tmp_path):
-        X = sample_matrix(gaussian(), MatrixShape(200, 4000), SeedSpec(5), 0)
+        X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(200, 4000), SeedSpec(5), 0)
         path = tmp_path / "m.bin"
         save_matrix(X, path)
         tracemalloc.start()
@@ -385,7 +397,7 @@ class TestMatrixIO:
                 load_matrix(path)
 
     def test_csv_export(self, tmp_path):
-        X = sample_matrix(gaussian(), MatrixShape(3, 4), SeedSpec(9), 0)
+        X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(3, 4), SeedSpec(9), 0)
         path = tmp_path / "m.csv"
         matrix_to_csv(X, path)
         back = np.loadtxt(path, delimiter=",")

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from covspectrum import harness, spectral
-from covspectrum.ensemble import KINDS, MatrixShape, distribution_from_json, gaussian, rademacher, student_t
+from covspectrum.ensemble import KINDS, DistributionSpec, MatrixShape, distribution_from_json
 from covspectrum.errors import ValidationError
 from covspectrum.harness import (
     TASK_NAMES,
@@ -59,7 +59,7 @@ _TOEPLITZ = {"kind": "toeplitz", "rho": 0.5}
 
 def _config(**kwargs):
     base = dict(
-        distribution=rademacher(),
+        distribution=DistributionSpec("rademacher"),
         grid=(MatrixShape(10, 100),),
         replicates=2,
         master_seed=7,
@@ -78,7 +78,7 @@ class TestConfig:
             "master_seed": 7,
             "tasks": ["lambda_max", {"name": "cov_rate", "sigma": _TOEPLITZ}, {"name": "moment_check", "k": 2}],
         })
-        assert config.distribution == student_t(5)
+        assert config.distribution == DistributionSpec("student-t", df=5)
         assert config.grid == (MatrixShape(10, 100), MatrixShape(20, 400))
         assert (config.replicates, config.master_seed) == (2, 7)
         assert config.tasks == (
@@ -143,7 +143,7 @@ class TestRunExperiment:
 
     def test_records_file_reads_back_as_the_returned_records(self, tmp_path):
         config = _config(
-            distribution=student_t(5),
+            distribution=DistributionSpec("student-t", df=5),
             grid=(MatrixShape(10, 100), MatrixShape(20, 400)),
             tasks=(
                 TaskSpec("lambda_max"),
@@ -176,7 +176,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_only_lambda_max_switches_above_the_dense_limit(self, monkeypatch, threads):
         config = _config(
-            distribution=gaussian(),
+            distribution=DistributionSpec("gaussian"),
             grid=(MatrixShape(20, 200),),
             tasks=(TaskSpec("lambda_max"), TaskSpec("esd_ks"), TaskSpec("lambda_max_centered")),
         )
@@ -198,7 +198,7 @@ class TestRunExperiment:
     def test_moment_check_at_p_one_is_zero_without_moments(self):
         # no star circuit at p = 1; at (1, 3) the nominal 3^4000 is over budget
         config = _config(
-            distribution=gaussian(),
+            distribution=DistributionSpec("gaussian"),
             grid=(MatrixShape(1, 1),),
             replicates=1,
             tasks=(TaskSpec("moment_check", k=4000),),
@@ -220,7 +220,7 @@ class TestRunExperiment:
     )
     def test_moment_check_over_budget_is_a_quick_error_row(self, shape, k):
         config = _config(
-            distribution=gaussian(),
+            distribution=DistributionSpec("gaussian"),
             grid=(MatrixShape(*shape),),
             replicates=1,
             tasks=(TaskSpec("moment_check", k=k),),
@@ -306,7 +306,7 @@ class TestRunExperiment:
 
     def test_truncation_and_covariance_tasks(self):
         config = _config(
-            distribution=gaussian(),
+            distribution=DistributionSpec("gaussian"),
             grid=(MatrixShape(10, 200),),
             replicates=1,
             tasks=(
@@ -334,7 +334,9 @@ class TestTruncationTask:
         tasks = tuple(
             TaskSpec(name) for name in ("lambda_max", "lambda_max_centered", "esd_ks", "diag_dev", "truncation_report")
         ) + (TaskSpec("cov_rate", sigma=covariance_from_json(_TOEPLITZ)),)
-        config = _config(distribution=gaussian(), grid=(MatrixShape(p, n),), replicates=1, tasks=tasks)
+        config = _config(
+            distribution=DistributionSpec("gaussian"), grid=(MatrixShape(p, n),), replicates=1, tasks=tasks
+        )
         tracemalloc.start()
         try:
             records = run_experiment(config, threads=1)
@@ -351,8 +353,8 @@ class TestTruncationTask:
     @pytest.mark.parametrize(
         "spec, grid, truncates",
         [
-            (student_t(3), (MatrixShape(30, 900), MatrixShape(60, 400)), True),
-            (gaussian(), (MatrixShape(200, 4000), MatrixShape(100, 10000)), False),
+            (DistributionSpec("student-t", df=3), (MatrixShape(30, 900), MatrixShape(60, 400)), True),
+            (DistributionSpec("gaussian"), (MatrixShape(200, 4000), MatrixShape(100, 10000)), False),
         ],
         ids=["student-t3", "gaussian"],
     )
@@ -370,7 +372,7 @@ class TestPoolBlasThreads:
     @staticmethod
     def _config():
         return _config(
-            distribution=gaussian(),
+            distribution=DistributionSpec("gaussian"),
             grid=(MatrixShape(100, 10000), MatrixShape(200, 4000)),
             replicates=2,
             tasks=(
@@ -578,14 +580,21 @@ class TestSummarize:
     def test_empty_gives_no_rows(self):
         assert summarize([]) == []
 
-    def test_values_near_the_double_limit_overflow_quietly(self):
-        # the sum and the squared deviations overflow: mean and std are inf,
-        # with no RuntimeWarning, and the order statistics stay exact
-        values = [1.7e308, 1.6e308, 1.5e308]
-        recs = [RunRecord(p=4, n=8, replicate=i, task="cov_rate", value=v) for i, v in enumerate(values)]
-        (row,) = summarize(recs)
-        assert row.mean == math.inf and row.std == math.inf
-        assert (row.median, row.min, row.max) == (1.6e308, 1.5e308, 1.7e308)
+    def test_values_near_the_double_limit_keep_a_finite_mean_and_std(self):
+        # no RuntimeWarning, and the order statistics stay exact
+        cases = [
+            ([1.7e308, 1.6e308, 1.5e308], 1.6e308, 1e307),  # the sum overflows
+            ([-1e308, 1e308], 0.0, math.sqrt(2) * 1e308),  # the squared deviations overflow
+            ([-1.7e308, 1.7e308], 0.0, math.inf),  # the true std is beyond the double range
+            ([1e-200, 2e-200, 3e-200], 2e-200, 1e-200),  # the squared deviations underflow
+        ]
+        for values, mean, std in cases:
+            recs = [RunRecord(p=4, n=8, replicate=i, task="cov_rate", value=v) for i, v in enumerate(values)]
+            (row,) = summarize(recs)
+            assert row.mean == pytest.approx(mean, rel=1e-15, abs=0.0)
+            assert row.std == pytest.approx(std, rel=1e-15, abs=0.0)
+            low = sorted(values)
+            assert (row.median, row.min, row.max) == (low[(len(low) - 1) // 2], low[0], low[-1])
 
 
 class TestFitRate:
@@ -665,7 +674,7 @@ class TestTailReport:
         # this scale (at ratio 0.1 it is already below ~1%); the frequency
         # must not grow when the ratio shrinks to 0.02
         config = ExperimentConfig(
-            distribution=gaussian(),
+            distribution=DistributionSpec("gaussian"),
             grid=(MatrixShape(8, 40), MatrixShape(8, 400)),
             replicates=120,
             master_seed=7,

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covspectrum import momentlab
-from covspectrum.ensemble import gaussian, moment_sequence, rademacher, student_t
+from covspectrum.ensemble import DistributionSpec, moment_sequence
 from covspectrum.errors import ResourceError, ValidationError
 from covspectrum.momentlab import (
     EdgeLabel,
@@ -298,7 +298,7 @@ class TestExpectationOfCircuit:
         assert expectation_of_circuit(c, GAUSSIAN_MOMENTS) == 0.0
 
     def test_student_t5_products(self):
-        mom = moment_sequence(student_t(5), 4)
+        mom = moment_sequence(DistributionSpec("student-t", df=5), 4)
         assert expectation_of_circuit(IndexCircuit(2, (1, 2), (1, 1)), mom) == 1.0
         quad = expectation_of_circuit(IndexCircuit(2, (1, 1), (1, 1)), mom)
         assert quad == pytest.approx(9.0, rel=1e-12)
@@ -316,7 +316,7 @@ class TestExpectationOfCircuit:
             expectation_of_circuit(IndexCircuit(2, (1, 1), (1, 1)), (0.0, 1.0))
 
     def test_infinite_moment_rejected(self):
-        mom = moment_sequence(student_t(4), 4)  # m4 = inf
+        mom = moment_sequence(DistributionSpec("student-t", df=4), 4)  # m4 = inf
         with pytest.raises(ValidationError):
             expectation_of_circuit(IndexCircuit(2, (1, 1), (1, 1)), mom)
 
@@ -371,7 +371,7 @@ class TestExactTraceMoment:
 
     def test_budget_still_counts_the_nominal_circuits(self):
         # its 9 * 100^2 circuits with i_1, i_2, j_1 = 1, 2, 1 would be cheap; the guard reads (pn)^k
-        moments = moment_sequence(gaussian(), 6)
+        moments = moment_sequence(DistributionSpec("gaussian"), 6)
         with pytest.raises(ResourceError) as got:
             exact_trace_moment(10, 100, 3, moments)
         assert str(got.value) == "(p*n)^k = (10*100)^3 exceeds the 1e+08 term budget"
@@ -382,9 +382,9 @@ class TestExactTraceMoment:
 
         monkeypatch.setattr(momentlab, "moment_sequence", no_moments)
         with pytest.raises(ValidationError, match=r"^p, n, k must be >= 1$"):
-            law_trace_moment(gaussian(), 3, 4, 0)
+            law_trace_moment(DistributionSpec("gaussian"), 3, 4, 0)
         with pytest.raises(ResourceError) as got:
-            law_trace_moment(gaussian(), 10, 100, 3)
+            law_trace_moment(DistributionSpec("gaussian"), 10, 100, 3)
         assert str(got.value) == "(p*n)^k = (10*100)^3 exceeds the 1e+08 term budget"
 
     def test_budget_message_beyond_the_decimal_exponent_range(self):
@@ -442,9 +442,9 @@ class TestPatternTally:
             # m1 is no early zero, so the pattern order decides which error comes first
             moments = (math.nan, 1.0, math.nan, 3.0)
         elif law == "gaussian":
-            moments = moment_sequence(gaussian(), 2 * k)
+            moments = moment_sequence(DistributionSpec("gaussian"), 2 * k)
         else:
-            moments = moment_sequence(student_t(int(law[1])), 2 * k)
+            moments = moment_sequence(DistributionSpec("student-t", df=int(law[1])), 2 * k)
         try:
             terms = list(_loop_terms(p, n, k, moments))
         except ValidationError as exc:
@@ -485,7 +485,7 @@ class TestPatternTally:
 
     @pytest.mark.parametrize("p, n, k", [(4, 25, 3), (3, 1, 16)])
     def test_peak_memory_is_bounded(self, p, n, k):
-        moments = moment_sequence(rademacher(), 2 * k)
+        moments = moment_sequence(DistributionSpec("rademacher"), 2 * k)
         tracemalloc.start()
         try:
             value = trace_moment_unscaled(p, n, k, moments)

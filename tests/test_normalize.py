@@ -6,15 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from covspectrum.ensemble import (
-    MatrixShape,
-    SeedSpec,
-    gaussian,
-    sample_matrix,
-    student_t,
-    two_point,
-    uniform_symmetric,
-)
+from covspectrum.ensemble import DistributionSpec, MatrixShape, SeedSpec, sample_matrix
 from covspectrum.errors import DegenerateInputError, ValidationError
 from covspectrum.normalize import (
     BLOCK,
@@ -210,7 +202,7 @@ class TestTruncate:
         assert report.post_sigma2 == pytest.approx(1.0, rel=1e-15)
 
     def test_gaussian_default_delta_truncates_almost_nothing(self):
-        X = sample_matrix(gaussian(), MatrixShape(200, 20000), SeedSpec(123), 0)
+        X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(200, 20000), SeedSpec(123), 0)
         report = truncation_report(X)
         # threshold ~ 6.69 sd; the expected exceedance count is ~1e-4 entries
         assert report.fraction_truncated <= 1e-6
@@ -231,7 +223,7 @@ class TestRecenterRescale:
         assert (report.post_mean, report.post_sigma2) == (0.0, 1.0)
 
     def test_empirical_exactness(self):
-        X = sample_matrix(uniform_symmetric(), MatrixShape(30, 100), SeedSpec(10), 0)
+        X = sample_matrix(DistributionSpec("uniform-symmetric"), MatrixShape(30, 100), SeedSpec(10), 0)
         report = truncation_report(X)
         assert report.fraction_truncated == 0.0  # the support ends at sqrt(3) < 3000^{1/8}
         assert abs(report.post_mean) <= 1e-15
@@ -247,7 +239,7 @@ class TestRecenterRescale:
 
 class TestPipeline:
     def test_empirical_pipeline_machine_precision(self):
-        X = sample_matrix(student_t(5), MatrixShape(60, 400), SeedSpec(11), 0)
+        X = sample_matrix(DistributionSpec("student-t", df=5), MatrixShape(60, 400), SeedSpec(11), 0)
         report = truncation_report(X)
         assert report.threshold == pytest.approx(default_delta(MatrixShape(60, 400)) * (60 * 400) ** 0.25)
         assert 0.0 < report.fraction_truncated < 0.05
@@ -273,7 +265,11 @@ class TestTruncationReport:
     # each shape takes several row blocks, the last one partial
     @pytest.mark.parametrize(
         "spec, shape",
-        [(gaussian(), (200, 4000)), (student_t(3), (150, 1000)), (two_point(0.01), (100, 1500))],
+        [
+            (DistributionSpec("gaussian"), (200, 4000)),
+            (DistributionSpec("student-t", df=3), (150, 1000)),
+            (DistributionSpec("two-point", q=0.01), (100, 1500)),
+        ],
         ids=["gaussian", "student-t3", "two-point"],
     )
     def test_matches_pipeline(self, spec, shape):
@@ -287,7 +283,7 @@ class TestTruncationReport:
         # a Gaussian matrix truncates nothing at (np)^{1/8} ~ 5.5, so every
         # block is read in place except the one with the planted entries
         p, n = 200, 4000
-        X = np.array(sample_matrix(gaussian(), MatrixShape(p, n), SeedSpec(21), 0))
+        X = np.array(sample_matrix(DistributionSpec("gaussian"), MatrixShape(p, n), SeedSpec(21), 0))
         untouched = truncation_report(X)
         assert untouched.count_truncated == 0
         rows = (17, 20, 25)
@@ -306,15 +302,15 @@ class TestTruncationReport:
     @pytest.mark.parametrize("view", ["transposed", "every-other-column"])
     def test_strided_views(self, view):
         if view == "transposed":
-            X = sample_matrix(student_t(3), MatrixShape(3000, 60), SeedSpec(4), 0).T
+            X = sample_matrix(DistributionSpec("student-t", df=3), MatrixShape(3000, 60), SeedSpec(4), 0).T
         else:
-            X = sample_matrix(student_t(3), MatrixShape(60, 6000), SeedSpec(4), 0)[:, ::2]
+            X = sample_matrix(DistributionSpec("student-t", df=3), MatrixShape(60, 6000), SeedSpec(4), 0)[:, ::2]
         assert not X.flags.c_contiguous
         assert self._assert_matches_pipeline(X).count_truncated > 0
 
     @pytest.mark.parametrize("shape", [(3, BLOCK + 5), (1, 5000)], ids=["n-above-block", "p-one"])
     def test_one_row_blocks(self, shape):
-        X = sample_matrix(student_t(3), MatrixShape(*shape), SeedSpec(5), 0)
+        X = sample_matrix(DistributionSpec("student-t", df=3), MatrixShape(*shape), SeedSpec(5), 0)
         self._assert_matches_pipeline(X)
 
     def test_degenerate_input(self):
@@ -324,7 +320,7 @@ class TestTruncationReport:
             truncation_report(_as_matrix([[0.5, 0.5]]))  # constant, nothing truncated
 
     def test_peak_memory_is_a_few_blocks(self):
-        X = sample_matrix(student_t(3), MatrixShape(512, 8192), SeedSpec(8), 0)  # 32 MiB
+        X = sample_matrix(DistributionSpec("student-t", df=3), MatrixShape(512, 8192), SeedSpec(8), 0)  # 32 MiB
         tracemalloc.start()
         try:
             report = truncation_report(X)
@@ -419,7 +415,7 @@ class TestCovarianceSpecs:
     def test_explicit_via_matrix_file(self, tmp_path):
         from covspectrum.ensemble import save_matrix
 
-        X = sample_matrix(gaussian(), MatrixShape(3, 3), SeedSpec(1), 0)
+        X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(3, 3), SeedSpec(1), 0)
         sigma = X @ X.T + np.eye(3)  # PSD
         entries = (sigma + sigma.T) / 2
         entries.setflags(write=False)

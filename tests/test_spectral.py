@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, optimize
 
 from covspectrum import spectral
-from covspectrum.ensemble import MatrixShape, SeedSpec, gaussian, rademacher, sample_matrix
+from covspectrum.ensemble import DistributionSpec, MatrixShape, SeedSpec, sample_matrix
 from covspectrum.errors import ConvergenceError, ValidationError
 from covspectrum.normalize import (
     CovarianceSpec,
@@ -143,14 +143,14 @@ class TestEsdSupDiff:
     def test_fan_inequality_on_real_samples(self):
         rng_seed = 0
         for p, n in ((20, 200), (60, 300)):
-            X = sample_matrix(gaussian(), MatrixShape(p, n), SeedSpec(rng_seed), 0)
+            X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(p, n), SeedSpec(rng_seed), 0)
             d = esd_sup_diff(eigvals_sym(build_A(X)), eigvals_sym(build_A1(X)))
             assert d <= 1.0 / p  # rank-one perturbation moves the ESD by <= 1/p
 
 
 class TestDiagMaxDev:
     def test_rademacher_identically_zero(self):
-        X = sample_matrix(rademacher(), MatrixShape(10, 50), SeedSpec(1), 0)
+        X = sample_matrix(DistributionSpec("rademacher"), MatrixShape(10, 50), SeedSpec(1), 0)
         assert diag_max_dev(X) == 0.0
 
     def test_single_entry(self):
@@ -171,7 +171,7 @@ class TestCovarianceError:
     )
     def test_materializes_sigma_once(self, monkeypatch, spec):
         sigma = covariance_from_json(spec)
-        X = sample_matrix(gaussian(), MatrixShape(5, 60), SeedSpec(3), 0)
+        X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(5, 60), SeedSpec(3), 0)
         calls = []
         materialize = CovarianceSpec.materialize
 
@@ -200,6 +200,14 @@ class TestLambdaMaxMatfree:
         x = np.ones((1, 4))
         lam, _ = lambda_max_matfree(x)
         assert lam == 0.0
+
+    def test_random_row_runs_the_lanczos_loop(self):
+        # p = 1: the one Lanczos step breaks down, and one more application
+        # verifies its Ritz value
+        x = np.random.default_rng(43).standard_normal((1, 500))
+        lam, iters = lambda_max_matfree(x)
+        assert lam == pytest.approx((x[0] @ x[0] - 500) / (2 * math.sqrt(500)), rel=1e-15)
+        assert iters == 2
 
     def test_all_zero_matrix(self, monkeypatch):
         monkeypatch.setattr(spectral, "RESIDUAL_TOL", 1e-12)
@@ -261,7 +269,7 @@ class TestLambdaMaxMatfree:
     def test_operator_applications_without_restarts(self):
         # a solver restarting every 32 steps needed 99 applications on this
         # matrix; the growing basis needs 52
-        X = sample_matrix(gaussian(), MatrixShape(200, 800), SeedSpec(33), 0)
+        X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(200, 800), SeedSpec(33), 0)
         _, iters = lambda_max_matfree(X)
         assert iters <= 70
 
@@ -288,7 +296,7 @@ class TestSpectralIdentities:
     def test_centered_lambda_max_never_exceeds_raw(self):
         rng_master = SeedSpec(30)
         for rep in range(10):
-            X = sample_matrix(gaussian(), MatrixShape(15, 90), rng_master, rep)
+            X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(15, 90), rng_master, rep)
             lam = eigvals_sym(build_A(X))[-1]
             lam1 = eigvals_sym(build_A1(X))[-1]
             assert lam1 <= lam + 1e-10
@@ -296,7 +304,7 @@ class TestSpectralIdentities:
     def test_weyl_diagonal_perturbation(self):
         rng_master = SeedSpec(31)
         for rep in range(10):
-            X = sample_matrix(gaussian(), MatrixShape(12, 60), rng_master, rep)
+            X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(12, 60), rng_master, rep)
             A = build_A(X)
             lam_a = eigvals_sym(A)[-1]
             np.fill_diagonal(A, 0.0)
