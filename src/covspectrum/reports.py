@@ -4,7 +4,8 @@ The CSV schema is fixed (column set and order are golden-tested) and the
 serialization is fully deterministic: floats use repr (shortest
 round-trip) and aux maps are canonical JSON.  A record is written as it
 is held, so reading a records file back gives the records that wrote it.
-Every per-group statistic reads its groups from one helper, ``_grouped``.
+Every per-group statistic reads its groups from one helper, ``_grouped``,
+and ``emit_report`` writes only derived statistics and plots.
 All JSON the package writes goes through one strict encoder, ``json_text``,
 which writes a non-finite number as ``null``.
 """
@@ -244,8 +245,6 @@ class TailRow:
 
 def _wilson(successes: int, total: int):
     z = WILSON_Z
-    if total == 0:
-        return 0.0, 1.0
     phat = successes / total
     denom = 1.0 + z * z / total
     center = (phat + z * z / (2 * total)) / denom
@@ -292,16 +291,17 @@ _MARGIN = 70
 
 
 def _scale(vals, lo_px, hi_px):
-    vmin, vmax = min(vals), max(vals)
-    if vmax == vmin:
-        vmin -= 0.5
-        vmax += 0.5
-    span = vmax - vmin
+    # halved ends keep any span finite; equal values get a margin that scales with them
+    lo, hi = min(vals) / 2, max(vals) / 2
+    if hi == lo:
+        pad = max(0.25, abs(lo) / 2)
+        lo, hi = lo - pad, hi + pad
+    span = hi - lo
 
     def to_px(v):
-        return lo_px + (v - vmin) / span * (hi_px - lo_px)
+        return lo_px + (v / 2 - lo) / span * (hi_px - lo_px)
 
-    return to_px, vmin, vmax
+    return to_px, 2 * lo, 2 * hi
 
 
 def _svg_scatter(points, medians, title: str) -> str:
@@ -332,26 +332,19 @@ def _svg_scatter(points, medians, title: str) -> str:
 
 
 def emit_report(records, fmt: str, out_dir) -> list:
-    """Write records in the requested format; returns the written paths."""
+    """Write only derived statistics (csv, json) or plots (svg), never the records; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     if fmt == "csv":
-        rec_path = os.path.join(out_dir, "report_records.csv")
-        records_to_csv(records, rec_path)
-        sum_path = os.path.join(out_dir, "report_summary.csv")
-        with open(sum_path, "w", newline="") as fh:
+        path = os.path.join(out_dir, "report_summary.csv")
+        with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(f.name for f in fields(SummaryRow))
             writer.writerows(astuple(row) for row in summarize(records))
-        return [rec_path, sum_path]
+        return [path]
     if fmt == "json":
-        # vars(), not asdict(), which deep-copies every aux value
-        payload = {
-            "records": [dict(vars(r), ratio=r.ratio) for r in records],
-            "summary": [vars(row) for row in summarize(records)],
-        }
         path = os.path.join(out_dir, "report.json")
         with open(path, "w") as fh:
-            fh.write(json_text(payload, indent=2) + "\n")
+            fh.write(json_text({"summary": [vars(row) for row in summarize(records)]}, indent=2) + "\n")
         return [path]
     if fmt == "svg":
         groups = _grouped(records, lambda rec: (rec.task, rec.ratio))

@@ -63,8 +63,9 @@ def eigvals_sym(M) -> np.ndarray:
     """Full ascending spectrum of a symmetric matrix.
 
     Rejects a non-finite matrix, on which LAPACK fails or errs silently, and
-    one whose asymmetry exceeds ``SYMMETRY_ATOL``; the remaining rounding
-    asymmetry is symmetrized away before the decomposition.
+    one whose asymmetry exceeds ``SYMMETRY_ATOL``.  The builders own symmetry,
+    so M goes to LAPACK as it is; a nearly symmetric matrix from outside is
+    decomposed from its lower triangle.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -73,7 +74,7 @@ def eigvals_sym(M) -> np.ndarray:
         raise ValidationError("matrix has non-finite entries; did the input overflow?")
     if M.shape[0] > 1 and float(np.max(np.abs(M - M.T))) > SYMMETRY_ATOL:
         raise ValidationError("matrix is not symmetric within tolerance")
-    return np.linalg.eigvalsh((M + M.T) / 2.0)
+    return np.linalg.eigvalsh(M)
 
 
 def symmetric_operator_norm(M) -> float:
@@ -159,7 +160,7 @@ def lambda_max_matfree(X):
 
     ``MAX_ITER`` bounds the operator applications, the residual ones
     included; the last one is kept for the true residual of the final
-    Ritz pair, which ``ConvergenceError`` carries with the Ritz value.
+    Ritz pair, which ``ConvergenceError`` states and carries with the Ritz value.
     A non-finite Lanczos coefficient or residual (non-finite input) raises
     ``ValidationError`` at once.
 
@@ -223,7 +224,7 @@ def lambda_max_matfree(X):
             Q[steps] = w / beta
             T[steps, j] = beta
     raise ConvergenceError(
-        f"no convergence within {MAX_ITER} operator applications",
+        f"no convergence after {matvecs} operator applications: best Ritz value {best!r}, true residual {resid!r}",
         best_value=best,
         iterations=matvecs,
         residual=resid,

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import pytest
 
 from covspectrum import cli, spectral
 from covspectrum.ensemble import load_matrix, save_matrix
+from covspectrum.errors import ConvergenceError
 from covspectrum.momentlab import exact_trace_moment
 from covspectrum.reports import read_records
 
@@ -110,7 +112,11 @@ class TestGenAndSpectrum:
         path = tmp_path / "m.bin"
         save_matrix(np.random.default_rng(5).standard_normal((20, 200)), path)
         assert cli.main(["spectrum", "--in", str(path)]) == 2
-        assert "3 operator applications" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        with pytest.raises(ConvergenceError) as exc:
+            spectral.lambda_max_matfree(load_matrix(path))
+        assert "3 operator applications" in err
+        assert f"best Ritz value {exc.value.best_value!r}, true residual {exc.value.residual!r}" in err
 
     def test_spectrum_rejects_non_finite_matrix(self, tmp_path):
         entries = np.ones((3, 5))
@@ -782,9 +788,11 @@ class TestSweepAndReport:
         assert '""bound"":null' in records.read_text()
         rep = run_cli("report", "--records", str(records), "--format", "json", "--out", str(tmp_path / "report"))
         assert rep.returncode == 0, rep.stderr
+        assert [r.aux["bound"] for r in read_records(str(records))].count(None) == 1
         (path,) = json.loads(rep.stdout, parse_constant=reject)["paths"]
         payload = json.loads(Path(path).read_text(), parse_constant=reject)
-        assert [r["aux"]["bound"] for r in payload["records"]].count(None) == 1
+        assert sorted(payload) == ["summary"]
+        assert [row["count"] for row in payload["summary"]] == [3]
 
     def test_report_without_a_usable_rate_fit_exits_0(self, tmp_path):
         # the diagonal Sigma has 10 entries, so every p = 20 cov_rate row fails
@@ -801,22 +809,39 @@ class TestSweepAndReport:
         assert rep.returncode == 0, rep.stderr
         assert sorted(json.loads(rep.stdout)) == ["paths"]
 
-    def test_report_csv_copies_the_records_it_read(self, tmp_path):
-        # records are written as held: error rows, aux and every float come
-        # back as the same bytes
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "distribution": {"kind": "student-t", "df": 5},
-            "grid": [[10, 500], [20, 400]],
-            "replicates": 2,
-            "tasks": ["lambda_max", "diag_dev", {"name": "cov_rate", "sigma": {"kind": "diagonal", "d": [2.0] * 10}}],
-        }))
-        sweep = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
-        assert json.loads(sweep.stdout)["failed"] == 2
-        records = tmp_path / "run" / "records.csv"
-        rep = run_cli("report", "--records", str(records), "--format", "csv", "--out", str(tmp_path / "report"))
-        assert rep.returncode == 0, rep.stderr
-        assert (tmp_path / "report" / "report_records.csv").read_bytes() == records.read_bytes()
+    @pytest.mark.parametrize("fmt, names", [
+        ("csv", ["report_summary.csv"]),
+        ("json", ["report.json"]),
+        ("svg", ["report_diag_dev.svg", "report_lambda_max.svg"]),
+    ], ids=["csv", "json", "svg"])
+    def test_report_writes_exactly_the_paths_it_prints(self, tmp_path, capsys, fmt, names):
+        records = tmp_path / "records.csv"
+        records.write_text(
+            "p,n,ratio,replicate,task,value,aux\n"
+            '10,100,0.1,0,lambda_max,1.25,"{}"\n'
+            '10,100,0.1,0,diag_dev,0.5,"{}"\n'
+            '10,1000,0.01,0,diag_dev,nan,"{""error"":""ValidationError: boom""}"\n'
+        )
+        out = tmp_path / "report"
+        out.mkdir()
+        assert cli.main(["report", "--records", str(records), "--format", fmt, "--out", str(out)]) == 0
+        paths = json.loads(capsys.readouterr().out)["paths"]
+        assert sorted(os.listdir(out)) == names
+        assert sorted(paths) == [str(out / name) for name in names]
+
+    @pytest.mark.parametrize("values", [[1e20], [1e308, -1e308]], ids=["equal-beyond-2**53", "span-beyond-double"])
+    def test_svg_circles_stay_in_the_view_box(self, tmp_path, capsys, values):
+        records = tmp_path / "records.csv"
+        records.write_text("p,n,ratio,replicate,task,value,aux\n" + "".join(
+            f'10,100,0.1,{rep},diag_dev,{value!r},"{{}}"\n' for rep, value in enumerate(values)
+        ))
+        argv = ["report", "--records", str(records), "--format", "svg", "--out", str(tmp_path / "report")]
+        assert cli.main(argv) == 0
+        (path,) = json.loads(capsys.readouterr().out)["paths"]
+        circles = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', Path(path).read_text())
+        assert len(circles) == len(values)
+        for cx, cy in circles:
+            assert 0.0 <= float(cx) <= 800.0 and 0.0 <= float(cy) <= 600.0
 
     def test_report_rejects_undecodable_bytes(self, tmp_path):
         records = tmp_path / "records.csv"

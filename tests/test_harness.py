@@ -745,12 +745,12 @@ class TestReports:
             read_records(path)
 
     def test_emit_csv_and_json(self, tmp_path):
-        paths = emit_report(self._records(), "csv", str(tmp_path))
-        assert any(p.endswith("report_records.csv") for p in paths)
-        assert any(p.endswith("report_summary.csv") for p in paths)
+        # the records are not written again: only their summary is
+        (csv_path,) = emit_report(self._records(), "csv", str(tmp_path))
+        assert csv_path.endswith("report_summary.csv")
         (json_path,) = emit_report(self._records(), "json", str(tmp_path))
         payload = json.loads(Path(json_path).read_text())
-        assert payload["records"] == [dict(vars(r), ratio=r.ratio) for r in self._records()]
+        assert payload == {"summary": [vars(row) for row in summarize(self._records())]}
 
     def test_summary_golden(self, tmp_path):
         # SummaryRow's field names are both the CSV header and the JSON keys
@@ -766,9 +766,10 @@ class TestReports:
         ] * 2
 
     def test_emit_empty_csv(self, tmp_path):
-        records_path, summary_path = emit_report([], "csv", str(tmp_path))
-        assert Path(records_path).read_text().splitlines() == ["p,n,ratio,replicate,task,value,aux"]
+        (summary_path,) = emit_report([], "csv", str(tmp_path))
         assert Path(summary_path).read_text().splitlines() == ["p,n,task,count,median,mean,std,min,max"]
+        (json_path,) = emit_report([], "json", str(tmp_path))
+        assert json.loads(Path(json_path).read_text()) == {"summary": []}
 
     def test_svg_deterministic_and_parseable(self, tmp_path):
         (path1,) = emit_report(self._records(), "svg", str(tmp_path / "one"))

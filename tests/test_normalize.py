@@ -42,6 +42,15 @@ def _brute_force_A(x):
     return A
 
 
+def _population(kind, p):
+    """A materialized population covariance; the explicit one enters off symmetric by 1e-12."""
+    g = np.random.default_rng(4).standard_normal((p, p))
+    matrix = g @ g.T / p
+    matrix[0, 1] += 1e-12
+    spec = CovarianceSpec(kind, d=(0.5, 2.0) * (p // 2), rho=0.6, matrix=matrix)
+    return spec.materialize(p)
+
+
 class TestBuildA:
     def test_single_zero_entry(self):
         A = build_A(_as_matrix([[0.0]]))
@@ -66,8 +75,24 @@ class TestBuildA:
         np.testing.assert_allclose(A, -0.5 * math.sqrt(n / p) * np.eye(p), atol=0)
 
     # build_S1 and build_A1 do not symmetrize their result: it is exact
-    # because build_S's is and sbar sbar' is, entry by entry
-    @pytest.mark.parametrize("build", [build_A, build_S1, build_A1], ids=lambda f: f.__name__)
+    # because build_S's is and sbar sbar' is, entry by entry.  eigvals_sym
+    # decomposes what these return without symmetrizing it again.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            build_A,
+            build_S1,
+            build_A1,
+            *(
+                pytest.param(lambda x, kind=kind: _population(kind, x.shape[0]), id=f"materialize-{kind}")
+                for kind in ("identity", "diagonal", "toeplitz", "explicit")
+            ),
+            pytest.param(lambda x: build_S2(x, _population("toeplitz", x.shape[0])), id="build_S2-toeplitz"),
+            pytest.param(lambda x: build_S2(x, _population("explicit", x.shape[0])), id="build_S2-explicit"),
+            pytest.param(lambda x: sqrt_psd(_population("explicit", x.shape[0]), x.shape[0]), id="sqrt_psd"),
+        ],
+        ids=lambda f: f.__name__,
+    )
     @pytest.mark.parametrize("view", ["contiguous", "every-other-column"])
     def test_exactly_symmetric(self, build, view):
         x = np.random.default_rng(1).standard_normal((20, 200))
