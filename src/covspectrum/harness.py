@@ -3,9 +3,10 @@
 A sweep runs a task set over a (p, n) grid with R replicates.  Each run
 seeds its own stream from (master_seed, p, n, replicate) by avalanche
 mixing, so results are independent of scheduling; the persisted CSV is
-byte-identical across reruns.  A task that fails becomes an error row, and
-a cell that cannot be sampled becomes one error row per task; neither
-aborts the sweep.
+byte-identical across reruns.  X is sampled once per cell, and only if a
+task of the config reads it (the table ``_TASKS`` says which do).  A task
+that fails becomes an error row, and a cell that cannot be sampled becomes
+one error row per task that reads X; neither aborts the sweep.
 
 Threads: with ``threads >= 2`` and more than one job, cells run on a
 thread pool and numpy's bundled OpenBLAS is capped at one thread while
@@ -27,7 +28,8 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,34 +67,75 @@ __all__ = [
     "run_experiment",
 ]
 
-TASK_NAMES = (
-    "lambda_max",
-    "lambda_max_centered",
-    "esd_ks",
-    "diag_dev",
-    "cov_rate",
-    "truncation_report",
-    "moment_check",
-)
 
-_TASK_FIELDS = {"cov_rate": ("name", "sigma"), "moment_check": ("name", "k")}
+# Evaluators of the task table: defs that call the layers by their module
+# globals when they run, so a tracer that patches those globals sees each call.
+def _lambda_max(task, X, dist):
+    return lambda_max(X)
+
+
+def _lambda_max_centered(task, X, dist):
+    return float(eigvals_sym(build_A1(X))[-1]), {"method": "dense"}
+
+
+def _esd_ks(task, X, dist):
+    eigs = eigvals_sym(build_A(X))
+    return float(ks_distance(eigs)), {"lambda_max": float(eigs[-1])}
+
+
+def _diag_dev(task, X, dist):
+    return float(diag_max_dev(X)), {}
+
+
+def _cov_rate(task, X, dist):
+    err, bound, sigma_norm = covariance_error(X, task.sigma)
+    return err, {"bound": bound, "sigma_norm": sigma_norm}
+
+
+def _truncation_report(task, X, dist):
+    aux = asdict(truncation_report(X))
+    return float(aux.pop("fraction_truncated")), aux
+
+
+def _moment_check(task, shape, dist):
+    return law_trace_moment(dist, shape.p, shape.n, task.k), {"k": task.k}
+
+
+class _Task(NamedTuple):
+    fields: tuple  # the JSON fields it takes besides "name"; each is required
+    reads_x: bool  # False: the evaluator gets the cell's MatrixShape in place of X
+    evaluate: Callable  # (task, X, dist) -> (value, aux)
+
+
+_TASKS = {
+    "lambda_max": _Task((), True, _lambda_max),
+    "lambda_max_centered": _Task((), True, _lambda_max_centered),
+    "esd_ks": _Task((), True, _esd_ks),
+    "diag_dev": _Task((), True, _diag_dev),
+    "cov_rate": _Task(("sigma",), True, _cov_rate),
+    "truncation_report": _Task((), True, _truncation_report),
+    "moment_check": _Task(("k",), False, _moment_check),
+}
+TASK_NAMES = tuple(_TASKS)
 
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One task of a sweep; cov_rate carries its Sigma, moment_check its k."""
+    """One task of a sweep; ``_TASKS`` names the fields each task takes."""
 
     name: str
     sigma: CovarianceSpec | None = None
     k: int | None = None
 
     def __post_init__(self):
-        if self.name not in TASK_NAMES:
+        if self.name not in _TASKS:
             raise ValidationError(f"unknown task {self.name!r}")
-        if self.name == "cov_rate" and self.sigma is None:
-            raise ValidationError("cov_rate requires a covariance spec")
-        if self.name == "moment_check" and not (_is_int(self.k) and self.k >= 1):
-            raise ValidationError("moment_check requires an integer k >= 1")
+        takes = _TASKS[self.name].fields
+        for field, value in (("sigma", self.sigma), ("k", self.k)):
+            if (field in takes) != (value is not None):
+                raise ValidationError(f"{self.name} {'requires' if field in takes else 'takes no'} {field}")
+        if "k" in takes and not (_is_int(self.k) and self.k >= 1):
+            raise ValidationError(f"{self.name} requires an integer k >= 1")
 
     @classmethod
     def from_json(cls, obj) -> "TaskSpec":
@@ -100,7 +143,8 @@ class TaskSpec:
             return cls(obj)
         if not isinstance(obj, dict) or not isinstance(obj.get("name"), str):
             raise ValidationError("task must be a name or a dict with a string 'name'")
-        _reject_unknown(obj, _TASK_FIELDS.get(obj["name"], ("name",)), "task")
+        task = _TASKS.get(obj["name"])
+        _reject_unknown(obj, ("name", *(task.fields if task else ())), "task")
         sigma = covariance_from_json(obj["sigma"]) if "sigma" in obj else None
         return cls(obj["name"], sigma=sigma, k=obj.get("k"))
 
@@ -147,50 +191,28 @@ def _error_row(exc: Exception):
 
 
 def _run_tasks(config: ExperimentConfig, shape: MatrixShape, replicate: int) -> list:
-    if not config.tasks:
-        return []
-    try:
-        X = sample_matrix(config.distribution, shape, SeedSpec(config.master_seed), replicate)
-    except Exception as exc:  # an unsampleable cell must not abort the sweep either
-        outcomes = [_error_row(exc) for _ in config.tasks]
-    else:
-        outcomes = []
-        for task in config.tasks:
+    X = failure = None
+    if any(_TASKS[task.name].reads_x for task in config.tasks):
+        try:
+            X = sample_matrix(config.distribution, shape, SeedSpec(config.master_seed), replicate)
+        except Exception as exc:  # an unsampleable cell must not abort the sweep either
+            failure = exc
+    records = []
+    for task in config.tasks:
+        reads_x = _TASKS[task.name].reads_x
+        if reads_x and failure is not None:
+            value, aux = _error_row(failure)
+        else:
             try:
-                outcomes.append(_execute_task(task, X, config.distribution))
+                value, aux = _execute_task(task, X if reads_x else shape, config.distribution)
             except Exception as exc:  # error rows must never abort the sweep
-                outcomes.append(_error_row(exc))
-    return [
-        RunRecord(p=shape.p, n=shape.n, replicate=replicate, task=task.name, value=value, aux=aux)
-        for task, (value, aux) in zip(config.tasks, outcomes)
-    ]
+                value, aux = _error_row(exc)
+        records.append(RunRecord(p=shape.p, n=shape.n, replicate=replicate, task=task.name, value=value, aux=aux))
+    return records
 
 
-def _execute_task(task: TaskSpec, X: np.ndarray, dist: DistributionSpec):
-    name = task.name
-    p, n = X.shape
-    if name == "lambda_max":
-        return lambda_max(X)
-    if name == "lambda_max_centered":
-        return float(eigvals_sym(build_A1(X))[-1]), {"method": "dense"}
-    if name == "esd_ks":
-        eigs = eigvals_sym(build_A(X))
-        return float(ks_distance(eigs)), {"lambda_max": float(eigs[-1])}
-    if name == "diag_dev":
-        return float(diag_max_dev(X)), {}
-    if name == "cov_rate":
-        err, bound, sigma_norm = covariance_error(X, task.sigma)
-        return err, {"bound": bound, "sigma_norm": sigma_norm}
-    if name == "truncation_report":
-        report = truncation_report(X)
-        return float(report.fraction_truncated), {
-            "threshold": report.threshold,
-            "count_truncated": report.count_truncated,
-            "post_mean": report.post_mean,
-            "post_sigma2": report.post_sigma2,
-        }
-    # moment_check
-    return law_trace_moment(dist, p, n, task.k), {"k": task.k}
+def _execute_task(task: TaskSpec, X, dist: DistributionSpec):
+    return _TASKS[task.name].evaluate(task, X, dist)
 
 
 @functools.cache

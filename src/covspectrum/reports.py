@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import sys
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -301,7 +302,8 @@ def _scale(vals, lo_px, hi_px):
     def to_px(v):
         return lo_px + (v / 2 - lo) / span * (hi_px - lo_px)
 
-    return to_px, 2 * lo, 2 * hi
+    top = sys.float_info.max  # a padded end near it doubles past the double range
+    return to_px, max(2 * lo, -top), min(2 * hi, top)
 
 
 def _svg_scatter(points, medians, title: str) -> str:

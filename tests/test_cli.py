@@ -829,7 +829,10 @@ class TestSweepAndReport:
         assert sorted(os.listdir(out)) == names
         assert sorted(paths) == [str(out / name) for name in names]
 
-    @pytest.mark.parametrize("values", [[1e20], [1e308, -1e308]], ids=["equal-beyond-2**53", "span-beyond-double"])
+    @pytest.mark.parametrize(
+        "values", [[1e20], [1e308, -1e308], [1.7e308]],
+        ids=["equal-beyond-2**53", "span-beyond-double", "equal-near-the-top"],
+    )
     def test_svg_circles_stay_in_the_view_box(self, tmp_path, capsys, values):
         records = tmp_path / "records.csv"
         records.write_text("p,n,ratio,replicate,task,value,aux\n" + "".join(
@@ -838,7 +841,9 @@ class TestSweepAndReport:
         argv = ["report", "--records", str(records), "--format", "svg", "--out", str(tmp_path / "report")]
         assert cli.main(argv) == 0
         (path,) = json.loads(capsys.readouterr().out)["paths"]
-        circles = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', Path(path).read_text())
+        body = Path(path).read_text()
+        assert "inf" not in body  # the axis labels stay finite
+        circles = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', body)
         assert len(circles) == len(values)
         for cx, cy in circles:
             assert 0.0 <= float(cx) <= 800.0 and 0.0 <= float(cy) <= 600.0

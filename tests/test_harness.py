@@ -102,6 +102,14 @@ class TestConfig:
             TaskSpec("moment_check")
         with pytest.raises(ValidationError):
             TaskSpec("unknown_task")
+        with pytest.raises(ValidationError, match="lambda_max takes no k"):
+            TaskSpec("lambda_max", k=3)
+        with pytest.raises(ValidationError, match="moment_check takes no sigma"):
+            TaskSpec("moment_check", k=2, sigma=CovarianceSpec("identity"))
+        with pytest.raises(ValidationError, match=r"unknown task fields \['k'\]"):
+            TaskSpec.from_json({"name": "lambda_max", "k": None})
+        with pytest.raises(ValidationError, match=r"unknown task fields \['sigma'\]"):
+            TaskSpec.from_json({"name": "moment_check", "k": 2, "sigma": {"kind": "identity"}})
         assert TaskSpec.from_json("diag_dev").name == "diag_dev"
         spec = TaskSpec.from_json({"name": "cov_rate", "sigma": {"kind": "identity"}})
         assert spec.sigma.kind == "identity"
@@ -135,10 +143,12 @@ class TestRunExperiment:
         assert lines == [",".join(CSV_COLUMNS)]
 
     def test_empty_task_set_samples_nothing(self, monkeypatch):
+        # nor does a task set whose tasks never read X
         calls = []
         monkeypatch.setattr(harness, "sample_matrix", lambda *args: calls.append(args))
-        config = _config(grid=(MatrixShape(300, 3000),), replicates=3, tasks=())
-        assert run_experiment(config, threads=1) == []
+        for tasks in [(), (TaskSpec("moment_check", k=2),)]:
+            config = _config(grid=(MatrixShape(300, 3000),), replicates=3, tasks=tasks)
+            assert len(run_experiment(config, threads=1)) == 3 * len(tasks)
         assert calls == []
 
     def test_records_file_reads_back_as_the_returned_records(self, tmp_path):
@@ -170,7 +180,12 @@ class TestRunExperiment:
                                                         (1, "diag_dev"), (1, "moment_check")]
         for r in bad:
             assert math.isnan(r.value)
-            assert r.aux["error"].startswith("ValidationError: cannot sample a 1099511627776 x 1099511627776")
+            if r.task == "diag_dev":
+                assert r.aux["error"].startswith("ValidationError: cannot sample a 1099511627776 x 1099511627776")
+            else:  # moment_check never reads X, so it reports its own outcome
+                assert r.aux["error"] == (
+                    "ResourceError: (p*n)^k = (1099511627776*1099511627776)^2 exceeds the 1e+08 term budget"
+                )
         assert len(read_records(tmp_path / "records.csv")) == 8
 
     @pytest.mark.parametrize("threads", [1, 2])
