@@ -10,9 +10,11 @@ cov_rate tasks, through the same spectral functions: spectrum runs
 spectral.lambda_max, which picks dense LAPACK or Lanczos from p.  Every
 command but gen (which prints the path it wrote) prints one line of strict
 JSON: a non-finite number is printed as null, never as NaN or Infinity.
-Exit codes: 0 success, 1 validation error, 2 resource/convergence error
-or failed allocation, 3 I/O error.  Every command that writes files takes
-its output directory from --out, falling back to the COVSPECTRUM_OUT
+Each subcommand (each moments mode too) names its handler where it is
+declared; main runs it and maps what it raises to the exit code: 0
+success, 1 validation error, 2 resource/convergence error or failed
+allocation, 3 I/O error.  Every command that writes files takes its
+output directory from --out, falling back to the COVSPECTRUM_OUT
 environment variable, then the current directory; a sweep config names no
 output directory.
 """
@@ -93,6 +95,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     sp.add_argument("--format", default="bin", choices=("bin", "csv"))
     add_out(sp)
+    sp.set_defaults(run=_cmd_gen)
 
     sp = sub.add_parser(
         "spectrum",
@@ -101,49 +104,58 @@ def build_parser() -> _Parser:
         f"LAPACK up to p = {DENSE_P_LIMIT} (aux lambda_max_b), Lanczos above it (aux iterations).",
     )
     sp.add_argument("--in", dest="infile", required=True, help="matrix file from gen")
+    sp.set_defaults(run=_cmd_spectrum)
 
     sp = sub.add_parser("esd", help="full spectrum plus KS distance to the semicircle law")
     sp.add_argument("--in", dest="infile", required=True)
     add_out(sp)
+    sp.set_defaults(run=_cmd_esd)
 
     sp = sub.add_parser("covtest", help="operator-norm error of S2 against a population Sigma")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--sigma", required=True, help="covariance JSON spec")
+    sp.set_defaults(run=_cmd_covtest)
 
     sp = sub.add_parser("moments", help="combinatorial oracles: classify, exact, bound, schedule")
     modes = sp.add_subparsers(dest="mode", required=True)
     mp = modes.add_parser("classify", help="edge taxonomy of one circuit")
     mp.add_argument("--circuit", required=True, help="circuit JSON")
+    mp.set_defaults(run=_cmd_classify)
     mp = modes.add_parser("exact", help="exact E tr(B^k) by enumeration")
     mp.add_argument("--p", type=int, required=True)
     mp.add_argument("--n", type=int, required=True)
     mp.add_argument("--k", type=int, required=True)
     mp.add_argument("--dist", default="rademacher", help="entry law whose moments are used")
+    mp.set_defaults(run=_cmd_exact)
     mp = modes.add_parser("bound", help="the sextuple-sum bound on E tr(B^k)")
     mp.add_argument("--p", type=int, required=True)
     mp.add_argument("--n", type=int, required=True)
     mp.add_argument("--k", type=int, required=True)
     mp.add_argument("--delta", type=float, required=True)
+    mp.set_defaults(run=_cmd_bound)
     mp = modes.add_parser("schedule", help="the proof's conditions on the truncation schedule")
     mp.add_argument("--p", type=int, required=True)
     mp.add_argument("--delta", type=float, required=True)
     mp.add_argument("--c1", type=float, default=2.0)
+    mp.set_defaults(run=_cmd_schedule)
 
     sp = sub.add_parser("sweep", help="run an ExperimentConfig JSON")
     sp.add_argument("--config", required=True)
     sp.add_argument("--seed", type=int, default=None, help="overrides the config's master_seed")
     sp.add_argument("--threads", type=int, default=0, help="worker threads (0 = one per CPU this process may use)")
     add_out(sp)
+    sp.set_defaults(run=_cmd_sweep)
 
     sp = sub.add_parser("report", help="summaries and plots from a records CSV")
     sp.add_argument("--records", required=True)
     sp.add_argument("--format", default="csv", choices=("csv", "json", "svg"))
     add_out(sp)
+    sp.set_defaults(run=_cmd_report)
 
     return parser
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> None:
     spec = _dist_arg(args.dist)
     X = sample_matrix(spec, MatrixShape(args.p, args.n), SeedSpec(args.seed), args.replicate)
     out_dir = _out_dir(args)
@@ -156,18 +168,16 @@ def _cmd_gen(args) -> int:
         path = os.path.join(out_dir, name + ".bin")
         save_matrix(X, path)
     print(path)
-    return 0
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> None:
     X = load_matrix(args.infile)
     lam, aux = lambda_max(X)
     p, n = X.shape
     print(json_text({"p": p, "n": n, "lambda_max": lam, "diag_max_dev": diag_max_dev(X), **aux}))
-    return 0
 
 
-def _cmd_esd(args) -> int:
+def _cmd_esd(args) -> None:
     X = load_matrix(args.infile)
     eigs = eigvals_sym(build_A(X))
     out_dir = _out_dir(args)
@@ -175,36 +185,35 @@ def _cmd_esd(args) -> int:
     path = os.path.join(out_dir, "spectrum.csv")
     spectrum_to_csv(eigs, path)
     print(json_text({"spectrum_csv": path, "lambda_max": float(eigs[-1]), "ks_to_semicircle": ks_distance(eigs)}))
-    return 0
 
 
-def _cmd_covtest(args) -> int:
+def _cmd_covtest(args) -> None:
     X = load_matrix(args.infile)
     err, bound, sigma_norm = covariance_error(X, covariance_from_json(_json_arg(args.sigma, "covariance")))
     # an overflowed bound bounds nothing: err <= inf would always hold
     within = err <= bound + 1e-10 * max(1.0, bound) if math.isfinite(bound) else None
     print(json_text({"norm_error": err, "factorized_bound": bound, "sigma_norm": sigma_norm, "within_bound": within}))
-    return 0
 
 
-def _cmd_moments(args) -> int:
-    if args.mode == "classify":
-        circuit = IndexCircuit.from_json(_json_arg(args.circuit, "circuit"))
-        print(json_text(classify_json(circuit)))
-        return 0
-    if args.mode == "exact":
-        value = law_trace_moment(_dist_arg(args.dist), args.p, args.n, args.k)
-        print(json_text({"p": args.p, "n": args.n, "k": args.k, "exact": value}))
-        return 0
-    if args.mode == "bound":
-        value = bound_rhs_a13(args.p, args.n, args.k, args.delta)
-        print(json_text({"p": args.p, "n": args.n, "k": args.k, "delta": args.delta, "bound": value}))
-        return 0
+def _cmd_classify(args) -> None:
+    print(json_text(classify_json(IndexCircuit.from_json(_json_arg(args.circuit, "circuit")))))
+
+
+def _cmd_exact(args) -> None:
+    value = law_trace_moment(_dist_arg(args.dist), args.p, args.n, args.k)
+    print(json_text({"p": args.p, "n": args.n, "k": args.k, "exact": value}))
+
+
+def _cmd_bound(args) -> None:
+    value = bound_rhs_a13(args.p, args.n, args.k, args.delta)
+    print(json_text({"p": args.p, "n": args.n, "k": args.k, "delta": args.delta, "bound": value}))
+
+
+def _cmd_schedule(args) -> None:
     print(json_text(check_schedule(args.p, args.delta, C1=args.c1)))
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     try:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
@@ -217,35 +226,23 @@ def _cmd_sweep(args) -> int:
     records = run_experiment(config, threads=args.threads, out_dir=out_dir)
     failed = sum(1 for r in records if r.failed)
     print(json_text({"records": len(records), "failed": failed, "records_csv": os.path.join(out_dir, "records.csv")}))
-    return 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> None:
     records = read_records(args.records)
     fit = fit_rate(records)
     out = {"paths": emit_report(records, args.format, _out_dir(args))}
     if fit is not None:
         out.update(rate_slope=fit.slope, rate_r2=fit.r2)
     print(json_text(out))
-    return 0
-
-
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "spectrum": _cmd_spectrum,
-    "esd": _cmd_esd,
-    "covtest": _cmd_covtest,
-    "moments": _cmd_moments,
-    "sweep": _cmd_sweep,
-    "report": _cmd_report,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args.run(args)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

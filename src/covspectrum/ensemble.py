@@ -36,14 +36,15 @@ __all__ = [
     "matrix_to_csv",
 ]
 
-KINDS = (
-    "gaussian",
-    "rademacher",
-    "uniform-symmetric",
-    "centered-exponential",
-    "student-t",
-    "two-point",
-)
+_PARAMETER = {  # the one parameter a kind takes, if any
+    "gaussian": None,
+    "rademacher": None,
+    "uniform-symmetric": None,
+    "centered-exponential": None,
+    "student-t": "df",
+    "two-point": "q",
+}
+KINDS = tuple(_PARAMETER)
 
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)  # U[-sqrt(3), sqrt(3)] has variance 1
 
@@ -62,17 +63,15 @@ class DistributionSpec:
     q: float | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in KINDS:  # a tuple: an unhashable kind is unknown, not a TypeError
             raise ValidationError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == "student-t":
-            if not (_is_real(self.df) and self.df > 2):
-                raise ValidationError("student-t requires a finite number df > 2")
-        elif self.kind == "two-point":
-            if not (_is_real(self.q) and 0 < self.q < 1):
-                raise ValidationError("two-point requires a probability q in (0, 1)")
-        else:
-            if self.df is not None or self.q is not None:
-                raise ValidationError(f"{self.kind} takes no parameters")
+        for name in ("df", "q"):
+            if name != _PARAMETER[self.kind] and getattr(self, name) is not None:
+                raise ValidationError(f"{self.kind} takes no {name}")
+        if self.kind == "student-t" and not (_is_real(self.df) and self.df > 2):
+            raise ValidationError("student-t requires a finite number df > 2")
+        if self.kind == "two-point" and not (_is_real(self.q) and 0 < self.q < 1):
+            raise ValidationError("two-point requires a probability q in (0, 1)")
 
     def moment(self, order: int) -> float:
         """Population moment E[X^order] of the standardized law.

@@ -3,10 +3,10 @@
 A sweep runs a task set over a (p, n) grid with R replicates.  Each run
 seeds its own stream from (master_seed, p, n, replicate) by avalanche
 mixing, so results are independent of scheduling; the persisted CSV is
-byte-identical across reruns.  X is sampled once per cell, and only if a
-task of the config reads it (the table ``_TASKS`` says which do).  A task
-that fails becomes an error row, and a cell that cannot be sampled becomes
-one error row per task that reads X; neither aborts the sweep.
+byte-identical across reruns.  X is sampled by the first task of a cell
+that reads it (the table ``_TASKS`` says which do).  A task that fails
+becomes an error row, and a cell that cannot be sampled gives each task
+that reads X an error row; neither aborts the sweep.
 
 Threads: with ``threads >= 2`` and more than one job, cells run on a
 thread pool and numpy's bundled OpenBLAS is capped at one thread while
@@ -186,27 +186,17 @@ class ExperimentConfig:
             raise ValidationError(f"malformed experiment config: {exc}") from exc
 
 
-def _error_row(exc: Exception):
-    return math.nan, {"error": f"{type(exc).__name__}: {exc}"}
-
-
 def _run_tasks(config: ExperimentConfig, shape: MatrixShape, replicate: int) -> list:
-    X = failure = None
-    if any(_TASKS[task.name].reads_x for task in config.tasks):
-        try:
-            X = sample_matrix(config.distribution, shape, SeedSpec(config.master_seed), replicate)
-        except Exception as exc:  # an unsampleable cell must not abort the sweep either
-            failure = exc
+    X = None
     records = []
     for task in config.tasks:
         reads_x = _TASKS[task.name].reads_x
-        if reads_x and failure is not None:
-            value, aux = _error_row(failure)
-        else:
-            try:
-                value, aux = _execute_task(task, X if reads_x else shape, config.distribution)
-            except Exception as exc:  # error rows must never abort the sweep
-                value, aux = _error_row(exc)
+        try:
+            if reads_x and X is None:
+                X = sample_matrix(config.distribution, shape, SeedSpec(config.master_seed), replicate)
+            value, aux = _execute_task(task, X if reads_x else shape, config.distribution)
+        except Exception as exc:  # error rows, an unsampleable cell's included, must never abort the sweep
+            value, aux = math.nan, {"error": f"{type(exc).__name__}: {exc}"}
         records.append(RunRecord(p=shape.p, n=shape.n, replicate=replicate, task=task.name, value=value, aux=aux))
     return records
 

@@ -191,6 +191,15 @@ def truncation_report(X) -> TruncationReport:
 # Population covariances.
 
 
+# The JSON fields each kind takes; CovarianceSpec reads "path" as its matrix.
+_COVARIANCE_FIELDS = {
+    "identity": ("kind",),
+    "diagonal": ("kind", "d"),
+    "toeplitz": ("kind", "rho"),
+    "explicit": ("kind", "path"),
+}
+
+
 @dataclass(frozen=True)
 class CovarianceSpec:
     """identity | diagonal(d_1..d_p) | toeplitz(rho) | explicit matrix."""
@@ -201,9 +210,12 @@ class CovarianceSpec:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind == "identity":
-            pass
-        elif self.kind == "diagonal":
+        if not isinstance(self.kind, str) or self.kind not in _COVARIANCE_FIELDS:
+            raise ValidationError(f"unknown covariance kind {self.kind!r}")
+        for field, key in (("d", "d"), ("rho", "rho"), ("matrix", "path")):
+            if key not in _COVARIANCE_FIELDS[self.kind] and getattr(self, field) is not None:
+                raise ValidationError(f"{self.kind} covariance takes no {field}")
+        if self.kind == "diagonal":
             if not (isinstance(self.d, tuple) and self.d and all(_is_real(v) and v >= 0 for v in self.d)):
                 raise ValidationError("diagonal covariance needs a list of finite numbers d_i >= 0")
         elif self.kind == "toeplitz":
@@ -215,8 +227,6 @@ class CovarianceSpec:
                 raise ValidationError("explicit covariance needs a square matrix")
             if np.max(np.abs(m - m.T)) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
                 raise ValidationError("explicit covariance must be symmetric")
-        else:
-            raise ValidationError(f"unknown covariance kind {self.kind!r}")
 
     @np.errstate(over="ignore", invalid="ignore")
     def materialize(self, p: int) -> np.ndarray:
@@ -233,14 +243,6 @@ class CovarianceSpec:
         if self.matrix.shape[0] != p:
             raise ValidationError(f"explicit covariance is {self.matrix.shape[0]}x..., expected {p}")
         return _sym(self.matrix)
-
-
-_COVARIANCE_FIELDS = {
-    "identity": ("kind",),
-    "diagonal": ("kind", "d"),
-    "toeplitz": ("kind", "rho"),
-    "explicit": ("kind", "path"),
-}
 
 
 def covariance_from_json(obj) -> CovarianceSpec:

@@ -672,6 +672,7 @@ class TestSweepAndReport:
                 {"tasks": [{"name": "diag_dev", "k": 3, "sigma": {"kind": "identity"}}]},
                 {"output_dir": 5},
                 {"grid": [[10, 100], [10, 100]]},
+                {"distribution": {"kind": "student-t", "df": 5, "q": 0.5}},
             )
         ]
         + [b'\xff\xfe{"distribution": "gaussian", "grid": [[10, 100]]}'],
@@ -690,6 +691,7 @@ class TestSweepAndReport:
             "unknown-task-field",
             "output-dir-field",
             "duplicate-grid-shape",
+            "other-law-parameter",
             "not-utf8",
         ],
     )

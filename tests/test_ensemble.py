@@ -115,6 +115,10 @@ class TestStandardizedMoments:
             DistributionSpec("lognormal")
         with pytest.raises(ValidationError):
             DistributionSpec("gaussian", df=5.0)
+        with pytest.raises(ValidationError, match="student-t takes no q"):
+            DistributionSpec("student-t", df=5, q=0.5)
+        with pytest.raises(ValidationError, match="two-point takes no df"):
+            distribution_from_json({"kind": "two-point", "q": 0.3, "df": 7})
 
     @settings(max_examples=400, deadline=None)
     @given(

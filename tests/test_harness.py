@@ -170,23 +170,25 @@ class TestRunExperiment:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_unsampleable_cell_gives_error_rows_and_keeps_the_others(self, tmp_path, threads):
         # numpy refuses a 2^40 x 2^40 shape before it allocates anything
-        tasks = (TaskSpec("diag_dev"), TaskSpec("moment_check", k=2))
+        # two tasks read X, so the failing cell's second one samples again and fails the same way
+        tasks = (TaskSpec("diag_dev"), TaskSpec("lambda_max"), TaskSpec("moment_check", k=2))
         config = _config(grid=(MatrixShape(10, 100), MatrixShape(2**40, 2**40)), tasks=tasks)
         records = run_experiment(config, threads=threads, out_dir=str(tmp_path))
         good = [r for r in records if r.p == 10]
         bad = [r for r in records if r.p == 2**40]
         assert good == run_experiment(replace(config, grid=config.grid[:1]), threads=threads)
-        assert [(r.replicate, r.task) for r in bad] == [(0, "diag_dev"), (0, "moment_check"),
-                                                        (1, "diag_dev"), (1, "moment_check")]
+        assert [(r.replicate, r.task) for r in bad] == [
+            (rep, task) for rep in (0, 1) for task in ("diag_dev", "lambda_max", "moment_check")
+        ]
         for r in bad:
             assert math.isnan(r.value)
-            if r.task == "diag_dev":
+            if r.task != "moment_check":
                 assert r.aux["error"].startswith("ValidationError: cannot sample a 1099511627776 x 1099511627776")
             else:  # moment_check never reads X, so it reports its own outcome
                 assert r.aux["error"] == (
                     "ResourceError: (p*n)^k = (1099511627776*1099511627776)^2 exceeds the 1e+08 term budget"
                 )
-        assert len(read_records(tmp_path / "records.csv")) == 8
+        assert len(read_records(tmp_path / "records.csv")) == 12
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_only_lambda_max_switches_above_the_dense_limit(self, monkeypatch, threads):

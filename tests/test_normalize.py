@@ -47,8 +47,8 @@ def _population(kind, p):
     g = np.random.default_rng(4).standard_normal((p, p))
     matrix = g @ g.T / p
     matrix[0, 1] += 1e-12
-    spec = CovarianceSpec(kind, d=(0.5, 2.0) * (p // 2), rho=0.6, matrix=matrix)
-    return spec.materialize(p)
+    fields = {"diagonal": {"d": (0.5, 2.0) * (p // 2)}, "toeplitz": {"rho": 0.6}, "explicit": {"matrix": matrix}}
+    return CovarianceSpec(kind, **fields.get(kind, {})).materialize(p)
 
 
 class TestBuildA:
@@ -468,6 +468,10 @@ class TestCovarianceSpecs:
             CovarianceSpec("toeplitz", rho=1.0)
         with pytest.raises(ValidationError):
             CovarianceSpec("diagonal", d=(-1.0,))
+        with pytest.raises(ValidationError, match="identity covariance takes no rho"):
+            CovarianceSpec("identity", rho=0.5)
+        with pytest.raises(ValidationError, match="toeplitz covariance takes no d"):
+            CovarianceSpec("toeplitz", rho=0.5, d=(1.0, 2.0))
         with pytest.raises(ValidationError):
             covariance_from_json({"kind": "mystery"})
         with pytest.raises(ValidationError):
