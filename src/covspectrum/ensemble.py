@@ -137,6 +137,8 @@ def distribution_from_json(obj) -> DistributionSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("distribution spec must be a kind name or a dict with 'kind'")
     _reject_unknown(obj, ("kind", "df", "q"), "distribution")
+    if obj["kind"] in KINDS and (extra := sorted(set(obj) - {"kind", _PARAMETER[obj["kind"]]})):
+        raise ValidationError(f"{obj['kind']} takes no {extra[0]}")  # a JSON null names a parameter too
     return DistributionSpec(obj["kind"], df=obj.get("df"), q=obj.get("q"))
 
 

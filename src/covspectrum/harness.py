@@ -3,10 +3,10 @@
 A sweep runs a task set over a (p, n) grid with R replicates.  Each run
 seeds its own stream from (master_seed, p, n, replicate) by avalanche
 mixing, so results are independent of scheduling; the persisted CSV is
-byte-identical across reruns.  X is sampled by the first task of a cell
-that reads it (the table ``_TASKS`` says which do).  A task that fails
-becomes an error row, and a cell that cannot be sampled gives each task
-that reads X an error row; neither aborts the sweep.
+byte-identical across reruns.  Each (p, n, replicate) cell gives its tasks
+the law, shape, seed and X, drawn by the first task that reads it.  A task
+that fails becomes an error row, and a cell that cannot be sampled gives
+each task that reads X an error row; neither aborts the sweep.
 
 Threads: with ``threads >= 2`` and more than one job, cells run on a
 thread pool and numpy's bundled OpenBLAS is capped at one thread while
@@ -68,53 +68,51 @@ __all__ = [
 ]
 
 
-# Evaluators of the task table: defs that call the layers by their module
-# globals when they run, so a tracer that patches those globals sees each call.
-def _lambda_max(task, X, dist):
-    return lambda_max(X)
+# Task evaluators read what they need of the cell and call each layer by its module global, which a tracer patches.
+def _lambda_max(task, cell):
+    return lambda_max(cell.X)
 
 
-def _lambda_max_centered(task, X, dist):
-    return float(eigvals_sym(build_A1(X))[-1]), {"method": "dense"}
+def _lambda_max_centered(task, cell):
+    return float(eigvals_sym(build_A1(cell.X))[-1]), {"method": "dense"}
 
 
-def _esd_ks(task, X, dist):
-    eigs = eigvals_sym(build_A(X))
+def _esd_ks(task, cell):
+    eigs = eigvals_sym(build_A(cell.X))
     return float(ks_distance(eigs)), {"lambda_max": float(eigs[-1])}
 
 
-def _diag_dev(task, X, dist):
-    return float(diag_max_dev(X)), {}
+def _diag_dev(task, cell):
+    return float(diag_max_dev(cell.X)), {}
 
 
-def _cov_rate(task, X, dist):
-    err, bound, sigma_norm = covariance_error(X, task.sigma)
+def _cov_rate(task, cell):
+    err, bound, sigma_norm = covariance_error(cell.X, task.sigma)
     return err, {"bound": bound, "sigma_norm": sigma_norm}
 
 
-def _truncation_report(task, X, dist):
-    aux = asdict(truncation_report(X))
+def _truncation_report(task, cell):
+    aux = asdict(truncation_report(cell.X))
     return float(aux.pop("fraction_truncated")), aux
 
 
-def _moment_check(task, shape, dist):
-    return law_trace_moment(dist, shape.p, shape.n, task.k), {"k": task.k}
+def _moment_check(task, cell):
+    return law_trace_moment(cell.config.distribution, cell.shape.p, cell.shape.n, task.k), {"k": task.k}
 
 
 class _Task(NamedTuple):
     fields: tuple  # the JSON fields it takes besides "name"; each is required
-    reads_x: bool  # False: the evaluator gets the cell's MatrixShape in place of X
-    evaluate: Callable  # (task, X, dist) -> (value, aux)
+    evaluate: Callable  # (task, _Cell) -> (value, aux)
 
 
 _TASKS = {
-    "lambda_max": _Task((), True, _lambda_max),
-    "lambda_max_centered": _Task((), True, _lambda_max_centered),
-    "esd_ks": _Task((), True, _esd_ks),
-    "diag_dev": _Task((), True, _diag_dev),
-    "cov_rate": _Task(("sigma",), True, _cov_rate),
-    "truncation_report": _Task((), True, _truncation_report),
-    "moment_check": _Task(("k",), False, _moment_check),
+    "lambda_max": _Task((), _lambda_max),
+    "lambda_max_centered": _Task((), _lambda_max_centered),
+    "esd_ks": _Task((), _esd_ks),
+    "diag_dev": _Task((), _diag_dev),
+    "cov_rate": _Task(("sigma",), _cov_rate),
+    "truncation_report": _Task((), _truncation_report),
+    "moment_check": _Task(("k",), _moment_check),
 }
 TASK_NAMES = tuple(_TASKS)
 
@@ -174,35 +172,44 @@ class ExperimentConfig:
         if not isinstance(obj, dict):
             raise ValidationError("experiment config must be a JSON object")
         _reject_unknown(obj, [f.name for f in fields(cls)], "experiment config")
+        if not (isinstance(obj.get("grid"), list) and all(isinstance(s, list) and len(s) == 2 for s in obj["grid"])):
+            raise ValidationError("grid must be a list of [p, n] pairs")
+        if not isinstance(obj.get("tasks", []), list):
+            raise ValidationError("tasks must be a list of task names or dicts")
         try:
             return cls(
                 distribution=distribution_from_json(obj["distribution"]),
                 grid=tuple(MatrixShape(p, n) for p, n in obj["grid"]),
                 replicates=obj.get("replicates", 1),
                 master_seed=obj.get("master_seed", 0),
-                tasks=tuple(TaskSpec.from_json(t) for t in obj.get("tasks", ())),
+                tasks=tuple(TaskSpec.from_json(t) for t in obj.get("tasks", [])),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed experiment config: {exc}") from exc
 
 
-def _run_tasks(config: ExperimentConfig, shape: MatrixShape, replicate: int) -> list:
-    X = None
-    records = []
-    for task in config.tasks:
-        reads_x = _TASKS[task.name].reads_x
-        try:
-            if reads_x and X is None:
-                X = sample_matrix(config.distribution, shape, SeedSpec(config.master_seed), replicate)
-            value, aux = _execute_task(task, X if reads_x else shape, config.distribution)
-        except Exception as exc:  # error rows, an unsampleable cell's included, must never abort the sweep
-            value, aux = math.nan, {"error": f"{type(exc).__name__}: {exc}"}
-        records.append(RunRecord(p=shape.p, n=shape.n, replicate=replicate, task=task.name, value=value, aux=aux))
-    return records
+@dataclass(frozen=True)
+class _Cell:
+    config: ExperimentConfig
+    shape: MatrixShape
+    replicate: int
 
+    @property  # not functools.cached_property, whose lock (Python < 3.12) would serialize the pool's draws
+    def X(self):
+        if "X" not in self.__dict__:  # a failed draw is not kept, so each task that reads X draws again
+            seed = SeedSpec(self.config.master_seed)
+            self.__dict__["X"] = sample_matrix(self.config.distribution, self.shape, seed, self.replicate)
+        return self.__dict__["X"]
 
-def _execute_task(task: TaskSpec, X, dist: DistributionSpec):
-    return _TASKS[task.name].evaluate(task, X, dist)
+    def records(self) -> list:
+        records = []
+        for task in self.config.tasks:
+            try:
+                value, aux = _TASKS[task.name].evaluate(task, self)
+            except Exception as exc:  # error rows, an unsampleable cell's included, must never abort the sweep
+                value, aux = math.nan, {"error": f"{type(exc).__name__}: {exc}"}
+            records.append(RunRecord(self.shape.p, self.shape.n, self.replicate, task.name, value, aux))
+        return records
 
 
 @functools.cache
@@ -277,10 +284,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 0, out_dir: str | No
     if threads == 0:
         threads = _usable_cpus()
     if threads == 1 or len(jobs) <= 1:
-        nested = [_run_tasks(config, shape, rep) for shape, rep in jobs]
+        nested = [_Cell(config, shape, rep).records() for shape, rep in jobs]
     else:
         with _single_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
-            nested = list(pool.map(lambda job: _run_tasks(config, *job), jobs))
+            nested = list(pool.map(lambda job: _Cell(config, *job).records(), jobs))
     records = [rec for batch in nested for rec in batch]
     records.sort(key=RunRecord.sort_key)
     if out_dir is not None:

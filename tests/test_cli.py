@@ -703,6 +703,24 @@ class TestSweepAndReport:
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tasks", "lambda_max"),
+            ("tasks", {"name": "lambda_max"}),
+            ("grid", "ab"),
+            ("grid", [10, 100]),
+            ("grid", [[10, 100, 5]]),
+            ("grid", None),
+        ],
+    )
+    def test_non_list_tasks_or_grid_names_the_field(self, tmp_path, field, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"distribution": "gaussian", "grid": [[10, 100]], field: value}))
+        res = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
+        assert res.returncode == 1
+        assert res.stderr.startswith(f"error: {field} must be a list")
+
     @pytest.mark.parametrize("grid", [[[10, 100]], [[10, 100], [10, 400]]], ids=["one-job", "two-jobs"])
     def test_negative_threads_is_validation_error(self, tmp_path, grid):
         config = tmp_path / "config.json"

@@ -119,6 +119,13 @@ class TestStandardizedMoments:
             DistributionSpec("student-t", df=5, q=0.5)
         with pytest.raises(ValidationError, match="two-point takes no df"):
             distribution_from_json({"kind": "two-point", "q": 0.3, "df": 7})
+        # a JSON null for a parameter the law does not take is still that parameter
+        with pytest.raises(ValidationError, match="gaussian takes no df"):
+            distribution_from_json({"kind": "gaussian", "df": None})
+        with pytest.raises(ValidationError, match="student-t takes no q"):
+            distribution_from_json({"kind": "student-t", "df": 5, "q": None})
+        with pytest.raises(ValidationError, match="two-point takes no df"):
+            distribution_from_json({"kind": "two-point", "q": 0.3, "df": None})
 
     @settings(max_examples=400, deadline=None)
     @given(

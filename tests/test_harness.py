@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -150,6 +151,38 @@ class TestRunExperiment:
             config = _config(grid=(MatrixShape(300, 3000),), replicates=3, tasks=tasks)
             assert len(run_experiment(config, threads=1)) == 3 * len(tasks)
         assert calls == []
+
+    def test_serial_sweep_holds_one_matrix_at_a_time(self, monkeypatch):
+        # each cell's X must be freed when the cell ends, before the next cell draws
+        drawn, alive = [], []
+        sample = harness.sample_matrix
+
+        def spy(*args):
+            alive.append(sum(ref() is not None for ref in drawn))
+            X = sample(*args)
+            drawn.append(weakref.ref(X))
+            return X
+
+        monkeypatch.setattr(harness, "sample_matrix", spy)
+        config = _config(
+            grid=(MatrixShape(10, 100), MatrixShape(20, 200)),
+            tasks=(TaskSpec("lambda_max"), TaskSpec("diag_dev"), TaskSpec("moment_check", k=2)),
+        )
+        assert not any(r.failed for r in run_experiment(config, threads=1))
+        assert alive == [0, 0, 0, 0]
+
+    def test_pooled_cells_draw_at_the_same_time(self, monkeypatch):
+        # a lock shared by all cells around the draw (functools.cached_property's, before
+        # Python 3.12) would keep the second draw waiting until the first one returned
+        barrier = threading.Barrier(2, timeout=5)
+        sample = harness.sample_matrix
+
+        def spy(*args):
+            barrier.wait()
+            return sample(*args)
+
+        monkeypatch.setattr(harness, "sample_matrix", spy)
+        assert not any(r.failed for r in run_experiment(_config(), threads=2))
 
     def test_records_file_reads_back_as_the_returned_records(self, tmp_path):
         config = _config(
@@ -423,22 +456,22 @@ class TestPoolBlasThreads:
     def test_workers_see_one_thread_and_the_count_comes_back(self, monkeypatch, failure):
         get_threads, set_threads = self._blas()
         seen = []
-        execute_task = harness._execute_task
-        run_tasks = harness._run_tasks
+        fields, evaluate = harness._TASKS["lambda_max"]
+        records = harness._Cell.records
 
-        def spy_task(task, X, dist):
+        def spy_task(task, cell):
             seen.append(get_threads())
             if failure == "task":
                 raise RuntimeError("task failed")
-            return execute_task(task, X, dist)
+            return evaluate(task, cell)
 
-        def spy_worker(config, shape, replicate):
-            run_tasks(config, shape, replicate)
+        def spy_worker(cell):
+            records(cell)
             raise RuntimeError("worker failed")
 
-        monkeypatch.setattr(harness, "_execute_task", spy_task)
+        monkeypatch.setitem(harness._TASKS, "lambda_max", harness._Task(fields, spy_task))
         if failure == "worker":
-            monkeypatch.setattr(harness, "_run_tasks", spy_worker)
+            monkeypatch.setattr(harness._Cell, "records", spy_worker)
         prior = get_threads()
         set_threads(2)
         try:
@@ -471,13 +504,13 @@ class TestPoolBlasThreads:
     def test_concurrent_sweeps_stress(self, monkeypatch):
         get_threads, set_threads = self._blas()
         seen = []
-        execute_task = harness._execute_task
+        fields, evaluate = harness._TASKS["lambda_max"]
 
-        def spy_task(task, X, dist):
+        def spy_task(task, cell):
             seen.append(get_threads())
-            return execute_task(task, X, dist)
+            return evaluate(task, cell)
 
-        monkeypatch.setattr(harness, "_execute_task", spy_task)
+        monkeypatch.setitem(harness._TASKS, "lambda_max", harness._Task(fields, spy_task))
         config = _config(grid=(MatrixShape(8, 40), MatrixShape(12, 60)), replicates=3)
         expected = run_experiment(config, threads=1)
         seen.clear()
