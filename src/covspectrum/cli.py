@@ -11,12 +11,13 @@ spectral.lambda_max, which picks dense LAPACK or Lanczos from p.  Every
 command but gen (which prints the path it wrote) prints one line of strict
 JSON: a non-finite number is printed as null, never as NaN or Infinity.
 Each subcommand (each moments mode too) names its handler where it is
-declared; main runs it and maps what it raises to the exit code: 0
-success, 1 validation error, 2 resource/convergence error or failed
-allocation, 3 I/O error.  Every command that writes files takes its
-output directory from --out, falling back to the COVSPECTRUM_OUT
-environment variable, then the current directory; a sweep config names no
-output directory.
+declared; main runs it with numpy's overflow and invalid warnings off, so
+an overflow prints only the ``error:`` line of the check that rejects the
+non-finite result, and maps what it raises to the exit code: 0 success, 1
+validation error, 2 resource/convergence error or failed allocation, 3
+I/O error.  Every command that writes files takes its output directory
+from --out, falling back to the COVSPECTRUM_OUT environment variable,
+then the current directory; a sweep config names no output directory.
 """
 
 import argparse
@@ -25,6 +26,8 @@ import math
 import os
 import sys
 from dataclasses import replace
+
+import numpy as np
 
 from . import __version__
 from .ensemble import (
@@ -241,7 +244,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args.run(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            args.run(args)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,9 @@ mixing, so results are independent of scheduling; the persisted CSV is
 byte-identical across reruns.  Each (p, n, replicate) cell gives its tasks
 the law, shape, seed and X, drawn by the first task that reads it.  A task
 that fails becomes an error row, and a cell that cannot be sampled gives
-each task that reads X an error row; neither aborts the sweep.
+each task that reads X an error row; neither aborts the sweep.  A cell
+runs under the CLI's overflow rule itself: pool threads do not inherit
+numpy's error state.
 
 Threads: with ``threads >= 2`` and more than one job, cells run on a
 thread pool and numpy's bundled OpenBLAS is capped at one thread while
@@ -201,6 +203,7 @@ class _Cell:
             self.__dict__["X"] = sample_matrix(self.config.distribution, self.shape, seed, self.replicate)
         return self.__dict__["X"]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def records(self) -> list:
         records = []
         for task in self.config.tasks:

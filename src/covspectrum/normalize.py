@@ -9,11 +9,6 @@ float64 ndarray (read-only when it comes from ``ensemble``):
 * ``build_A1`` -- (1/2) sqrt(n/p) (S1 - I), the centered analogue of A;
 * ``build_S2`` -- Sigma^{1/2} S1 Sigma^{1/2} for a population covariance.
 
-These builders, ``sqrt_psd`` and ``CovarianceSpec.materialize`` run with
-numpy's overflow and invalid-value warnings off: an input that overflows
-gives a non-finite matrix, which ``spectral.eigvals_sym`` rejects, so the
-CLI prints its one ``error:`` line and no warning ahead of it.
-
 A population covariance Sigma enters one way: ``covariance_from_json``
 parses its JSON spec into a ``CovarianceSpec``, whose ``materialize(p)``
 gives the p x p array that ``sqrt_psd`` and ``build_S2`` take.
@@ -61,7 +56,6 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def build_A(X) -> np.ndarray:
     """(X X' - n I) / (2 sqrt(np)), symmetrized to kill rounding asymmetry."""
     p, n = X.shape
@@ -70,21 +64,18 @@ def build_A(X) -> np.ndarray:
     return _sym(M / (2.0 * math.sqrt(n * p)))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def build_S(X) -> np.ndarray:
     """Uncentered sample covariance X X' / n."""
     n = X.shape[1]
     return _sym(X @ X.T / n)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def build_S1(X) -> np.ndarray:
     """Centered sample covariance S - sbar sbar', exactly symmetric because both terms are."""
     sbar = X.mean(axis=1)
     return build_S(X) - np.outer(sbar, sbar)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def build_A1(X) -> np.ndarray:
     """(1/2) sqrt(n/p) (S1 - I), exactly symmetric because S1 is."""
     p, n = X.shape
@@ -228,7 +219,6 @@ class CovarianceSpec:
             if np.max(np.abs(m - m.T)) > 1e-10 * max(1.0, float(np.max(np.abs(m)))):
                 raise ValidationError("explicit covariance must be symmetric")
 
-    @np.errstate(over="ignore", invalid="ignore")
     def materialize(self, p: int) -> np.ndarray:
         """Sigma as an exactly symmetric p x p float array."""
         if self.kind == "identity":
@@ -261,7 +251,6 @@ def covariance_from_json(obj) -> CovarianceSpec:
     return CovarianceSpec(kind, matrix=load_matrix(obj["path"]))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def sqrt_psd(sigma: np.ndarray, p: int) -> np.ndarray:
     """PSD square root of the symmetric p x p array sigma (eigh reads its lower triangle).
 
@@ -275,7 +264,6 @@ def sqrt_psd(sigma: np.ndarray, p: int) -> np.ndarray:
     return _sym((V * np.sqrt(np.clip(w, 0.0, None))) @ V.T)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def build_S2(X, sigma: np.ndarray) -> np.ndarray:
     """Sigma^{1/2} S1 Sigma^{1/2} for the p x p array sigma: sample covariance of Sigma^{1/2} s_j."""
     root = sqrt_psd(sigma, X.shape[0])

@@ -161,8 +161,8 @@ def lambda_max_matfree(X):
     ``MAX_ITER`` bounds the operator applications, the residual ones
     included; the last one is kept for the true residual of the final
     Ritz pair, which ``ConvergenceError`` states and carries with the Ritz value.
-    A non-finite Lanczos coefficient or residual (non-finite input) raises
-    ``ValidationError`` at once.
+    A non-finite Lanczos coefficient or residual (an input that overflows)
+    raises ``ValidationError`` at once.
 
     Returns (lambda_max, operator_applications).
     """
@@ -178,7 +178,7 @@ def lambda_max_matfree(X):
 
     def finite(value, what):
         if not math.isfinite(value):
-            raise ValidationError(f"non-finite {what} in lambda_max_matfree; is the input finite?")
+            raise ValidationError(f"non-finite {what} in lambda_max_matfree; did the input overflow?")
         return value
 
     rng = np.random.default_rng(0x5EED5EED)

@@ -301,49 +301,56 @@ class TestCovtestAndMoments:
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and "'path' string" in res.stderr
 
-    _OVERFLOWS = pytest.mark.parametrize(
-        "argv, huge_x",
-        [
-            (["spectrum"], True),
-            (["esd"], True),
-            (["covtest", "--sigma", '{"kind": "identity"}'], True),
-            (["covtest", "--sigma", '{"kind": "diagonal", "d": [1.7e308, 1, 1]}'], False),
-            (["covtest", "--sigma", '{"kind": "explicit", "path": SIGMA}'], False),
-        ],
-        ids=["spectrum", "esd", "covtest-identity", "covtest-huge-diagonal", "covtest-huge-explicit"],
-    )
     _OVERFLOW_ERROR = "error: matrix has non-finite entries; did the input overflow?"
+    # above DENSE_P_LIMIT rows spectrum runs Lanczos, which forms no Gram and has its own check
+    _LANCZOS_ERROR = "error: non-finite Lanczos coefficient in lambda_max_matfree; did the input overflow?"
+    _OVERFLOWS = pytest.mark.parametrize(
+        "argv, huge_shape, error",
+        [
+            (["spectrum"], (3, 5), _OVERFLOW_ERROR),
+            (["spectrum"], (spectral.DENSE_P_LIMIT + 1, 3), _LANCZOS_ERROR),
+            (["esd"], (3, 5), _OVERFLOW_ERROR),
+            (["covtest", "--sigma", '{"kind": "identity"}'], (3, 5), _OVERFLOW_ERROR),
+            (["covtest", "--sigma", '{"kind": "diagonal", "d": [1.7e308, 1, 1]}'], None, _OVERFLOW_ERROR),
+            (["covtest", "--sigma", '{"kind": "explicit", "path": SIGMA}'], None, _OVERFLOW_ERROR),
+        ],
+        ids=[
+            "spectrum", "spectrum-lanczos", "esd", "covtest-identity", "covtest-huge-diagonal", "covtest-huge-explicit"
+        ],
+    )
 
     @staticmethod
-    def _overflow_argv(tmp_path, argv, huge_x):
-        """argv on finite entries whose Gram, or Sigma^{1/2} S1 Sigma^{1/2}, overflows to inf.
+    def _overflow_argv(tmp_path, argv, huge_shape):
+        """argv on finite entries whose Gram, Lanczos step or Sigma^{1/2} S1 Sigma^{1/2} overflows to inf.
 
-        The matrix is 3 x 5 of +-1e200 if huge_x, else 3 x 50 Gaussian;
-        SIGMA in argv names a file holding diag(1.7e308, 1, 1).
+        The matrix is of shape huge_shape with entries +-1e200, or 3 x 50
+        Gaussian if huge_shape is None; SIGMA in argv names a file holding
+        diag(1.7e308, 1, 1).
         """
         data, sigma = tmp_path / "m.bin", tmp_path / "sigma.bin"
-        if huge_x:
-            save_matrix(np.where(np.arange(15).reshape(3, 5) % 4 == 0, -1e200, 1e200), data)
+        if huge_shape is not None:
+            signs = np.arange(np.prod(huge_shape)).reshape(huge_shape) % 4 == 0
+            save_matrix(np.where(signs, -1e200, 1e200), data)
         else:
             save_matrix(np.random.default_rng(1).standard_normal((3, 50)), data)
         save_matrix(np.diag([1.7e308, 1.0, 1.0]), sigma)
         return [argv[0], "--in", str(data), *(a.replace("SIGMA", json.dumps(str(sigma))) for a in argv[1:])]
 
     @_OVERFLOWS
-    def test_overflow_to_non_finite_is_validation_error(self, tmp_path, argv, huge_x):
-        res = run_cli(*self._overflow_argv(tmp_path, argv, huge_x), env_extra={"COVSPECTRUM_OUT": str(tmp_path)})
+    def test_overflow_to_non_finite_is_validation_error(self, tmp_path, argv, huge_shape, error):
+        res = run_cli(*self._overflow_argv(tmp_path, argv, huge_shape), env_extra={"COVSPECTRUM_OUT": str(tmp_path)})
         assert res.returncode == 1
         assert res.stdout == ""
         # numpy's RuntimeWarning lines would come ahead of the error
-        assert res.stderr.splitlines() == [self._OVERFLOW_ERROR]
+        assert res.stderr.splitlines() == [error]
         assert not (tmp_path / "spectrum.csv").exists()
 
     @_OVERFLOWS
-    def test_overflow_warns_nothing_in_process(self, tmp_path, monkeypatch, capsys, argv, huge_x):
+    def test_overflow_warns_nothing_in_process(self, tmp_path, monkeypatch, capsys, argv, huge_shape, error):
         # the test run turns warnings into errors, so a RuntimeWarning would escape main
         monkeypatch.setenv("COVSPECTRUM_OUT", str(tmp_path))
-        assert cli.main(self._overflow_argv(tmp_path, argv, huge_x)) == 1
-        assert capsys.readouterr() == ("", self._OVERFLOW_ERROR + "\n")
+        assert cli.main(self._overflow_argv(tmp_path, argv, huge_shape)) == 1
+        assert capsys.readouterr() == ("", error + "\n")
 
     @staticmethod
     def _covtest_explicit(tmp_path, matrix):

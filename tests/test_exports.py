@@ -7,7 +7,8 @@ instead of hiding inside a function, and every imported name is used in
 its module or re-exported through ``__all__``, so deleting the last use of
 a name cannot leave a stale import behind.  Only ``reports`` calls
 ``json.dump``/``json.dumps``: every other module writes JSON through its
-strict encoder.
+strict encoder.  ``np.errstate`` is set only where a command or a sweep
+cell starts, and in ``reports.summarize``.
 """
 
 import ast
@@ -64,23 +65,36 @@ def test_every_import_is_used_or_exported(path):
     assert sorted(imported - used - _exported(tree)) == []
 
 
+def _attribute_uses(module, attrs):
+    """(file, qualified name of the enclosing def or class) of each ``module.attr`` in the package."""
+    found = []
+
+    def visit(node, path, owner):
+        if isinstance(node, ast.Attribute) and node.attr in attrs and getattr(node.value, "id", None) == module:
+            found.append((path.name, owner))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, f"{owner}.{child.name}" if owner else child.name)  # its decorators included
+            else:
+                visit(child, path, owner)
+
+    for path in sorted(pathlib.Path(covspectrum.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    return found
+
+
 def test_json_is_written_only_by_the_strict_encoder():
     # reports.json_text writes a non-finite number as null; a bare json.dump(s)
     # anywhere else would print NaN or Infinity again
-    found = []
-    for path in sorted(pathlib.Path(covspectrum.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        owner = {
-            id(node): func.name
-            for func in ast.walk(tree)
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in ast.walk(func)
-        }
-        found += [
-            (path.name, owner.get(id(node)))
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and node.attr in ("dump", "dumps")
-            and getattr(node.value, "id", None) == "json"
-        ]
-    assert found == [("reports.py", "json_text")]
+    assert _attribute_uses("json", ("dump", "dumps")) == [("reports.py", "json_text")]
+
+
+def test_errstate_is_set_only_where_commands_and_cells_start():
+    # an overflow becomes a non-finite value that a check rejects; the CLI and
+    # each sweep cell keep numpy's warning from printing ahead of that error,
+    # and summarize keeps its own for its finite-mean contract
+    assert _attribute_uses("np", ("errstate",)) == [
+        ("cli.py", "main"),
+        ("harness.py", "_Cell.records"),
+        ("reports.py", "summarize"),
+    ]

@@ -184,6 +184,17 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "sample_matrix", spy)
         assert not any(r.failed for r in run_experiment(_config(), threads=2))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cells_run_with_overflow_warnings_off(self, monkeypatch, threads):
+        # the test run turns warnings into errors, so an overflow warning would
+        # be an error row; a pool thread does not inherit the caller's errstate
+        def overflow(task, cell):
+            return float(np.square(np.float64(1e200))), {}
+
+        monkeypatch.setitem(harness._TASKS, "lambda_max", harness._Task((), overflow))
+        records = run_experiment(_config(), threads=threads)
+        assert [(r.failed, r.value) for r in records] == [(False, math.inf)] * 2
+
     def test_records_file_reads_back_as_the_returned_records(self, tmp_path):
         config = _config(
             distribution=DistributionSpec("student-t", df=5),
