@@ -40,7 +40,7 @@ from .ensemble import (
     save_matrix,
 )
 from .errors import ConvergenceError, ResourceError, ValidationError
-from .harness import ExperimentConfig, run_experiment
+from .harness import TASK_NAMES, ExperimentConfig, run_experiment
 from .momentlab import IndexCircuit, bound_rhs_a13, check_schedule, classify_json, law_trace_moment
 from .normalize import build_A, covariance_from_json
 from .reports import emit_report, fit_rate, json_text, read_records
@@ -233,6 +233,13 @@ def _cmd_sweep(args) -> None:
 
 def _cmd_report(args) -> None:
     records = read_records(args.records)
+    seen = set()
+    for rec in records:  # reject what no sweep writes before a file is written
+        if rec.task not in TASK_NAMES:
+            raise ValidationError(f"{args.records}: {rec.task!r} is not a sweep task")
+        if rec.sort_key() in seen:
+            raise ValidationError(f"{args.records}: two records for (p, n, replicate, task) = {rec.sort_key()}")
+        seen.add(rec.sort_key())
     fit = fit_rate(records)
     out = {"paths": emit_report(records, args.format, _out_dir(args))}
     if fit is not None:

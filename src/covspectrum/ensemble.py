@@ -316,7 +316,7 @@ def load_matrix(path) -> np.ndarray:
     before that buffer is allocated; a pipe has no size, so it is read in
     chunks of at most ``_READ_CHUNK`` bytes until EOF or the header's
     8 * p * n bytes, and a forged header costs no more memory than the
-    stream holds.
+    stream holds.  Either must end with the payload.
     """
     with open(path, "rb") as fh:
         magic = fh.read(16)
@@ -345,6 +345,8 @@ def load_matrix(path) -> np.ndarray:
             got = len(raw)
         if got != size:
             raise ValidationError(f"{path}: truncated matrix payload")
+        if fh.read(1):  # a header that undercounts its payload would load the wrong matrix
+            raise ValidationError(f"{path}: bytes after the matrix payload: the header says {p} x {n} ({size} bytes)")
     entries = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False).reshape(p, n)
     if not np.isfinite(entries).all():
         raise ValidationError(f"{path}: matrix has non-finite entries")

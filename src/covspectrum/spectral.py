@@ -8,8 +8,8 @@ for the sweep's ``lambda_max`` task and the ``spectrum`` command alike,
 and the only one that switches: to ``lambda_max_matfree`` (Lanczos) above
 ``DENSE_P_LIMIT`` rows.
 ``lambda_max_matfree`` gets the top eigenvalue of the normalized Gram
-matrix without materializing it: Lanczos, the same loop at every p (1
-included), with numpy's ``eigh`` on the tridiagonal, so numpy is the
+matrix without materializing it: one Lanczos pass, the same loop at every
+p (1 included), with numpy's ``eigh`` on the tridiagonal, so numpy is the
 package's only numeric dependency.  It stays for its peak memory, though
 the Gram path is faster: at 2100 x 8400 the Gram path adds 72-106 MB to
 the 175 MB of a process that samples X and solves matrix-free.
@@ -40,12 +40,12 @@ __all__ = [
 ]
 
 DENSE_P_LIMIT = 2000
-# Lanczos basis vectors kept before a restart: 8.6 MB at p = 2100, next to
-# the 134 MB of a p x 4p input.  A solve at the spectral edge needs ~100-250.
+# lambda_max_matfree's only budget: one Lanczos pass of at most this many
+# steps, a basis of 8.6 MB at p = 2100 next to the 134 MB of a p x 4p input.
+# Solves at p = 2001-10^4 took 26-144 operator applications.
 MAX_BASIS = 512
 # lambda_max_matfree's stopping rule; its docstring says how they are read.
 RESIDUAL_TOL = 1e-10
-MAX_ITER = 20000
 # Largest entrywise asymmetry eigvals_sym accepts as rounding.
 SYMMETRY_ATOL = 1e-10
 
@@ -142,11 +142,11 @@ def lambda_max_matfree(X):
     """Largest eigenvalue of build_A(X) without forming the p x p matrix.
 
     Lanczos with full reorthogonalization on the operator
-    v -> (X (X'v) - n v) / (2 sqrt(np)).  The basis keeps growing, so no
-    Krylov information is thrown away; it is restarted from the top Ritz
-    vector only when it reaches ``MAX_BASIS`` vectors.  Memory stays at the
-    p x n input plus at most ``MAX_BASIS`` work vectors of length p; the
-    dense path adds a p x p Gram and LAPACK's workspace.  A 1 x n input
+    v -> (X (X'v) - n v) / (2 sqrt(np)), in one pass that is never
+    restarted: its only budget is min(p, ``MAX_BASIS``) steps, and solves
+    at p = 2001-10^4 took 26-144 operator applications.  Memory stays at
+    the p x n input plus at most ``MAX_BASIS`` work vectors of length p;
+    the dense path adds a p x p Gram and LAPACK's workspace.  A 1 x n input
     breaks down after one step, and one more application verifies it.
 
     After every step the top Ritz pair (theta, y) of the k x k Lanczos
@@ -158,9 +158,9 @@ def lambda_max_matfree(X):
     invariant): the residual alone is unreliable near clustered spectral
     edges.
 
-    ``MAX_ITER`` bounds the operator applications, the residual ones
-    included; the last one is kept for the true residual of the final
-    Ritz pair, which ``ConvergenceError`` states and carries with the Ritz value.
+    At the last step (the cap, or a breakdown) the top Ritz pair is
+    verified once; if it fails, ``ConvergenceError`` states and carries the
+    Ritz value, the applications spent and that true residual.
     A non-finite Lanczos coefficient or residual (an input that overflows)
     raises ``ValidationError`` at once.
 
@@ -181,48 +181,42 @@ def lambda_max_matfree(X):
             raise ValidationError(f"non-finite {what} in lambda_max_matfree; did the input overflow?")
         return value
 
-    rng = np.random.default_rng(0x5EED5EED)
-    v = rng.standard_normal(p)
-    v /= np.linalg.norm(v)
-
     cap = min(p, MAX_BASIS)
     Q = np.empty((cap, p))
+    Q[0] = np.random.default_rng(0x5EED5EED).standard_normal(p)
+    Q[0] /= np.linalg.norm(Q[0])
     # the Lanczos tridiagonal: alpha_j on the diagonal, beta_j below it
     T = np.zeros((cap, cap))
     best = resid = None
-    while matvecs < MAX_ITER:
-        Q[0] = v
-        for j in range(cap):
-            w = apply_a(Q[j])
-            alpha = float(Q[j] @ w)
-            # full reorthogonalization, twice: the first pass also subtracts
-            # the recurrence's alpha_j q_j and beta_j q_{j-1}, and the second
-            # keeps a basis of hundreds orthonormal
-            for _ in range(2):
-                w -= Q[: j + 1].T @ (Q[: j + 1] @ w)
-            beta = finite(float(np.linalg.norm(w)), "Lanczos coefficient")
-            T[j, j] = alpha
-            steps = j + 1
-            breakdown = beta < 1e-14 or steps == p
-            last = matvecs + 1 >= MAX_ITER
-            # eigh reads only the lower triangle, where T is tridiagonal
-            ritz, vecs = np.linalg.eigh(T[:steps, :steps])
-            theta, y = float(ritz[-1]), vecs[:, -1]
-            limit = RESIDUAL_TOL * max(1.0, abs(theta))
-            moved_ok = best is not None and abs(theta - best) <= limit
-            best = theta
-            verify = breakdown or last or abs(beta * y[-1]) <= limit
-            if verify or steps == cap:
-                v = Q[:steps].T @ y
-                v /= np.linalg.norm(v)
-            if verify and matvecs < MAX_ITER:
-                resid = finite(float(np.linalg.norm(apply_a(v) - theta * v)), "residual")
-                if resid <= limit and (moved_ok or breakdown):
-                    return theta, matvecs
-            if breakdown or last or steps == cap:
-                break  # restart from the top Ritz vector, or give up
-            Q[steps] = w / beta
-            T[steps, j] = beta
+    for j in range(cap):
+        w = apply_a(Q[j])
+        alpha = float(Q[j] @ w)
+        # full reorthogonalization, twice: the first pass also subtracts
+        # the recurrence's alpha_j q_j and beta_j q_{j-1}, and the second
+        # keeps a basis of hundreds orthonormal
+        for _ in range(2):
+            w -= Q[: j + 1].T @ (Q[: j + 1] @ w)
+        beta = finite(float(np.linalg.norm(w)), "Lanczos coefficient")
+        T[j, j] = alpha
+        steps = j + 1
+        breakdown = beta < 1e-14 or steps == p
+        final = breakdown or steps == cap
+        # eigh reads only the lower triangle, where T is tridiagonal
+        ritz, vecs = np.linalg.eigh(T[:steps, :steps])
+        theta, y = float(ritz[-1]), vecs[:, -1]
+        limit = RESIDUAL_TOL * max(1.0, abs(theta))
+        moved_ok = best is not None and abs(theta - best) <= limit
+        best = theta
+        if final or abs(beta * y[-1]) <= limit:
+            v = Q[:steps].T @ y
+            v /= np.linalg.norm(v)
+            resid = finite(float(np.linalg.norm(apply_a(v) - theta * v)), "residual")
+            if resid <= limit and (moved_ok or breakdown):
+                return theta, matvecs
+        if final:
+            break
+        Q[steps] = w / beta
+        T[steps, j] = beta
     raise ConvergenceError(
         f"no convergence after {matvecs} operator applications: best Ritz value {best!r}, true residual {resid!r}",
         best_value=best,

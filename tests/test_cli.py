@@ -108,14 +108,15 @@ class TestGenAndSpectrum:
 
     def test_spectrum_max_iter_reaches_the_solver(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(spectral, "DENSE_P_LIMIT", 10)
-        monkeypatch.setattr(spectral, "MAX_ITER", 3)
+        monkeypatch.setattr(spectral, "MAX_BASIS", 3)
         path = tmp_path / "m.bin"
         save_matrix(np.random.default_rng(5).standard_normal((20, 200)), path)
         assert cli.main(["spectrum", "--in", str(path)]) == 2
         err = capsys.readouterr().err
         with pytest.raises(ConvergenceError) as exc:
             spectral.lambda_max_matfree(load_matrix(path))
-        assert "3 operator applications" in err
+        assert exc.value.iterations == 4  # three Lanczos steps and one true residual
+        assert "4 operator applications" in err
         assert f"best Ritz value {exc.value.best_value!r}, true residual {exc.value.residual!r}" in err
 
     def test_spectrum_rejects_non_finite_matrix(self, tmp_path):
@@ -166,6 +167,25 @@ class TestGenAndSpectrum:
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
         assert "truncated matrix payload" in res.stderr
+
+    @pytest.mark.parametrize("piped", [False, True], ids=["file", "pipe"])
+    def test_spectrum_rejects_bytes_after_the_payload(self, tmp_path, piped):
+        # a header that undercounts its payload must not load the wrong matrix
+        path = tmp_path / "m.bin"
+        save_matrix(np.ones((3, 4)), path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 16)
+        if piped:
+            read_end, write_end = os.pipe()
+            with os.fdopen(write_end, "wb") as fh:
+                fh.write(path.read_bytes())
+            with os.fdopen(read_end, "rb") as stdin:
+                res = run_cli("spectrum", "--in", "/dev/stdin", stdin=stdin)
+        else:
+            res = run_cli("spectrum", "--in", str(path))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+        assert "bytes after the matrix payload: the header says 3 x 4 (96 bytes)" in res.stderr
 
     def test_solver_flags_are_rejected_with_dense(self, tmp_path):
         # spectrum picks its solver from p, so the old solver flags are unread
@@ -754,6 +774,12 @@ class TestSweepAndReport:
                 '10,100,0.1,0,cov_rate,0.3,"{}"\n10,500,0.02,0,cov_rate,0.0,"{}"\n10,1000,0.01,0,cov_rate,0.1,"{}"',
                 "p=10, n=500",
             ),
+            ('10,100,0.1,0,a/b,0.5,"{}"', "{records}: 'a/b' is not a sweep task"),
+            ('10,100,0.1,0,a<b&c,0.5,"{}"', "{records}: 'a<b&c' is not a sweep task"),
+            (
+                '10,100,0.1,0,diag_dev,0.5,"{}"\n10,100,0.1,0,diag_dev,0.75,"{}"',
+                "{records}: two records for (p, n, replicate, task) = (10, 100, 0, 'diag_dev')",
+            ),
         ],
         ids=[
             "float-p",
@@ -767,6 +793,9 @@ class TestSweepAndReport:
             "aux-infinity",
             "ratio-not-p-over-n",
             "non-positive-cov-rate-median",
+            "task-with-slash",
+            "task-with-markup",
+            "repeated-key",
         ],
     )
     def test_report_rejects_malformed_row(self, tmp_path, rows, where):

@@ -228,15 +228,15 @@ class TestLambdaMaxMatfree:
 
     def test_nonconvergence_carries_best_iterate(self, monkeypatch):
         monkeypatch.setattr(spectral, "RESIDUAL_TOL", 1e-14)
-        monkeypatch.setattr(spectral, "MAX_ITER", 3)
+        monkeypatch.setattr(spectral, "MAX_BASIS", 3)
         rng = np.random.default_rng(28)
         x = rng.standard_normal((50, 100))
         with pytest.raises(ConvergenceError) as err:
             lambda_max_matfree(x)
         assert err.value.best_value is not None
-        assert err.value.iterations >= 3
-        # the last application went to the true residual of the best Ritz pair,
-        # which bounds its distance to the spectrum
+        assert err.value.iterations == 4
+        # three Lanczos steps, then one application for the true residual of
+        # the best Ritz pair, which bounds its distance to the spectrum
         eigs = eigvals_sym(build_A(x))
         assert 0.0 < err.value.residual < 1.0
         assert np.min(np.abs(eigs - err.value.best_value)) <= err.value.residual
@@ -256,22 +256,24 @@ class TestLambdaMaxMatfree:
             assert abs(lam - dense[-1]) <= 1e-10 * max(1.0, abs(dense[-1]))
         assert dense[-1] - dense[-2] <= 1e-12
 
-    def test_restart_from_ritz_vector_at_basis_cap(self, monkeypatch):
+    def test_basis_cap_ends_the_solve(self, monkeypatch):
+        # one pass, no restart: at the cap the top Ritz pair is verified once
         rng = np.random.default_rng(41)
         x = rng.standard_normal((80, 320))
-        dense = eigvals_sym(build_A(x))[-1]
-        _, unrestarted = lambda_max_matfree(x)
         monkeypatch.setattr(spectral, "MAX_BASIS", 6)
-        lam, iters = lambda_max_matfree(x)
-        assert iters > unrestarted  # restarts from one Ritz vector cost applications
-        assert abs(lam - dense) <= 1e-10 * max(1.0, abs(dense))
+        with pytest.raises(ConvergenceError) as err:
+            lambda_max_matfree(x)
+        assert err.value.iterations == 7
+        eigs = eigvals_sym(build_A(x))
+        assert 0.0 < err.value.residual < 1.0
+        assert np.min(np.abs(eigs - err.value.best_value)) <= err.value.residual
 
     def test_operator_applications_without_restarts(self):
-        # a solver restarting every 32 steps needed 99 applications on this
-        # matrix; the growing basis needs 52
-        X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(200, 800), SeedSpec(33), 0)
-        _, iters = lambda_max_matfree(X)
-        assert iters <= 70
+        # 52 and 73 applications: the cap is p = 200, then MAX_BASIS < p = 600
+        for p, budget in ((200, 70), (600, 100)):
+            X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(p, 4 * p), SeedSpec(33), 0)
+            _, iters = lambda_max_matfree(X)
+            assert iters <= budget, p
 
     def test_non_finite_input_fails_at_once(self):
         rng = np.random.default_rng(42)
