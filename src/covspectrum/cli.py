@@ -1,8 +1,8 @@
 """Command-line harness.
 
 Subcommands: gen, spectrum, esd, covtest, moments, sweep, report.  Each
-declares only the flags it reads: --seed on gen and sweep, --threads on
-sweep, --format on gen and report, --out on the commands that write files
+declares only the flags it reads: --seed on gen, --threads on sweep,
+--format on gen and report, --out on the commands that write files
 (gen, esd, sweep, report); each moments mode (classify, exact, bound,
 schedule) is its own subcommand with its own flags.  spectrum, esd and
 covtest print what a sweep records for the lambda_max, esd_ks and
@@ -16,8 +16,8 @@ an overflow prints only the ``error:`` line of the check that rejects the
 non-finite result, and maps what it raises to the exit code: 0 success, 1
 validation error, 2 resource/convergence error or failed allocation, 3
 I/O error.  Every command that writes files takes its output directory
-from --out, falling back to the COVSPECTRUM_OUT environment variable,
-then the current directory; a sweep config names no output directory.
+from --out, defaulting to the current directory; a sweep config names no
+output directory.
 """
 
 import argparse
@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -54,8 +53,6 @@ from .spectral import (
     spectrum_to_csv,
 )
 
-OUT_ENV_VAR = "COVSPECTRUM_OUT"
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -75,19 +72,13 @@ def _dist_arg(text: str):
     return distribution_from_json(text)
 
 
-def _out_dir(args) -> str:
-    if args.out is not None:
-        return args.out
-    return os.environ.get(OUT_ENV_VAR, ".")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="covspectrum", description=__doc__)
     parser.add_argument("--version", action="version", version=f"covspectrum {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_out(sp):
-        sp.add_argument("--out", default=None, help="output directory")
+        sp.add_argument("--out", default=".", help="output directory (default: the current directory)")
 
     sp = sub.add_parser("gen", help="sample a data matrix and write it to a file")
     sp.add_argument("--dist", required=True, help="kind name or JSON spec")
@@ -144,7 +135,6 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("sweep", help="run an ExperimentConfig JSON")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--seed", type=int, default=None, help="overrides the config's master_seed")
     sp.add_argument("--threads", type=int, default=0, help="worker threads (0 = one per CPU this process may use)")
     add_out(sp)
     sp.set_defaults(run=_cmd_sweep)
@@ -161,14 +151,13 @@ def build_parser() -> _Parser:
 def _cmd_gen(args) -> None:
     spec = _dist_arg(args.dist)
     X = sample_matrix(spec, MatrixShape(args.p, args.n), SeedSpec(args.seed), args.replicate)
-    out_dir = _out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     name = args.name or f"matrix_p{args.p}_n{args.n}_r{args.replicate}"
     if args.format == "csv":
-        path = os.path.join(out_dir, name + ".csv")
+        path = os.path.join(args.out, name + ".csv")
         matrix_to_csv(X, path)
     else:
-        path = os.path.join(out_dir, name + ".bin")
+        path = os.path.join(args.out, name + ".bin")
         save_matrix(X, path)
     print(path)
 
@@ -183,9 +172,8 @@ def _cmd_spectrum(args) -> None:
 def _cmd_esd(args) -> None:
     X = load_matrix(args.infile)
     eigs = eigvals_sym(build_A(X))
-    out_dir = _out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "spectrum.csv")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "spectrum.csv")
     spectrum_to_csv(eigs, path)
     print(json_text({"spectrum_csv": path, "lambda_max": float(eigs[-1]), "ks_to_semicircle": ks_distance(eigs)}))
 
@@ -223,12 +211,9 @@ def _cmd_sweep(args) -> None:
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{args.config}: experiment config is not UTF-8 text: {exc}") from exc
     config = ExperimentConfig.from_json(_json_arg(text, "experiment config"))
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
-    out_dir = _out_dir(args)
-    records = run_experiment(config, threads=args.threads, out_dir=out_dir)
+    records = run_experiment(config, threads=args.threads, out_dir=args.out)
     failed = sum(1 for r in records if r.failed)
-    print(json_text({"records": len(records), "failed": failed, "records_csv": os.path.join(out_dir, "records.csv")}))
+    print(json_text({"records": len(records), "failed": failed, "records_csv": os.path.join(args.out, "records.csv")}))
 
 
 def _cmd_report(args) -> None:
@@ -241,7 +226,7 @@ def _cmd_report(args) -> None:
             raise ValidationError(f"{args.records}: two records for (p, n, replicate, task) = {rec.sort_key()}")
         seen.add(rec.sort_key())
     fit = fit_rate(records)
-    out = {"paths": emit_report(records, args.format, _out_dir(args))}
+    out = {"paths": emit_report(records, args.format, args.out)}
     if fit is not None:
         out.update(rate_slope=fit.slope, rate_r2=fit.r2)
     print(json_text(out))

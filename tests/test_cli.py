@@ -20,11 +20,12 @@ from covspectrum.momentlab import exact_trace_moment
 from covspectrum.reports import read_records
 
 CLI = [sys.executable, "-m", "covspectrum"]
+SRC = str(Path(cli.__file__).resolve().parents[1])  # so a child run from any cwd imports this package
 
 
 def run_cli(*args, env_extra=None, cwd=None, stdin=subprocess.DEVNULL):
     env = os.environ.copy()
-    env.pop("COVSPECTRUM_OUT", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -215,7 +216,7 @@ class TestGenAndSpectrum:
         # numpy refuses the 8 TiB p x p matrix up front, before touching memory
         path = tmp_path / "tall.bin"
         save_matrix(np.zeros((2**20, 1)), path)
-        res = run_cli(argv[0], "--in", str(path), *argv[1:], env_extra={"COVSPECTRUM_OUT": str(tmp_path)})
+        res = run_cli(argv[0], "--in", str(path), *argv[1:], cwd=tmp_path)
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.startswith("error: Unable to allocate 8.00 TiB") and res.stderr.count("\n") == 1
@@ -358,7 +359,7 @@ class TestCovtestAndMoments:
 
     @_OVERFLOWS
     def test_overflow_to_non_finite_is_validation_error(self, tmp_path, argv, huge_shape, error):
-        res = run_cli(*self._overflow_argv(tmp_path, argv, huge_shape), env_extra={"COVSPECTRUM_OUT": str(tmp_path)})
+        res = run_cli(*self._overflow_argv(tmp_path, argv, huge_shape), cwd=tmp_path)
         assert res.returncode == 1
         assert res.stdout == ""
         # numpy's RuntimeWarning lines would come ahead of the error
@@ -368,7 +369,7 @@ class TestCovtestAndMoments:
     @_OVERFLOWS
     def test_overflow_warns_nothing_in_process(self, tmp_path, monkeypatch, capsys, argv, huge_shape, error):
         # the test run turns warnings into errors, so a RuntimeWarning would escape main
-        monkeypatch.setenv("COVSPECTRUM_OUT", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
         assert cli.main(self._overflow_argv(tmp_path, argv, huge_shape)) == 1
         assert capsys.readouterr() == ("", error + "\n")
 
@@ -669,16 +670,13 @@ class TestSweepAndReport:
             tmp_path / "t8" / "records.csv"
         ).read_bytes()
 
-    def test_seed_zero_overrides_config_master_seed(self, tmp_path):
-        config = self._write_config(tmp_path)  # master_seed 21
-        zero = tmp_path / "zero.json"
-        zero.write_text(json.dumps({**json.loads(config.read_text()), "master_seed": 0}))
-        run_cli("sweep", "--config", str(config), "--seed", "0", "--out", str(tmp_path / "flag"))
-        run_cli("sweep", "--config", str(zero), "--out", str(tmp_path / "zero"))
-        run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "own"))
-        flag = (tmp_path / "flag" / "records.csv").read_bytes()
-        assert flag == (tmp_path / "zero" / "records.csv").read_bytes()
-        assert flag != (tmp_path / "own" / "records.csv").read_bytes()
+    def test_sweep_takes_its_seed_only_from_the_config(self, tmp_path):
+        config = self._write_config(tmp_path)
+        res = run_cli("sweep", "--config", str(config), "--seed", "3", "--out", str(tmp_path / "run"))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "text",
@@ -914,21 +912,16 @@ class TestSweepAndReport:
         assert f"{records}: records file is not text" in res.stderr
         assert not (tmp_path / "report").exists()
 
-    def test_env_var_out_dir_honored_only_without_flag(self, tmp_path):
-        config = self._write_config(tmp_path)
+    def test_out_dir_defaults_to_the_working_directory_whatever_the_environment(self, tmp_path):
         env_dir = tmp_path / "from_env"
-        run_cli(
-            "sweep", "--config", str(config),
-            env_extra={"COVSPECTRUM_OUT": str(env_dir)},
+        res = run_cli(
+            "gen", "--dist", "gaussian", "--p", "2", "--n", "3", "--seed", "4", "--name", "m",
+            env_extra={"COVSPECTRUM_OUT": str(env_dir)}, cwd=tmp_path,
         )
-        assert (env_dir / "records.csv").exists()
-        flag_dir = tmp_path / "from_flag"
-        run_cli(
-            "sweep", "--config", str(config), "--out", str(flag_dir),
-            env_extra={"COVSPECTRUM_OUT": str(tmp_path / "ignored")},
-        )
-        assert (flag_dir / "records.csv").exists()
-        assert not (tmp_path / "ignored").exists()
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == os.path.join(".", "m.bin")
+        assert load_matrix(tmp_path / "m.bin").shape == (2, 3)
+        assert not env_dir.exists()
 
 
 @pytest.mark.parametrize("module", ["scipy.special", "scipy"])
@@ -990,7 +983,7 @@ class TestParser:
         "moments exact": {"--p", "--n", "--k", "--dist"},
         "moments bound": {"--p", "--n", "--k", "--delta"},
         "moments schedule": {"--p", "--delta", "--c1"},
-        "sweep": {"--config", "--seed", "--threads", "--out"},
+        "sweep": {"--config", "--threads", "--out"},
         "report": {"--records", "--format", "--out"},
     }
 

@@ -89,6 +89,11 @@ def test_json_is_written_only_by_the_strict_encoder():
     assert _attribute_uses("json", ("dump", "dumps")) == [("reports.py", "json_text")]
 
 
+def test_no_module_reads_the_environment():
+    # a run's settings come from its command line and config file alone
+    assert _attribute_uses("os", ("environ", "getenv")) == []
+
+
 def test_errstate_is_set_only_where_commands_and_cells_start():
     # an overflow becomes a non-finite value that a check rejects; the CLI and
     # each sweep cell keep numpy's warning from printing ahead of that error,

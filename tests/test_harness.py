@@ -575,7 +575,6 @@ class TestBlasKernel:
     def _sweep(config_path, out_dir, coretype):
         env = os.environ.copy()
         env.pop("OPENBLAS_CORETYPE", None)
-        env.pop("COVSPECTRUM_OUT", None)
         if coretype is not None:
             env["OPENBLAS_CORETYPE"] = coretype
         res = subprocess.run(
