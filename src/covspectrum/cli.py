@@ -17,7 +17,7 @@ non-finite result, and maps what it raises to the exit code: 0 success, 1
 validation error, 2 resource/convergence error or failed allocation, 3
 I/O error.  Every command that writes files takes its output directory
 from --out, defaulting to the current directory; a sweep config names no
-output directory.
+output directory.  report's csv and json hold the summary and tail blocks.
 """
 
 import argparse
@@ -139,7 +139,7 @@ def build_parser() -> _Parser:
     add_out(sp)
     sp.set_defaults(run=_cmd_sweep)
 
-    sp = sub.add_parser("report", help="summaries and plots from a records CSV")
+    sp = sub.add_parser("report", help="summary and tail blocks (csv, json) or plots (svg) from a records CSV")
     sp.add_argument("--records", required=True)
     sp.add_argument("--format", default="csv", choices=("csv", "json", "svg"))
     add_out(sp)

@@ -5,7 +5,8 @@ serialization is fully deterministic: floats use repr (shortest
 round-trip) and aux maps are canonical JSON.  A record is written as it
 is held, so reading a records file back gives the records that wrote it.
 Every per-group statistic reads its groups from one helper, ``_grouped``,
-and ``emit_report`` writes only derived statistics and plots.
+and ``emit_report`` writes only plots and the ``_BLOCKS`` table: a block is
+rows of one flat frozen dataclass, and a block with no rows writes nothing.
 All JSON the package writes goes through one strict encoder, ``json_text``,
 which writes a non-finite number as ``null``.
 """
@@ -38,7 +39,7 @@ __all__ = [
 
 CSV_COLUMNS = ("p", "n", "ratio", "replicate", "task", "value", "aux")
 
-DEFAULT_TAIL_EPS = 0.3
+TAIL_EPS = 0.3
 WILSON_Z = 1.96  # two-sided 95% normal quantile
 
 
@@ -253,8 +254,15 @@ def _wilson(successes: int, total: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def tail_probability_report(records, eps: float = DEFAULT_TAIL_EPS) -> list:
-    """Empirical frequency of {lambda_max(B) > 1 + eps} with Wilson intervals.
+def _lambda_max_b(rec) -> float:
+    value = rec.aux["lambda_max_b"]  # null (json_text's non-finite) and a number past the doubles read as inf
+    if value is not None and type(value) not in (int, float):
+        raise ValidationError(f"lambda_max_b {value!r} at (p, n, replicate, task) = {rec.sort_key()} is not a number")
+    return float(value) if value is not None and abs(value) <= sys.float_info.max else math.inf
+
+
+def tail_probability_report(records) -> list:
+    """The ``tail`` block: frequency of {lambda_max(B) > 1 + eps}, eps fixed at ``TAIL_EPS``, with Wilson intervals.
 
     Consumes lambda_max records (dense runs carry lambda_max_b in aux);
     rows come back sorted by decreasing ratio, so the frequency column
@@ -264,9 +272,9 @@ def tail_probability_report(records, eps: float = DEFAULT_TAIL_EPS) -> list:
     for (p, n), values in _grouped(
         (rec for rec in records if rec.task == "lambda_max" and "lambda_max_b" in rec.aux),
         lambda rec: (rec.p, rec.n),
-        lambda rec: float(rec.aux["lambda_max_b"]),
+        _lambda_max_b,
     ).items():
-        exceed = sum(1 for v in values if v > 1.0 + eps)
+        exceed = sum(1 for v in values if v > 1.0 + TAIL_EPS)
         low, high = _wilson(exceed, len(values))
         rows.append(
             TailRow(
@@ -333,20 +341,27 @@ def _svg_scatter(points, medians, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
+_BLOCKS = {"summary": summarize, "tail": tail_probability_report}
+
+
 def emit_report(records, fmt: str, out_dir) -> list:
-    """Write only derived statistics (csv, json) or plots (svg), never the records; returns the paths."""
+    """Write the blocks with rows, as report_<name>.csv or keys of report.json, or plots (svg); returns the paths."""
+    # every block is derived before out_dir is made, so a record a block rejects writes nothing
+    blocks = {name: rows for name, derive in _BLOCKS.items() if (rows := derive(records))}
     os.makedirs(out_dir, exist_ok=True)
     if fmt == "csv":
-        path = os.path.join(out_dir, "report_summary.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(f.name for f in fields(SummaryRow))
-            writer.writerows(astuple(row) for row in summarize(records))
-        return [path]
+        paths = []
+        for name, rows in blocks.items():
+            paths.append(os.path.join(out_dir, f"report_{name}.csv"))
+            with open(paths[-1], "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(f.name for f in fields(rows[0]))
+                writer.writerows(astuple(row) for row in rows)
+        return paths
     if fmt == "json":
         path = os.path.join(out_dir, "report.json")
         with open(path, "w") as fh:
-            fh.write(json_text({"summary": [vars(row) for row in summarize(records)]}, indent=2) + "\n")
+            fh.write(json_text({name: [vars(row) for row in rows] for name, rows in blocks.items()}, indent=2) + "\n")
         return [path]
     if fmt == "svg":
         groups = _grouped(records, lambda rec: (rec.task, rec.ratio))

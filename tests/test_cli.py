@@ -17,7 +17,7 @@ from covspectrum import cli, spectral
 from covspectrum.ensemble import load_matrix, save_matrix
 from covspectrum.errors import ConvergenceError
 from covspectrum.momentlab import exact_trace_moment
-from covspectrum.reports import read_records
+from covspectrum.reports import read_records, tail_probability_report
 
 CLI = [sys.executable, "-m", "covspectrum"]
 SRC = str(Path(cli.__file__).resolve().parents[1])  # so a child run from any cwd imports this package
@@ -862,6 +862,57 @@ class TestSweepAndReport:
         rep = run_cli("report", "--records", str(tmp_path / "run" / "records.csv"), "--out", str(tmp_path / "run"))
         assert rep.returncode == 0, rep.stderr
         assert sorted(json.loads(rep.stdout)) == ["paths"]
+
+    @pytest.mark.parametrize(
+        "tasks, blocks",
+        [(["lambda_max", "diag_dev"], ["summary", "tail"]), (["diag_dev"], ["summary"])],
+        ids=["dense-lambda-max", "diag-dev-only"],
+    )
+    def test_report_writes_each_block_with_rows(self, tmp_path, tasks, blocks):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"distribution": "rademacher", "grid": [[10, 100], [10, 400]],
+                                      "replicates": 3, "master_seed": 21, "tasks": tasks}))
+        sweep = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
+        assert sweep.returncode == 0, sweep.stderr
+        records = str(tmp_path / "run" / "records.csv")
+        rep = run_cli("report", "--records", records, "--format", "json", "--out", str(tmp_path / "json"))
+        assert rep.returncode == 0, rep.stderr
+        payload = json.loads((tmp_path / "json" / "report.json").read_text())
+        assert sorted(payload) == blocks
+        assert payload.get("tail", []) == [vars(row) for row in tail_probability_report(read_records(records))]
+        rep = run_cli("report", "--records", records, "--format", "csv", "--out", str(tmp_path / "csv"))
+        assert rep.returncode == 0, rep.stderr
+        names = [f"report_{block}.csv" for block in blocks]
+        assert sorted(os.listdir(tmp_path / "csv")) == names
+        assert json.loads(rep.stdout)["paths"] == [str(tmp_path / "csv" / name) for name in names]
+
+    @pytest.mark.parametrize(
+        "value, usable",
+        [("null", False), ("1" + "0" * 400, False), ("2.0", True), ("true", None), ('"x"', None),
+         ("[1.5]", None), ('{"v": 1.5}', None)],
+        ids=["null", "int-past-the-doubles", "number", "bool", "string", "list", "object"],
+    )
+    def test_report_reads_lambda_max_b_only_as_a_number(self, tmp_path, value, usable):
+        # null is how json_text writes a non-finite value: the tail block
+        # leaves it out, as it does a number no double holds; a value that is
+        # not a number at all is rejected before anything is written
+        records = tmp_path / "records.csv"
+        quoted = value.replace('"', '""')  # the aux column is a quoted CSV field
+        records.write_text(
+            "p,n,ratio,replicate,task,value,aux\n"
+            '10,100,0.1,0,lambda_max,1.0,"{""lambda_max_b"":0.5}"\n'
+            f'10,100,0.1,1,lambda_max,1.0,"{{""lambda_max_b"":{quoted}}}"\n'
+        )
+        res = run_cli("report", "--records", str(records), "--format", "json", "--out", str(tmp_path / "report"))
+        if usable is None:
+            assert res.returncode == 1
+            assert res.stdout == ""
+            assert res.stderr.startswith("error: lambda_max_b") and res.stderr.count("\n") == 1
+            assert not (tmp_path / "report").exists()
+        else:
+            assert res.returncode == 0, res.stderr
+            (tail,) = json.loads((tmp_path / "report" / "report.json").read_text())["tail"]
+            assert (tail["exceed"], tail["total"]) == ((1, 2) if usable else (0, 1))
 
     @pytest.mark.parametrize("fmt, names", [
         ("csv", ["report_summary.csv"]),

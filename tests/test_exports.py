@@ -8,7 +8,9 @@ its module or re-exported through ``__all__``, so deleting the last use of
 a name cannot leave a stale import behind.  Only ``reports`` calls
 ``json.dump``/``json.dumps``: every other module writes JSON through its
 strict encoder.  ``np.errstate`` is set only where a command or a sweep
-cell starts, and in ``reports.summarize``.
+cell starts, and in ``reports.summarize``.  ``reports.emit_report`` names no
+block of ``reports._BLOCKS``, so a new block is one table row and one
+function, with no per-block branch in the writer.
 """
 
 import ast
@@ -19,6 +21,7 @@ import pkgutil
 import pytest
 
 import covspectrum
+from covspectrum import reports
 
 MODULES = ["covspectrum"] + [
     f"covspectrum.{info.name}" for info in pkgutil.iter_modules(covspectrum.__path__) if info.name != "__main__"
@@ -103,3 +106,14 @@ def test_errstate_is_set_only_where_commands_and_cells_start():
         ("harness.py", "_Cell.records"),
         ("reports.py", "summarize"),
     ]
+
+
+def test_emit_report_names_no_block():
+    tree = ast.parse(pathlib.Path(reports.__file__).read_text())
+    (emit,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "emit_report"]
+    named = [
+        f"{node.value!r} at line {node.lineno}"
+        for node in ast.walk(emit)
+        if isinstance(node, ast.Constant) and node.value in reports._BLOCKS
+    ]
+    assert named == []

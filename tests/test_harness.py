@@ -29,6 +29,7 @@ from covspectrum.harness import (
 from covspectrum.momentlab import IndexCircuit
 from covspectrum.normalize import CovarianceSpec, covariance_from_json
 from covspectrum.reports import (
+    _BLOCKS,
     CSV_COLUMNS,
     RunRecord,
     emit_report,
@@ -721,7 +722,7 @@ class TestTailReport:
                     value=1.0, aux={"lambda_max_b": 0.9},
                 )
             )
-        rows = tail_probability_report(recs, eps=0.3)
+        rows = tail_probability_report(recs)
         assert [r.ratio for r in rows] == [0.1, 0.01]
         assert rows[0].exceed == 4 and rows[0].total == 20
         assert rows[0].frequency == pytest.approx(0.2)
@@ -744,6 +745,29 @@ class TestTailReport:
         assert rows[0].ratio == 0.2
         assert rows[0].exceed > 0
         assert rows[1].frequency < rows[0].frequency
+
+
+class TestReportBlocks:
+    @pytest.mark.parametrize("name", sorted(_BLOCKS))
+    def test_no_records_give_no_rows(self, name):
+        assert _BLOCKS[name]([]) == []
+
+    def test_each_block_is_rows_of_one_flat_frozen_dataclass(self):
+        config = ExperimentConfig(
+            distribution=DistributionSpec("gaussian"),
+            grid=(MatrixShape(8, 40), MatrixShape(8, 400)),
+            replicates=3,
+            master_seed=5,
+            tasks=(TaskSpec("lambda_max"), TaskSpec("diag_dev")),
+        )
+        records = run_experiment(config, threads=1)
+        for name, derive in _BLOCKS.items():
+            rows = derive(records)
+            assert rows, name
+            (row_type,) = {type(row) for row in rows}
+            assert row_type.__dataclass_params__.frozen, name
+            for row in rows:
+                assert {type(value) for value in vars(row).values()} <= {int, float, str}, (name, row)
 
 
 class TestReports:
@@ -805,12 +829,22 @@ class TestReports:
             read_records(path)
 
     def test_emit_csv_and_json(self, tmp_path):
-        # the records are not written again: only their summary is
-        (csv_path,) = emit_report(self._records(), "csv", str(tmp_path))
-        assert csv_path.endswith("report_summary.csv")
+        # the records are not written again: only their blocks are, and the
+        # dense lambda_max rows carry lambda_max_b, so tail has rows too
+        paths = emit_report(self._records(), "csv", str(tmp_path))
+        assert paths == [str(tmp_path / "report_summary.csv"), str(tmp_path / "report_tail.csv")]
+        tail = Path(paths[1]).read_text().splitlines()
+        assert tail[0] == "p,n,ratio,exceed,total,frequency,wilson_low,wilson_high"
+        assert [line.split(",")[:5] for line in tail[1:]] == [
+            ["10", "100", "0.1", "0", "1"],
+            ["10", "1000", "0.01", "0", "1"],
+        ]
         (json_path,) = emit_report(self._records(), "json", str(tmp_path))
         payload = json.loads(Path(json_path).read_text())
-        assert payload == {"summary": [vars(row) for row in summarize(self._records())]}
+        assert payload == {
+            "summary": [vars(row) for row in summarize(self._records())],
+            "tail": [vars(row) for row in tail_probability_report(self._records())],
+        }
 
     def test_summary_golden(self, tmp_path):
         # SummaryRow's field names are both the CSV header and the JSON keys
@@ -826,10 +860,13 @@ class TestReports:
         ] * 2
 
     def test_emit_empty_csv(self, tmp_path):
-        (summary_path,) = emit_report([], "csv", str(tmp_path))
-        assert Path(summary_path).read_text().splitlines() == ["p,n,task,count,median,mean,std,min,max"]
-        (json_path,) = emit_report([], "json", str(tmp_path))
-        assert json.loads(Path(json_path).read_text()) == {"summary": []}
+        # a block with no rows writes nothing: no csv file, no json key
+        failed = RunRecord(p=10, n=100, replicate=0, task="diag_dev", value=math.nan, aux={"error": "boom"})
+        for records in ([], [failed]):
+            assert emit_report(records, "csv", str(tmp_path)) == []
+            assert os.listdir(tmp_path) == []
+        (json_path,) = emit_report([failed], "json", str(tmp_path))
+        assert json.loads(Path(json_path).read_text()) == {}
 
     def test_svg_deterministic_and_parseable(self, tmp_path):
         (path1,) = emit_report(self._records(), "svg", str(tmp_path / "one"))
