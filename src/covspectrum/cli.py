@@ -219,14 +219,17 @@ def _cmd_sweep(args) -> None:
 def _cmd_report(args) -> None:
     records = read_records(args.records)
     seen = set()
-    for rec in records:  # reject what no sweep writes before a file is written
-        if rec.task not in TASK_NAMES:
-            raise ValidationError(f"{args.records}: {rec.task!r} is not a sweep task")
-        if rec.sort_key() in seen:
-            raise ValidationError(f"{args.records}: two records for (p, n, replicate, task) = {rec.sort_key()}")
-        seen.add(rec.sort_key())
-    fit = fit_rate(records)
-    out = {"paths": emit_report(records, args.format, args.out)}
+    try:  # every input error names the records file, as read_records's do
+        for rec in records:  # reject what no sweep writes before a file is written
+            if rec.task not in TASK_NAMES:
+                raise ValidationError(f"{rec.task!r} is not a sweep task")
+            if rec.sort_key() in seen:
+                raise ValidationError(f"two records for (p, n, replicate, task) = {rec.sort_key()}")
+            seen.add(rec.sort_key())
+        fit = fit_rate(records)
+        out = {"paths": emit_report(records, args.format, args.out)}
+    except ValidationError as exc:
+        raise ValidationError(f"{args.records}: {exc}") from exc
     if fit is not None:
         out.update(rate_slope=fit.slope, rate_r2=fit.r2)
     print(json_text(out))

@@ -18,6 +18,7 @@ import os
 import stat
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -77,34 +78,18 @@ class DistributionSpec:
         """Population moment E[X^order] of the standardized law.
 
         Returns math.inf for even orders without a finite moment and
-        math.nan for odd orders that are undefined (heavy t tails).  A
-        finite moment beyond the double range is +-inf with its true sign;
-        one within it is finite.  Each law has one formula: student-t's
-        moment of order 2m is prod_{i=1}^m (2i-1)(df-2)/(df-2i), whose
-        factors are all >= 1, so it overflows only with the moment, and
-        two-point weighs each atom's power by ``_weighted_power``, which
-        scales only at the end.
+        math.nan for odd orders that are undefined (heavy t tails).
+        Student-t's moment of order 2m is the float product
+        prod_{i=1}^m (2i-1)(df-2)/(df-2i), whose factors are all >= 1, so
+        it overflows only with the moment.  Every other law's moment is
+        exact (for two-point, that of the float atoms ``sample_matrix``
+        draws), rounded once to a double, or to +-inf with its sign.
         """
         if order < 0:
             raise ValidationError("moment order must be >= 0")
-        if order == 0:
-            return 1.0
-        if order == 1:
-            return 0.0  # exact by standardization for every kind
-        if order == 2:
-            return 1.0
+        if order <= 2:
+            return (1.0, 0.0, 1.0)[order]  # exact by standardization for every kind
         kind = self.kind
-        if kind == "gaussian":
-            return 0.0 if order % 2 else _int_ratio(_double_factorial(order - 1))
-        if kind == "rademacher":
-            return 0.0 if order % 2 else 1.0
-        if kind == "uniform-symmetric":
-            if order % 2:
-                return 0.0
-            return _int_ratio(3 ** (order // 2), order + 1)
-        if kind == "centered-exponential":
-            # E[(E-1)^s] for E ~ Exp(1) is the derangement number D_s.
-            return _int_ratio(_subfactorial(order))
         if kind == "student-t":
             df = self.df
             if order % 2:
@@ -112,9 +97,21 @@ class DistributionSpec:
             if order >= df:
                 return math.inf
             return math.prod((2 * i - 1) * (df - 2.0) / (df - 2 * i) for i in range(1, order // 2 + 1))
-        # two-point
-        (x_lo, w_lo), (x_hi, w_hi) = self.atoms()
-        return _weighted_power(w_hi, x_hi, order) + _weighted_power(w_lo, x_lo, order)
+        if kind == "gaussian":
+            exact = 0 if order % 2 else math.prod(range(order - 1, 0, -2))
+        elif kind == "rademacher":
+            exact = 1 - order % 2
+        elif kind == "uniform-symmetric":
+            exact = 0 if order % 2 else Fraction(3 ** (order // 2), order + 1)
+        elif kind == "centered-exponential":
+            # E[(E-1)^s] for E ~ Exp(1) is the derangement number D_s.
+            exact = _subfactorial(order)
+        else:
+            exact = sum(Fraction(w) * Fraction(x) ** order for x, w in self.atoms())
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
 
     def atoms(self):
         """(value, weight) pairs of the two-point law, lower atom first."""
@@ -140,43 +137,6 @@ def distribution_from_json(obj) -> DistributionSpec:
     if obj["kind"] in KINDS and (extra := sorted(set(obj) - {"kind", _PARAMETER[obj["kind"]]})):
         raise ValidationError(f"{obj['kind']} takes no {extra[0]}")  # a JSON null names a parameter too
     return DistributionSpec(obj["kind"], df=obj.get("df"), q=obj.get("q"))
-
-
-def _double_factorial(m: int) -> int:
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
-
-
-def _int_ratio(num: int, den: int = 1) -> float:
-    """num / den (den > 0) correctly rounded, or +-inf beyond the double range."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
-def _weighted_power(w: float, x: float, order: int) -> float:
-    """w * x**order for w > 0, or +-inf beyond the double range.
-
-    The mantissas and the binary exponents are multiplied apart, so no
-    step overflows before the final scaling.
-    """
-    mant, exp = math.frexp(w)
-    x_mant, x_exp = math.frexp(abs(x))
-    left = order
-    while left:
-        step = min(left, 512)  # x_mant**512 >= 2**-512 stays a normal double
-        mant, e = math.frexp(mant * x_mant**step)
-        exp += e + x_exp * step
-        left -= step
-    sign = -1.0 if x < 0 and order % 2 else 1.0
-    try:
-        return sign * math.ldexp(mant, exp)
-    except OverflowError:
-        return sign * math.inf
 
 
 def _subfactorial(s: int) -> int:

@@ -178,16 +178,15 @@ class ExperimentConfig:
             raise ValidationError("grid must be a list of [p, n] pairs")
         if not isinstance(obj.get("tasks", []), list):
             raise ValidationError("tasks must be a list of task names or dicts")
-        try:
-            return cls(
-                distribution=distribution_from_json(obj["distribution"]),
-                grid=tuple(MatrixShape(p, n) for p, n in obj["grid"]),
-                replicates=obj.get("replicates", 1),
-                master_seed=obj.get("master_seed", 0),
-                tasks=tuple(TaskSpec.from_json(t) for t in obj.get("tasks", [])),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed experiment config: {exc}") from exc
+        if "distribution" not in obj:
+            raise ValidationError("experiment config needs a 'distribution'")
+        return cls(
+            distribution=distribution_from_json(obj["distribution"]),
+            grid=tuple(MatrixShape(p, n) for p, n in obj["grid"]),
+            replicates=obj.get("replicates", 1),
+            master_seed=obj.get("master_seed", 0),
+            tasks=tuple(TaskSpec.from_json(t) for t in obj.get("tasks", [])),
+        )
 
 
 @dataclass(frozen=True)

@@ -231,7 +231,7 @@ class CovarianceSpec:
             idx = np.arange(p)
             return self.rho ** np.abs(idx[:, None] - idx[None, :])
         if self.matrix.shape[0] != p:
-            raise ValidationError(f"explicit covariance is {self.matrix.shape[0]}x..., expected {p}")
+            raise ValidationError(f"explicit covariance is {self.matrix.shape[0]} x {self.matrix.shape[1]}, expected {p} x {p}")
         return _sym(self.matrix)
 
 

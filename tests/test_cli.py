@@ -374,9 +374,9 @@ class TestCovtestAndMoments:
         assert capsys.readouterr() == ("", error + "\n")
 
     @staticmethod
-    def _covtest_explicit(tmp_path, matrix):
+    def _covtest_explicit(tmp_path, matrix, p=None):
         data, sigma = tmp_path / "m.bin", tmp_path / "sigma.bin"
-        save_matrix(np.random.default_rng(2).standard_normal((len(matrix), 200)), data)
+        save_matrix(np.random.default_rng(2).standard_normal((p or len(matrix), 200)), data)
         save_matrix(np.asarray(matrix, dtype=float), sigma)
         return run_cli("covtest", "--in", str(data), "--sigma", json.dumps({"kind": "explicit", "path": str(sigma)}))
 
@@ -396,10 +396,17 @@ class TestCovtestAndMoments:
         assert json.loads(res.stdout)["within_bound"] is True
 
     @pytest.mark.parametrize(
-        "matrix, said", [([[1, 0.5], [0, 1]], "symmetric"), ([[1, 2], [2, 1]], "not PSD")], ids=["asymmetric", "indefinite"]
+        "matrix, p, said",
+        [
+            ([[1, 0.5], [0, 1]], None, "symmetric"),
+            ([[1, 2], [2, 1]], None, "not PSD"),
+            (np.ones((3, 5)), None, "square"),
+            (np.eye(3), 5, "explicit covariance is 3 x 3, expected 5 x 5"),  # symmetric PSD, so only the size is wrong
+        ],
+        ids=["asymmetric", "indefinite", "not-square", "wrong-size"],
     )
-    def test_covtest_rejects_invalid_explicit_sigma(self, tmp_path, matrix, said):
-        res = self._covtest_explicit(tmp_path, matrix)
+    def test_covtest_rejects_invalid_explicit_sigma(self, tmp_path, matrix, p, said):
+        res = self._covtest_explicit(tmp_path, matrix, p)
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and said in res.stderr
@@ -728,6 +735,14 @@ class TestSweepAndReport:
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
         assert not (tmp_path / "run").exists()
 
+    def test_config_without_a_distribution_says_so(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": [[10, 100]]}))
+        res = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == "error: experiment config needs a 'distribution'\n"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -770,7 +785,7 @@ class TestSweepAndReport:
             ('10,200,0.9,0,lambda_max,1.0,"{}"', "{records}, line 2"),
             (
                 '10,100,0.1,0,cov_rate,0.3,"{}"\n10,500,0.02,0,cov_rate,0.0,"{}"\n10,1000,0.01,0,cov_rate,0.1,"{}"',
-                "p=10, n=500",
+                "{records}: cov_rate median at p=10, n=500",
             ),
             ('10,100,0.1,0,a/b,0.5,"{}"', "{records}: 'a/b' is not a sweep task"),
             ('10,100,0.1,0,a<b&c,0.5,"{}"', "{records}: 'a<b&c' is not a sweep task"),
@@ -907,7 +922,7 @@ class TestSweepAndReport:
         if usable is None:
             assert res.returncode == 1
             assert res.stdout == ""
-            assert res.stderr.startswith("error: lambda_max_b") and res.stderr.count("\n") == 1
+            assert res.stderr.startswith(f"error: {records}: lambda_max_b") and res.stderr.count("\n") == 1
             assert not (tmp_path / "report").exists()
         else:
             assert res.returncode == 0, res.stderr

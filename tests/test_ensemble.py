@@ -169,6 +169,43 @@ class TestStandardizedMoments:
             assert math.isfinite(float(expected))
             assert abs(spec.moment(order) - expected) <= 1e-12 * abs(expected)
 
+    @staticmethod
+    def _exact_moment(spec, order):
+        """E[X^order] as an int or Fraction, from formulas moment() does not use."""
+        if order <= 2:
+            return (1, 0, 1)[order]  # the standardization, not the float atoms' own moments
+        if spec.kind == "two-point":
+            return sum(Fraction(w) * Fraction(x) ** order for x, w in spec.atoms())
+        if spec.kind == "centered-exponential":  # binomial expansion with E[E^j] = j!
+            return sum(math.comb(order, j) * (-1) ** (order - j) * math.factorial(j) for j in range(order + 1))
+        if order % 2:
+            return 0
+        m = order // 2
+        if spec.kind == "gaussian":  # (2m)! / (2^m m!) = (2m - 1)!!
+            return math.factorial(order) // (2**m * math.factorial(m))
+        if spec.kind == "rademacher":
+            return 1
+        return Fraction(3**m, order + 1)  # uniform on [-sqrt(3), sqrt(3)]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [DistributionSpec(kind) for kind in ("gaussian", "rademacher", "uniform-symmetric", "centered-exponential")]
+        + [DistributionSpec("two-point", q=q) for q in (1e-100, 1e-12, 0.01, 0.3, 0.5, 1 - 1e-10)],
+        ids=lambda spec: spec.kind if spec.q is None else f"two-point-{spec.q!r}",
+    )
+    def test_moment_is_the_exact_moment_rounded_once(self, spec):
+        for order in range(61):
+            exact = self._exact_moment(spec, order)
+            try:
+                expected = float(exact)
+            except OverflowError:
+                expected = math.inf if exact > 0 else -math.inf
+            assert spec.moment(order) == expected, (order, exact)
+
+    def test_two_point_odd_moment_past_the_doubles_is_negative_inf(self):
+        # the lower atom -sqrt(q / (1 - q)) ~ -1e8 carries almost all the weight
+        assert DistributionSpec("two-point", q=1 - 1e-16).moment(401) == -math.inf
+
     def test_moment_sequence(self):
         assert moment_sequence(DistributionSpec("rademacher"), 6) == (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ValidationError):
