@@ -75,43 +75,44 @@ class DistributionSpec:
             raise ValidationError("two-point requires a probability q in (0, 1)")
 
     def moment(self, order: int) -> float:
-        """Population moment E[X^order] of the standardized law.
-
-        Returns math.inf for even orders without a finite moment and
-        math.nan for odd orders that are undefined (heavy t tails).
-        Student-t's moment of order 2m is the float product
-        prod_{i=1}^m (2i-1)(df-2)/(df-2i), whose factors are all >= 1, so
-        it overflows only with the moment.  Every other law's moment is
-        exact (for two-point, that of the float atoms ``sample_matrix``
-        draws), rounded once to a double, or to +-inf with its sign.
-        """
-        if order < 0:
-            raise ValidationError("moment order must be >= 0")
-        if order <= 2:
-            return (1.0, 0.0, 1.0)[order]  # exact by standardization for every kind
-        kind = self.kind
-        if kind == "student-t":
-            df = self.df
-            if order % 2:
-                return 0.0 if order < df else math.nan
-            if order >= df:
-                return math.inf
-            return math.prod((2 * i - 1) * (df - 2.0) / (df - 2 * i) for i in range(1, order // 2 + 1))
-        if kind == "gaussian":
-            exact = 0 if order % 2 else math.prod(range(order - 1, 0, -2))
-        elif kind == "rademacher":
-            exact = 1 - order % 2
-        elif kind == "uniform-symmetric":
-            exact = 0 if order % 2 else Fraction(3 ** (order // 2), order + 1)
-        elif kind == "centered-exponential":
-            # E[(E-1)^s] for E ~ Exp(1) is the derangement number D_s.
-            exact = _subfactorial(order)
-        else:
-            exact = sum(Fraction(w) * Fraction(x) ** order for x, w in self.atoms())
+        """E[X^order] of the standardized law: ``exact_moment`` rounded once to a
+        double, or to +-inf with its sign past the double range."""
+        exact = self.exact_moment(order)
         try:
             return float(exact)
         except OverflowError:
             return math.inf if exact > 0 else -math.inf
+
+    def exact_moment(self, order: int):
+        """E[X^order] as an int or Fraction; for two-point, that of the float
+        atoms ``sample_matrix`` draws.
+
+        Student-t's moments are math.inf at even orders >= df and math.nan
+        at odd ones, where the heavy tails leave them undefined; its moment
+        of order 2m is prod_{i=1}^m (2i-1)(df-2)/(df-2i), built from the
+        exact ratio df = a/b as one fraction of two integer products.
+        """
+        if order < 0:
+            raise ValidationError("moment order must be >= 0")
+        if order <= 2:
+            return (1, 0, 1)[order]  # exact by standardization for every kind
+        kind = self.kind
+        if kind == "student-t":
+            if order % 2:
+                return 0 if order < self.df else math.nan
+            if order >= self.df:
+                return math.inf
+            (a, b), m = Fraction(self.df).as_integer_ratio(), order // 2
+            return Fraction(math.prod(range(1, order, 2)) * (a - 2 * b) ** m, math.prod(a - 2 * i * b for i in range(1, m + 1)))
+        if kind == "gaussian":
+            return 0 if order % 2 else math.prod(range(order - 1, 0, -2))
+        if kind == "rademacher":
+            return 1 - order % 2
+        if kind == "uniform-symmetric":
+            return 0 if order % 2 else Fraction(3 ** (order // 2), order + 1)
+        if kind == "centered-exponential":
+            return _subfactorial(order)  # E[(E-1)^s] for E ~ Exp(1) is the derangement number D_s
+        return sum(Fraction(w) * Fraction(x) ** order for x, w in self.atoms())
 
     def atoms(self):
         """(value, weight) pairs of the two-point law, lower atom first."""
@@ -148,10 +149,10 @@ def _subfactorial(s: int) -> int:
 
 
 def moment_sequence(spec: DistributionSpec, max_order: int) -> tuple:
-    """(m1, ..., m_max_order) as needed by the trace-moment oracles."""
+    """(m1, ..., m_max_order), each ``exact_moment`` unrounded, for the trace-moment oracles."""
     if max_order < 1:
         raise ValidationError("max_order must be >= 1")
-    return tuple(spec.moment(s) for s in range(1, max_order + 1))
+    return tuple(spec.exact_moment(s) for s in range(1, max_order + 1))
 
 
 def _is_int(value) -> bool:

@@ -23,7 +23,8 @@ On top of the classification the module offers an exact trace-moment
 evaluator (numpy visits only the star circuits with i_1 = 1, i_2 = 2 and
 j_1 = 1 and tallies them by their ordered class multiplicities;
 relabelling makes each pattern's count over all star circuits p (p - 1) n
-times that, and one exact sum weights each pattern's term by its count),
+times that; one exact sum weights each pattern's exact moment product by
+its count and is rounded once when scaled, odd k then dividing by sqrt(np)),
 a canonical W-graph enumerator with isomorphism-class sizes, a log-space
 evaluator of the sextuple-sum upper bound on E tr(B^k), and a
 feasibility checker for the h/k proof schedules.  The bound sums its
@@ -276,17 +277,16 @@ def classify_json(circuit: IndexCircuit) -> dict:
 
 
 def _expectation_from_counts(multiplicities, moments):
-    """Product of the moments E X^m over an iterable of edge multiplicities m."""
+    """Exact product of the moments E X^m over an iterable of edge
+    multiplicities m; a float moment is read exactly as a Fraction."""
     term = 1
     for mult in multiplicities:
         if mult > len(moments):
-            raise ValidationError(
-                f"need moments up to order {mult}, got only {len(moments)}"
-            )
+            raise ValidationError(f"need moments up to order {mult}, got only {len(moments)}")
         m = moments[mult - 1]
         if isinstance(m, float) and not math.isfinite(m):
             raise ValidationError(f"moment of order {mult} is not finite")
-        term = term * m
+        term = term * (Fraction(m) if isinstance(m, float) else m)
         if term == 0:
             return term
     return term
@@ -384,7 +384,7 @@ def _check_budget(p: int, n: int, k: int) -> None:
 
 
 def trace_moment_unscaled(p: int, n: int, k: int, moments):
-    """sum over star circuits of the factorized expectation (no scaling).
+    """Exact sum over star circuits of the factorized expectation (no scaling).
 
     numpy visits the star circuits with i_1 = 1, i_2 = 2 and j_1 = 1 and
     tallies them by ordered multiplicity pattern, on which a circuit's
@@ -402,12 +402,11 @@ def trace_moment_unscaled(p: int, n: int, k: int, moments):
     with the same pattern.  So every pattern first occurs among the
     visited circuits, in the same order, and the first error raised is
     the full circuit loop's.
-    The count-weighted terms are summed exactly: int or Fraction moments
-    give an int or Fraction, and otherwise float terms are read exactly
-    as Fractions and the sum is rounded once to the nearest float.
+    Every term is an exact product (a float moment is read as a
+    Fraction), so the count-weighted sum is the exact int or Fraction,
+    rounded nowhere.
     """
     _check_budget(p, n, k)
-    exact = all(isinstance(m, (int, Fraction)) and not isinstance(m, bool) for m in moments)
     orbit = p * (p - 1) * n
     terms, counts = {}, {}
     for edges in _star_edge_chunks(p, n, k):
@@ -417,13 +416,7 @@ def trace_moment_unscaled(p: int, n: int, k: int, moments):
             if code not in terms:
                 terms[code] = _expectation_from_counts(_pattern(code), moments)
             counts[code] = counts.get(code, 0) + orbit * int(number[at])
-    if exact:
-        return sum((counts[code] * term for code, term in terms.items()), 0)
-    try:
-        return float(sum(counts[code] * Fraction(term) for code, term in terms.items()))
-    except (OverflowError, ValueError):
-        # a term or the sum is not a finite double: round in float arithmetic
-        return float(sum(counts[code] * term for code, term in terms.items()))
+    return sum((counts[code] * term for code, term in terms.items()), 0)
 
 
 def exact_trace_moment(p: int, n: int, k: int, moments) -> float:
@@ -433,20 +426,20 @@ def exact_trace_moment(p: int, n: int, k: int, moments) -> float:
     and j_1 = 1 and weights their tally by p (p - 1) n; the budget still
     caps the nominal (pn)^k.
 
-    The unscaled sum is exact (float moments give the correctly rounded
-    float of the exact sum of the float terms), and so is its division by
-    the integer 2^k (np)^{floor(k/2)}, rounded once to a float; odd k then
-    divides by sqrt(np) in float.  A non-finite float sum is returned as
-    it is.  At p < 2 or k < 2 no star circuit exists, so 0.0 is returned
-    without building the divisor, whose size the budget does not bound at
-    p = n = 1.
+    The exact unscaled sum is divided exactly by the integer
+    2^k (np)^{floor(k/2)} and rounded once to a double, or to +-inf with
+    its sign past the double range; so an even-k moment is rounded only
+    there.  Odd k then divides by the float sqrt(np).  At p < 2 or k < 2
+    no star circuit exists, so 0.0 is returned without building the
+    divisor, whose size the budget does not bound at p = n = 1.
     """
     unscaled = trace_moment_unscaled(p, n, k, moments)
     if p < 2 or k < 2:
         return 0.0
-    if isinstance(unscaled, float) and not math.isfinite(unscaled):
-        return unscaled
-    value = float(Fraction(unscaled) / (2**k * (n * p) ** (k // 2)))
+    try:
+        value = float(Fraction(unscaled, 2**k * (n * p) ** (k // 2)))
+    except OverflowError:
+        value = math.inf if unscaled > 0 else -math.inf
     return value / math.sqrt(n * p) if k % 2 else value
 
 

@@ -53,7 +53,8 @@ __all__ = [
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
-    return (M + M.T) / 2.0
+    half = M / 2.0  # halved first, so a finite M gives a finite result
+    return half + half.T
 
 
 def build_A(X) -> np.ndarray:

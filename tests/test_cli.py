@@ -345,7 +345,9 @@ class TestCovtestAndMoments:
         """argv on finite entries whose Gram, Lanczos step or Sigma^{1/2} S1 Sigma^{1/2} overflows to inf.
 
         The matrix is of shape huge_shape with entries +-1e200, or 3 x 50
-        Gaussian if huge_shape is None; SIGMA in argv names a file holding
+        Gaussian with standard deviation 4 if huge_shape is None, so that
+        S2 = Sigma^{1/2} S1 Sigma^{1/2} has (1, 1) entry 1.7e308 * S1_11
+        with S1_11 ~ 12, past the doubles; SIGMA in argv names a file holding
         diag(1.7e308, 1, 1).
         """
         data, sigma = tmp_path / "m.bin", tmp_path / "sigma.bin"
@@ -353,7 +355,7 @@ class TestCovtestAndMoments:
             signs = np.arange(np.prod(huge_shape)).reshape(huge_shape) % 4 == 0
             save_matrix(np.where(signs, -1e200, 1e200), data)
         else:
-            save_matrix(np.random.default_rng(1).standard_normal((3, 50)), data)
+            save_matrix(4.0 * np.random.default_rng(1).standard_normal((3, 50)), data)
         save_matrix(np.diag([1.7e308, 1.0, 1.0]), sigma)
         return [argv[0], "--in", str(data), *(a.replace("SIGMA", json.dumps(str(sigma))) for a in argv[1:])]
 
@@ -372,6 +374,15 @@ class TestCovtestAndMoments:
         monkeypatch.chdir(tmp_path)
         assert cli.main(self._overflow_argv(tmp_path, argv, huge_shape)) == 1
         assert capsys.readouterr() == ("", error + "\n")
+
+    def test_gram_near_the_double_range_is_not_overflow(self, tmp_path, capsys):
+        # X X' = [[1e308, 1e154], [1e154, 1]] is finite, and at n = 1 S1 = S - sbar sbar' is exactly 0
+        data = tmp_path / "m.bin"
+        save_matrix(np.array([[1e154], [1.0]]), data)
+        assert cli.main(["covtest", "--in", str(data), "--sigma", '{"kind": "identity"}']) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out) == {"norm_error": 1.0, "factorized_bound": 1.0, "sigma_norm": 1.0, "within_bound": True}
 
     @staticmethod
     def _covtest_explicit(tmp_path, matrix, p=None):

@@ -171,9 +171,17 @@ class TestStandardizedMoments:
 
     @staticmethod
     def _exact_moment(spec, order):
-        """E[X^order] as an int or Fraction, from formulas moment() does not use."""
+        """E[X^order] as an int or Fraction, from formulas moment() does not use;
+        inf or nan where a student-t moment does not exist."""
         if order <= 2:
             return (1, 0, 1)[order]  # the standardization, not the float atoms' own moments
+        if spec.kind == "student-t":  # prod_{i=1}^m (2i-1)(df-2)/(df-2i), one Fraction factor at a time
+            if order >= spec.df:
+                return math.nan if order % 2 else math.inf
+            exact, df = Fraction(1), Fraction(spec.df)
+            for i in range(1, order // 2 + 1):
+                exact *= (2 * i - 1) * (df - 2) / (df - 2 * i)
+            return 0 if order % 2 else exact
         if spec.kind == "two-point":
             return sum(Fraction(w) * Fraction(x) ** order for x, w in spec.atoms())
         if spec.kind == "centered-exponential":  # binomial expansion with E[E^j] = j!
@@ -190,8 +198,9 @@ class TestStandardizedMoments:
     @pytest.mark.parametrize(
         "spec",
         [DistributionSpec(kind) for kind in ("gaussian", "rademacher", "uniform-symmetric", "centered-exponential")]
-        + [DistributionSpec("two-point", q=q) for q in (1e-100, 1e-12, 0.01, 0.3, 0.5, 1 - 1e-10)],
-        ids=lambda spec: spec.kind if spec.q is None else f"two-point-{spec.q!r}",
+        + [DistributionSpec("two-point", q=q) for q in (1e-100, 1e-12, 0.01, 0.3, 0.5, 1 - 1e-10)]
+        + [DistributionSpec("student-t", df=df) for df in (2.5, 5, 40.5, 1e300)],
+        ids=lambda spec: spec.kind if spec.q is None and spec.df is None else f"{spec.kind}-{spec.q or spec.df!r}",
     )
     def test_moment_is_the_exact_moment_rounded_once(self, spec):
         for order in range(61):
@@ -200,7 +209,10 @@ class TestStandardizedMoments:
                 expected = float(exact)
             except OverflowError:
                 expected = math.inf if exact > 0 else -math.inf
-            assert spec.moment(order) == expected, (order, exact)
+            got = spec.moment(order)
+            assert got == expected or math.isnan(got) and math.isnan(expected), (order, exact)
+            # moment_sequence hands the oracles the same moment, unrounded
+            assert spec.exact_moment(order) == exact or math.isnan(expected)
 
     def test_two_point_odd_moment_past_the_doubles_is_negative_inf(self):
         # the lower atom -sqrt(q / (1 - q)) ~ -1e8 carries almost all the weight
