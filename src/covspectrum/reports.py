@@ -28,11 +28,13 @@ __all__ = [
     "SummaryRow",
     "RateFit",
     "TailRow",
+    "EdgeRow",
     "records_to_csv",
     "read_records",
     "summarize",
     "fit_rate",
     "tail_probability_report",
+    "edge_report",
     "emit_report",
     "json_text",
 ]
@@ -292,6 +294,34 @@ def tail_probability_report(records) -> list:
     return rows
 
 
+@dataclass(frozen=True)
+class EdgeRow:
+    p: int
+    n: int
+    count: int
+    median: float
+    edge: float
+    median_minus_edge: float
+    median_minus_one: float
+
+
+def edge_report(records) -> list:
+    """The ``edge`` block: per (p, n), the lower median of lambda_max(A) against 1 and the edge 1 + sqrt(p/n)/2.
+
+    Records of both methods count, failed ones do not; rows come back
+    sorted by decreasing p/n, as the ``tail`` block's are.
+    """
+    rows = []
+    for (p, n), values in _grouped(
+        (rec for rec in records if rec.task == "lambda_max"), lambda rec: (rec.p, rec.n)
+    ).items():
+        median = _lower_median(values)
+        edge = 1.0 + math.sqrt(p / n) / 2
+        rows.append(EdgeRow(p, n, len(values), median, edge, median - edge, median - 1.0))
+    rows.sort(key=lambda r: -r.p / r.n)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # SVG: self-contained 800x600 documents with deterministic bytes.
 
@@ -341,7 +371,7 @@ def _svg_scatter(points, medians, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-_BLOCKS = {"summary": summarize, "tail": tail_probability_report}
+_BLOCKS = {"edge": edge_report, "summary": summarize, "tail": tail_probability_report}
 
 
 def emit_report(records, fmt: str, out_dir) -> list:

@@ -891,7 +891,7 @@ class TestSweepAndReport:
 
     @pytest.mark.parametrize(
         "tasks, blocks",
-        [(["lambda_max", "diag_dev"], ["summary", "tail"]), (["diag_dev"], ["summary"])],
+        [(["lambda_max", "diag_dev"], ["edge", "summary", "tail"]), (["diag_dev"], ["summary"])],
         ids=["dense-lambda-max", "diag-dev-only"],
     )
     def test_report_writes_each_block_with_rows(self, tmp_path, tasks, blocks):
@@ -941,7 +941,7 @@ class TestSweepAndReport:
             assert (tail["exceed"], tail["total"]) == ((1, 2) if usable else (0, 1))
 
     @pytest.mark.parametrize("fmt, names", [
-        ("csv", ["report_summary.csv"]),
+        ("csv", ["report_edge.csv", "report_summary.csv"]),
         ("json", ["report.json"]),
         ("svg", ["report_diag_dev.svg", "report_lambda_max.svg"]),
     ], ids=["csv", "json", "svg"])

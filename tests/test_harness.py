@@ -32,6 +32,7 @@ from covspectrum.reports import (
     _BLOCKS,
     CSV_COLUMNS,
     RunRecord,
+    edge_report,
     emit_report,
     fit_rate,
     read_records,
@@ -747,6 +748,32 @@ class TestTailReport:
         assert rows[1].frequency < rows[0].frequency
 
 
+class TestEdgeReport:
+    def test_lower_median_against_the_edge(self):
+        def rec(p, n, replicate, value, task="lambda_max", **aux):
+            return RunRecord(p=p, n=n, replicate=replicate, task=task, value=value, aux=aux)
+
+        recs = [
+            # both methods count; a failed row and other tasks do not
+            rec(100, 10000, 0, 1.25, method="dense", lambda_max_b=1.0),
+            rec(100, 10000, 1, 0.75, method="matfree", iterations=40),
+            rec(100, 10000, 2, 1.5, method="matfree", iterations=41),
+            rec(100, 10000, 3, 1.0, method="dense", lambda_max_b=0.5),
+            rec(100, 10000, 4, math.nan, error="ConvergenceError: boom"),
+            rec(100, 10000, 0, 9.0, task="diag_dev"),
+            rec(100, 400, 0, 1.125, method="dense", lambda_max_b=1.0),
+        ]
+        rows = edge_report(recs)
+        assert [(r.p, r.n, r.count, r.median, r.edge) for r in rows] == [
+            (100, 400, 1, 1.125, 1.25),
+            (100, 10000, 4, 1.0, 1.05),
+        ]
+        assert [(r.median_minus_edge, r.median_minus_one) for r in rows] == [
+            (1.125 - 1.25, 0.125),
+            (1.0 - 1.05, 0.0),
+        ]
+
+
 class TestReportBlocks:
     @pytest.mark.parametrize("name", sorted(_BLOCKS))
     def test_no_records_give_no_rows(self, name):
@@ -832,8 +859,8 @@ class TestReports:
         # the records are not written again: only their blocks are, and the
         # dense lambda_max rows carry lambda_max_b, so tail has rows too
         paths = emit_report(self._records(), "csv", str(tmp_path))
-        assert paths == [str(tmp_path / "report_summary.csv"), str(tmp_path / "report_tail.csv")]
-        tail = Path(paths[1]).read_text().splitlines()
+        assert paths == [str(tmp_path / f"report_{name}.csv") for name in ("edge", "summary", "tail")]
+        tail = Path(paths[2]).read_text().splitlines()
         assert tail[0] == "p,n,ratio,exceed,total,frequency,wilson_low,wilson_high"
         assert [line.split(",")[:5] for line in tail[1:]] == [
             ["10", "100", "0.1", "0", "1"],
@@ -842,6 +869,7 @@ class TestReports:
         (json_path,) = emit_report(self._records(), "json", str(tmp_path))
         payload = json.loads(Path(json_path).read_text())
         assert payload == {
+            "edge": [vars(row) for row in edge_report(self._records())],
             "summary": [vars(row) for row in summarize(self._records())],
             "tail": [vars(row) for row in tail_probability_report(self._records())],
         }

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covspectrum import momentlab
@@ -333,14 +333,6 @@ class TestExactTraceMoment:
         assert exact_trace_moment(1, 1, 10**8, (0, 1)) == 0.0
         assert time.perf_counter() - start < 0.1
 
-    def test_fraction_mode_cross_checks_float_path(self):
-        frac = tuple(Fraction(m) for m in (0, 1, 0, 1, 0, 1))
-        for (p, n, k) in ((3, 3, 3), (4, 2, 3), (2, 5, 2)):
-            exact = trace_moment_unscaled(p, n, k, frac)
-            floaty = trace_moment_unscaled(p, n, k, RADEMACHER_MOMENTS)
-            assert isinstance(exact, (int, Fraction))
-            assert float(exact) == floaty, (p, n, k)
-
     def test_monte_carlo_oracle_k3(self):
         exact = exact_trace_moment(3, 3, 3, RADEMACHER_MOMENTS)
         assert exact == pytest.approx(1 / 12, abs=1e-15)
@@ -393,10 +385,6 @@ class TestExactTraceMoment:
             with pytest.raises(ResourceError, match=rf"^\(p\*n\)\^k = \({p}\*{n}\)\^{k} exceeds"):
                 _check_budget(p, n, k)
 
-    def test_infinite_sum_passes_through_the_scaling(self):
-        moments = (0.0, 1.0, 0.0, 1e200, 0.0, 1e200, 0.0, 1e200)
-        assert exact_trace_moment(2, 1, 4, moments) == math.inf
-
     @pytest.mark.parametrize(
         "p, n, k",
         [(2, 3, 2), (3, 2, 2), (2, 2, 4), (3, 2, 4), (2, 3, 4), (4, 2, 4), (2, 2, 6), (3, 2, 6), (2, 4, 4), (5, 3, 2), (3, 3, 4)],
@@ -430,15 +418,19 @@ class TestPatternTally:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        p=st.integers(1, 4),
-        n=st.integers(1, 3),
-        k=st.integers(1, 5),
+        # p n k <= 48 keeps each draw within 7,680 star circuits; the one
+        # shape it leaves out, (4, 3, 5) with 58,320, is the explicit example
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 5)).filter(
+            lambda s: math.prod(s) <= 48
+        ),
         moments=st.lists(
             st.fractions(min_value=-3, max_value=3, max_denominator=7), min_size=8, max_size=8
         ),
     )
-    def test_equals_sum_over_circuits(self, p, n, k, moments):
+    @example(shape=(4, 3, 5), moments=[Fraction(-1, 2), 1, Fraction(2, 7), 3, Fraction(-3, 5), 2, Fraction(1, 3), -3])
+    def test_equals_sum_over_circuits(self, shape, moments):
         # m1 may be nonzero, so every circuit contributes, W-graph or not
+        p, n, k = shape
         moments = tuple(moments)
         expected = sum((expectation_of_circuit(c, moments) for c in circuits(p, n, k)), 0)
         got = trace_moment_unscaled(p, n, k, moments)
@@ -446,12 +438,23 @@ class TestPatternTally:
         assert got == expected
 
     @pytest.mark.parametrize(
-        "p, n, k",
-        [(2, 3, 2), (2, 3, 3), (3, 3, 4), (3, 4, 3), (2, 2, 12), (3, 1, 16), (2, 3, 10), (1, 4, 3), (2, 3, 5)],
+        "law, p, n, k",
+        [
+            (law, *shape)
+            for law in ("t3", "t4", "t5", "gaussian", "short", "nan-odd")
+            for shape in (
+                (2, 3, 2), (2, 3, 3), (3, 3, 4), (3, 4, 3), (2, 2, 12), (3, 1, 16), (2, 3, 10), (1, 4, 3), (2, 3, 5)
+            )
+        ]
+        + [(law, *shape) for law in ("float", "fraction") for shape in ((3, 3, 3), (4, 2, 3), (2, 5, 2))],
     )
-    @pytest.mark.parametrize("law", ["t3", "t4", "t5", "gaussian", "short", "nan-odd"])
     def test_parity_with_circuit_loop(self, p, n, k, law):
-        if law == "short":
+        if law == "float":
+            moments = RADEMACHER_MOMENTS
+        elif law == "fraction":
+            # the same moments as Fractions take the same exact path
+            moments = tuple(map(Fraction, RADEMACHER_MOMENTS))
+        elif law == "short":
             moments = (0.0, 1.0)
         elif law == "nan-odd":
             # m1 is no early zero, so the pattern order decides which error comes first

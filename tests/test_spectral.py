@@ -236,7 +236,7 @@ class TestLambdaMaxMatfree:
         assert err.value.best_value is not None
         assert err.value.iterations == 4
         # three Lanczos steps, then one application for the true residual of
-        # the best Ritz pair, which bounds its distance to the spectrum
+        # the last top Ritz pair, which bounds its distance to the spectrum
         eigs = eigvals_sym(build_A(x))
         assert 0.0 < err.value.residual < 1.0
         assert np.min(np.abs(eigs - err.value.best_value)) <= err.value.residual
@@ -274,6 +274,30 @@ class TestLambdaMaxMatfree:
             X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(p, 4 * p), SeedSpec(33), 0)
             _, iters = lambda_max_matfree(X)
             assert iters <= budget, p
+
+    def test_residual_tol_is_the_acceptance_rule(self, monkeypatch):
+        X = sample_matrix(DistributionSpec("gaussian"), MatrixShape(200, 800), SeedSpec(33), 0)
+        assert lambda_max_matfree(X)[1] == 52
+        monkeypatch.setattr(spectral, "RESIDUAL_TOL", 1e-4)
+        lam, iters = lambda_max_matfree(X)
+        assert iters < 52
+        eigs = eigvals_sym(build_A(X))
+        assert np.min(np.abs(eigs - lam)) <= 1e-4 * max(1.0, abs(lam))
+
+    @pytest.mark.parametrize("gap", [1e-8, 1e-6, 1e-4])
+    @pytest.mark.parametrize("p", [100, 300])
+    def test_clustered_top_matches_dense(self, p, gap):
+        # a near-double top eigenvalue, relative gap `gap` in the singular
+        # values: a stop on the error bound r^2 / (theta_1 - theta_2) misses
+        # the hidden partner at gap <= 1e-6 by about 1e-8 or more; the
+        # residual test does not
+        n = 4 * p
+        U, s, Vt = np.linalg.svd(np.random.default_rng(p).standard_normal((p, n)), full_matrices=False)
+        s[1] = s[0] * math.sqrt(1.0 - gap)
+        x = (U * s) @ Vt
+        dense = eigvals_sym(build_A(x))[-1]
+        lam, _ = lambda_max_matfree(x)
+        assert abs(lam - dense) <= spectral.RESIDUAL_TOL * max(1.0, abs(dense))
 
     def test_non_finite_input_fails_at_once(self):
         rng = np.random.default_rng(42)
