@@ -17,7 +17,11 @@ non-finite result, and maps what it raises to the exit code: 0 success, 1
 validation error, 2 resource/convergence error or failed allocation, 3
 I/O error.  Every command that writes files takes its output directory
 from --out, defaulting to the current directory; a sweep config names no
-output directory.  report's csv and json hold the summary and tail blocks.
+output directory.  sweep writes records.csv and, beside it, config.json:
+the bytes of its --config, unchanged.  report writes the diagonal_shift,
+edge, summary and tail blocks as csv or json, and reads the entry law from
+the config.json beside its --records, when there is one; the
+diagonal_shift block's predicted_shift and z need it.
 """
 
 import argparse
@@ -139,7 +143,14 @@ def build_parser() -> _Parser:
     add_out(sp)
     sp.set_defaults(run=_cmd_sweep)
 
-    sp = sub.add_parser("report", help="summary and tail blocks (csv, json) or plots (svg) from a records CSV")
+    sp = sub.add_parser(
+        "report",
+        help="report blocks (csv, json) or plots (svg) from a records CSV",
+        description="Write the diagonal_shift, edge, summary and tail blocks of a records CSV as "
+        "report_<block>.csv files (csv) or keys of report.json (json), or one plot per task (svg); a block "
+        "with no rows is not written.  The entry law is read from the config.json that sweep writes beside "
+        "records.csv; without that file, diagonal_shift's predicted_shift and z are empty.",
+    )
     sp.add_argument("--records", required=True)
     sp.add_argument("--format", default="csv", choices=("csv", "json", "svg"))
     add_out(sp)
@@ -204,20 +215,51 @@ def _cmd_schedule(args) -> None:
     print(json_text(check_schedule(args.p, args.delta, C1=args.c1)))
 
 
-def _cmd_sweep(args) -> None:
+def _read_config(path):
+    """(bytes, parsed JSON) of an experiment config file; bytes that are not JSON text name the path."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            text = fh.read()
+        return data, json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{args.config}: experiment config is not UTF-8 text: {exc}") from exc
-    config = ExperimentConfig.from_json(_json_arg(text, "experiment config"))
+        raise ValidationError(f"{path}: experiment config is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid experiment config JSON: {exc}") from exc
+
+
+def _cmd_sweep(args) -> None:
+    data, obj = _read_config(args.config)
+    config = ExperimentConfig.from_json(obj)
     records = run_experiment(config, threads=args.threads, out_dir=args.out)
+    # the config's own bytes identify the records: a sweep has no other settings
+    with open(os.path.join(args.out, "config.json"), "wb") as fh:
+        fh.write(data)
     failed = sum(1 for r in records if r.failed)
     print(json_text({"records": len(records), "failed": failed, "records_csv": os.path.join(args.out, "records.csv")}))
 
 
+def _sweep_law(records_path):
+    """The entry law in the config.json beside a records file, or None without that file.
+
+    Only "distribution" is read: an explicit Sigma's path may be relative to
+    the directory the sweep ran in.
+    """
+    path = os.path.join(os.path.dirname(records_path), "config.json")
+    try:
+        _, obj = _read_config(path)
+    except FileNotFoundError:
+        return None
+    if not isinstance(obj, dict) or "distribution" not in obj:
+        raise ValidationError(f"{path}: experiment config needs a 'distribution'")
+    try:
+        return distribution_from_json(obj["distribution"])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def _cmd_report(args) -> None:
     records = read_records(args.records)
+    law = _sweep_law(args.records)
     seen = set()
     try:  # every input error names the records file, as read_records's do
         for rec in records:  # reject what no sweep writes before a file is written
@@ -227,7 +269,7 @@ def _cmd_report(args) -> None:
                 raise ValidationError(f"two records for (p, n, replicate, task) = {rec.sort_key()}")
             seen.add(rec.sort_key())
         fit = fit_rate(records)
-        out = {"paths": emit_report(records, args.format, args.out)}
+        out = {"paths": emit_report(records, args.format, args.out, law)}
     except ValidationError as exc:
         raise ValidationError(f"{args.records}: {exc}") from exc
     if fit is not None:

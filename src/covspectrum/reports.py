@@ -6,7 +6,9 @@ round-trip) and aux maps are canonical JSON.  A record is written as it
 is held, so reading a records file back gives the records that wrote it.
 Every per-group statistic reads its groups from one helper, ``_grouped``,
 and ``emit_report`` writes only plots and the ``_BLOCKS`` table: a block is
-rows of one flat frozen dataclass, and a block with no rows writes nothing.
+a function of (records, law) to rows of one flat frozen dataclass, law the
+sweep's ``DistributionSpec`` or None when it is not known, and a block with
+no rows writes nothing.
 All JSON the package writes goes through one strict encoder, ``json_text``,
 which writes a non-finite number as ``null``.
 """
@@ -29,12 +31,14 @@ __all__ = [
     "RateFit",
     "TailRow",
     "EdgeRow",
+    "DiagonalShiftRow",
     "records_to_csv",
     "read_records",
     "summarize",
     "fit_rate",
     "tail_probability_report",
     "edge_report",
+    "diagonal_shift_report",
     "emit_report",
     "json_text",
 ]
@@ -174,19 +178,25 @@ def _grouped(records, key, value=lambda rec: rec.value) -> dict:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def summarize(records) -> list:
-    """Per-(p, n, task) order statistics; error rows are excluded.
+def _mean_std(values) -> tuple:
+    """(mean, sample std) of sorted finite values, std 0.0 for one value;
+    each finite whenever its true value fits a double."""
+    # scaled by a power of two to a largest magnitude in [1, 2), exact
+    # but for subnormals, so neither the sum nor the squares can overflow
+    scale = math.ldexp(0.5, math.frexp(max(-values[0], values[-1]))[1])
+    arr = np.asarray(values) / scale
+    return float(arr.mean() * scale), float(arr.std(ddof=1) * scale) if len(values) > 1 else 0.0
+
+
+def summarize(records, law=None) -> list:
+    """Per-(p, n, task) order statistics; error rows are excluded, and law is not read.
 
     The median is the lower median for even counts, so it is always an
     observed value.  No records, or none that succeeded, give no rows.
-    Mean and std are finite whenever their true values fit a double.
     """
     rows = []
     for (p, n, task), values in _grouped(records, lambda rec: (rec.p, rec.n, rec.task)).items():
-        # scaled by a power of two to a largest magnitude in [1, 2), exact
-        # but for subnormals, so neither the sum nor the squares can overflow
-        scale = math.ldexp(0.5, math.frexp(max(-values[0], values[-1]))[1])
-        arr = np.asarray(values) / scale
+        mean, std = _mean_std(values)
         rows.append(
             SummaryRow(
                 p=p,
@@ -194,8 +204,8 @@ def summarize(records) -> list:
                 task=task,
                 count=len(values),
                 median=float(_lower_median(values)),
-                mean=float(arr.mean() * scale),
-                std=float(arr.std(ddof=1) * scale) if len(values) > 1 else 0.0,
+                mean=mean,
+                std=std,
                 min=float(values[0]),
                 max=float(values[-1]),
             )
@@ -263,7 +273,12 @@ def _lambda_max_b(rec) -> float:
     return float(value) if value is not None and abs(value) <= sys.float_info.max else math.inf
 
 
-def tail_probability_report(records) -> list:
+def _dense_lambda_max(records):
+    """The lambda_max records that carry lambda_max_b: the dense runs."""
+    return (rec for rec in records if rec.task == "lambda_max" and "lambda_max_b" in rec.aux)
+
+
+def tail_probability_report(records, law=None) -> list:
     """The ``tail`` block: frequency of {lambda_max(B) > 1 + eps}, eps fixed at ``TAIL_EPS``, with Wilson intervals.
 
     Consumes lambda_max records (dense runs carry lambda_max_b in aux);
@@ -271,11 +286,7 @@ def tail_probability_report(records) -> list:
     should read nonincreasing when the tail event thins out.
     """
     rows = []
-    for (p, n), values in _grouped(
-        (rec for rec in records if rec.task == "lambda_max" and "lambda_max_b" in rec.aux),
-        lambda rec: (rec.p, rec.n),
-        _lambda_max_b,
-    ).items():
+    for (p, n), values in _grouped(_dense_lambda_max(records), lambda rec: (rec.p, rec.n), _lambda_max_b).items():
         exceed = sum(1 for v in values if v > 1.0 + TAIL_EPS)
         low, high = _wilson(exceed, len(values))
         rows.append(
@@ -305,7 +316,7 @@ class EdgeRow:
     median_minus_one: float
 
 
-def edge_report(records) -> list:
+def edge_report(records, law=None) -> list:
     """The ``edge`` block: per (p, n), the lower median of lambda_max(A) against 1 and the edge 1 + sqrt(p/n)/2.
 
     Records of both methods count, failed ones do not; rows come back
@@ -318,6 +329,43 @@ def edge_report(records) -> list:
         median = _lower_median(values)
         edge = 1.0 + math.sqrt(p / n) / 2
         rows.append(EdgeRow(p, n, len(values), median, edge, median - edge, median - 1.0))
+    rows.sort(key=lambda r: -r.p / r.n)
+    return rows
+
+
+@dataclass(frozen=True)
+class DiagonalShiftRow:
+    p: int
+    n: int
+    count: int
+    mean_shift: float
+    std_error: float
+    implied_fourth_moment: float
+    predicted_shift: float | None
+    z: float | None
+
+
+def diagonal_shift_report(records, law=None) -> list:
+    """The ``diagonal_shift`` block: per (p, n), the mean of lambda_max(A) - lambda_max(B)
+    against the fourth-moment heuristic E lambda_max(A) - E lambda_max(B) ~ (E X^4 - 1)/(2p).
+
+    Reads the dense lambda_max records that did not fail, and gives their
+    count, the mean shift, its standard error and the E X^4 = 1 + 2p * mean
+    it implies.  ``predicted_shift`` is (law.moment(4) - 1)/(2p) and ``z``
+    is (mean - predicted_shift) / std_error; each is None without a law,
+    when E X^4 is infinite, or (z) when the standard error is 0.  Rows come
+    back sorted by decreasing p/n, as the ``edge`` block's are.
+    """
+    fourth = law.moment(4) if law is not None else math.inf  # no law predicts nothing, as an infinite E X^4 does
+    rows = []
+    for (p, n), values in _grouped(
+        _dense_lambda_max(records), lambda rec: (rec.p, rec.n), lambda rec: rec.value - _lambda_max_b(rec)
+    ).items():
+        mean, std = _mean_std(values)
+        std_error = std / math.sqrt(len(values))
+        predicted = (fourth - 1.0) / (2 * p) if math.isfinite(fourth) else None
+        z = (mean - predicted) / std_error if predicted is not None and std_error > 0 else None
+        rows.append(DiagonalShiftRow(p, n, len(values), mean, std_error, 1.0 + 2 * p * mean, predicted, z))
     rows.sort(key=lambda r: -r.p / r.n)
     return rows
 
@@ -371,13 +419,21 @@ def _svg_scatter(points, medians, title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-_BLOCKS = {"edge": edge_report, "summary": summarize, "tail": tail_probability_report}
+_BLOCKS = {
+    "diagonal_shift": diagonal_shift_report,
+    "edge": edge_report,
+    "summary": summarize,
+    "tail": tail_probability_report,
+}
 
 
-def emit_report(records, fmt: str, out_dir) -> list:
-    """Write the blocks with rows, as report_<name>.csv or keys of report.json, or plots (svg); returns the paths."""
+def emit_report(records, fmt: str, out_dir, law=None) -> list:
+    """Write the blocks with rows, as report_<name>.csv or keys of report.json, or plots (svg); returns the paths.
+
+    law is the sweep's ``DistributionSpec``, or None when it is not known.
+    """
     # every block is derived before out_dir is made, so a record a block rejects writes nothing
-    blocks = {name: rows for name, derive in _BLOCKS.items() if (rows := derive(records))}
+    blocks = {name: rows for name, derive in _BLOCKS.items() if (rows := derive(records, law))}
     os.makedirs(out_dir, exist_ok=True)
     if fmt == "csv":
         paths = []

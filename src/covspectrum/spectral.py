@@ -1,7 +1,8 @@
 """Eigenvalues and spectral diagnostics of the normalized Gram matrix.
 
 ``diag_max_dev``, ``covariance_error``, ``lambda_max`` and
-``lambda_max_matfree`` read the data matrix X as a (p, n) ndarray.  Dense
+``lambda_max_matfree`` read the data matrix X as a (p, n) ndarray, and
+reject an empty one (p or n of 0) as ``MatrixShape`` does.  Dense
 spectra come from LAPACK at every p; memory is their only limit.
 ``lambda_max`` is the one path to the top eigenvalue of A = build_A(X),
 for the sweep's ``lambda_max`` task and the ``spectrum`` command alike,
@@ -26,6 +27,7 @@ import math
 
 import numpy as np
 
+from .ensemble import MatrixShape
 from .errors import ConvergenceError, ValidationError
 from .normalize import build_A, build_S1, build_S2
 
@@ -102,6 +104,7 @@ def ks_distance(eigenvalues) -> float:
 
 def diag_max_dev(X) -> float:
     """max_i |sum_j (X_ij^2 - 1)| / sqrt(np), straight from row sums."""
+    MatrixShape(*X.shape)  # p, n >= 1
     p, n = X.shape
     row_sums = np.einsum("ij,ij->i", X, X) - n
     return float(np.max(np.abs(row_sums))) / math.sqrt(n * p)
@@ -113,7 +116,7 @@ def covariance_error(X, sigma):
     ``sigma`` is a ``CovarianceSpec``; the second value is the factorized
     bound that ||S2 - Sigma|| = ||Sigma^{1/2} (S1 - I) Sigma^{1/2}|| obeys.
     """
-    p = X.shape[0]
+    p = MatrixShape(*X.shape).p
     S = sigma.materialize(p)
     err = symmetric_operator_norm(build_S2(X, S) - S)
     sigma_norm = symmetric_operator_norm(S)
@@ -131,7 +134,7 @@ def lambda_max(X):
     Dense up to ``DENSE_P_LIMIT`` rows, where aux carries lambda_max(B) as
     ``lambda_max_b``; matrix-free above, where it carries ``iterations``.
     """
-    if X.shape[0] <= DENSE_P_LIMIT:
+    if MatrixShape(*X.shape).p <= DENSE_P_LIMIT:
         A = build_A(X)
         lam = float(eigvals_sym(A)[-1])
         np.fill_diagonal(A, 0.0)
@@ -167,6 +170,7 @@ def lambda_max_matfree(X):
 
     Returns (lambda_max, operator_applications).
     """
+    MatrixShape(*X.shape)  # p, n >= 1
     p, n = X.shape
     scale = 2.0 * math.sqrt(n * p)
 

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from covspectrum import cli, spectral
-from covspectrum.ensemble import load_matrix, save_matrix
+from covspectrum.ensemble import DistributionSpec, load_matrix, save_matrix
 from covspectrum.errors import ConvergenceError
 from covspectrum.momentlab import exact_trace_moment
-from covspectrum.reports import read_records, tail_probability_report
+from covspectrum.reports import _BLOCKS, read_records, tail_probability_report
 
 CLI = [sys.executable, "-m", "covspectrum"]
 SRC = str(Path(cli.__file__).resolve().parents[1])  # so a child run from any cwd imports this package
@@ -891,7 +891,7 @@ class TestSweepAndReport:
 
     @pytest.mark.parametrize(
         "tasks, blocks",
-        [(["lambda_max", "diag_dev"], ["edge", "summary", "tail"]), (["diag_dev"], ["summary"])],
+        [(["lambda_max", "diag_dev"], ["diagonal_shift", "edge", "summary", "tail"]), (["diag_dev"], ["summary"])],
         ids=["dense-lambda-max", "diag-dev-only"],
     )
     def test_report_writes_each_block_with_rows(self, tmp_path, tasks, blocks):
@@ -978,6 +978,74 @@ class TestSweepAndReport:
         assert len(circles) == len(values)
         for cx, cy in circles:
             assert 0.0 <= float(cx) <= 800.0 and 0.0 <= float(cy) <= 600.0
+
+    def test_sweep_keeps_the_config_bytes_beside_the_records(self, tmp_path):
+        # CRLF line ends, unsorted keys and loose spacing: the copy is the
+        # bytes, not a re-encoding; a config read from the output directory
+        # is left as it was
+        data = '{ "tasks": ["diag_dev"],\r\n  "distribution": "gaussian", "grid": [[4, 16]] }\r\n'.encode()
+        config = tmp_path / "mine.json"
+        config.write_bytes(data)
+        res = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
+        assert res.returncode == 0, res.stderr
+        assert sorted(os.listdir(tmp_path / "run")) == ["config.json", "records.csv"]
+        assert (tmp_path / "run" / "config.json").read_bytes() == data
+        records = (tmp_path / "run" / "records.csv").read_bytes()
+        res = run_cli("sweep", "--config", str(tmp_path / "run" / "config.json"), "--out", str(tmp_path / "run"))
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "run" / "config.json").read_bytes() == data
+        assert (tmp_path / "run" / "records.csv").read_bytes() == records
+
+    def test_report_reads_the_law_from_the_config_beside_the_records(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"distribution": {"kind": "two-point", "q": 0.1}, "grid": [[10, 100], [20, 400]],
+                                      "replicates": 4, "master_seed": 3, "tasks": ["lambda_max"]}))
+        sweep = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
+        assert sweep.returncode == 0, sweep.stderr
+        rep = run_cli("report", "--records", str(tmp_path / "run" / "records.csv"), "--format", "json",
+                      "--out", str(tmp_path / "run"))
+        assert rep.returncode == 0, rep.stderr
+        rows = json.loads((tmp_path / "run" / "report.json").read_text())["diagonal_shift"]
+        fourth = DistributionSpec("two-point", q=0.1).moment(4)
+        assert [(row["p"], row["predicted_shift"]) for row in rows] == [(10, (fourth - 1) / 20), (20, (fourth - 1) / 40)]
+        for row in rows:
+            assert row["z"] == (row["mean_shift"] - row["predicted_shift"]) / row["std_error"]
+        # the same records without the config: the law-derived cells are empty
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        (alone / "records.csv").write_bytes((tmp_path / "run" / "records.csv").read_bytes())
+        rep = run_cli("report", "--records", str(alone / "records.csv"), "--format", "csv", "--out", str(alone))
+        assert rep.returncode == 0, rep.stderr
+        lines = (alone / "report_diagonal_shift.csv").read_text().splitlines()
+        assert lines[0] == "p,n,count,mean_shift,std_error,implied_fourth_moment,predicted_shift,z"
+        assert [line.split(",")[-2:] for line in lines[1:]] == [["", ""]] * 2
+        assert [line.split(",")[:6] for line in lines[1:]] == [
+            [str(row[key]) for key in ("p", "n", "count", "mean_shift", "std_error", "implied_fourth_moment")]
+            for row in rows
+        ]
+
+    @pytest.mark.parametrize(
+        "text, says",
+        [
+            (b"{oops", "invalid experiment config JSON"),
+            (b'{"distribution": "gaussian"}\xff', "not UTF-8 text"),
+            (b'["gaussian"]', "needs a 'distribution'"),
+            (b'{"grid": [[10, 100]]}', "needs a 'distribution'"),
+            (b'{"distribution": "cauchy"}', "unknown distribution kind"),
+            (b'{"distribution": {"kind": "two-point", "q": 2}}', "two-point requires"),
+        ],
+        ids=["not-json", "not-utf8", "not-an-object", "no-distribution", "unknown-kind", "bad-parameter"],
+    )
+    def test_report_rejects_a_malformed_config_by_its_path(self, tmp_path, text, says):
+        records = tmp_path / "records.csv"
+        records.write_text("p,n,ratio,replicate,task,value,aux\n" '10,100,0.1,0,lambda_max,1.5,"{""lambda_max_b"":1.0}"\n')
+        config = tmp_path / "config.json"
+        config.write_bytes(text)
+        res = run_cli("report", "--records", str(records), "--out", str(tmp_path / "report"))
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr.startswith(f"error: {config}: ") and res.stderr.count("\n") == 1
+        assert says in res.stderr and f"{records}:" not in res.stderr
+        assert not (tmp_path / "report").exists()
 
     def test_report_rejects_undecodable_bytes(self, tmp_path):
         records = tmp_path / "records.csv"
@@ -1066,6 +1134,14 @@ class TestParser:
 
     def test_each_subcommand_declares_only_what_it_reads(self):
         assert _declared_options(cli.build_parser()) == self.OPTIONS
+
+    def test_report_help_names_every_block(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["report", "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert [name for name in _BLOCKS if not re.search(rf"\b{name}\b", text)] == []
+        assert "config.json" in text
 
     def test_flag_a_subcommand_does_not_read_is_rejected(self, tmp_path):
         res = run_cli("spectrum", "--in", str(tmp_path / "missing.bin"), "--threads", "2")

@@ -8,7 +8,7 @@ its module or re-exported through ``__all__``, so deleting the last use of
 a name cannot leave a stale import behind.  Only ``reports`` calls
 ``json.dump``/``json.dumps``: every other module writes JSON through its
 strict encoder.  ``np.errstate`` is set only where a command or a sweep
-cell starts, and in ``reports.summarize``.  ``reports.emit_report`` names no
+cell starts, and in ``reports._mean_std``.  ``reports.emit_report`` names no
 block of ``reports._BLOCKS``, so a new block is one table row and one
 function, with no per-block branch in the writer.
 """
@@ -100,11 +100,11 @@ def test_no_module_reads_the_environment():
 def test_errstate_is_set_only_where_commands_and_cells_start():
     # an overflow becomes a non-finite value that a check rejects; the CLI and
     # each sweep cell keep numpy's warning from printing ahead of that error,
-    # and summarize keeps its own for its finite-mean contract
+    # and _mean_std keeps its own for its finite-mean contract
     assert _attribute_uses("np", ("errstate",)) == [
         ("cli.py", "main"),
         ("harness.py", "_Cell.records"),
-        ("reports.py", "summarize"),
+        ("reports.py", "_mean_std"),
     ]
 
 

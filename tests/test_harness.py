@@ -32,6 +32,7 @@ from covspectrum.reports import (
     _BLOCKS,
     CSV_COLUMNS,
     RunRecord,
+    diagonal_shift_report,
     edge_report,
     emit_report,
     fit_rate,
@@ -774,6 +775,75 @@ class TestEdgeReport:
         ]
 
 
+class TestDiagonalShiftReport:
+    @staticmethod
+    def _rec(p, n, replicate, value, task="lambda_max", **aux):
+        return RunRecord(p=p, n=n, replicate=replicate, task=task, value=value, aux=aux)
+
+    def test_mean_shift_against_the_law(self):
+        rec = self._rec
+        recs = [
+            # dense lambda_max rows count; failed, matfree and other-task rows do not
+            rec(10, 1000, 0, 1.5, method="dense", lambda_max_b=1.25),
+            rec(10, 1000, 1, 1.5, method="dense", lambda_max_b=1.0),
+            rec(10, 1000, 2, 1.0, method="matfree", iterations=40),
+            rec(10, 1000, 3, math.nan, error="ConvergenceError: boom"),
+            rec(10, 1000, 0, 9.0, task="diag_dev"),
+            rec(10, 100, 0, 1.25, method="dense", lambda_max_b=1.25),
+        ]
+        gaussian = DistributionSpec("gaussian")
+        rows = diagonal_shift_report(recs, gaussian)
+        assert [(r.p, r.n, r.count, r.mean_shift, r.std_error) for r in rows] == [
+            (10, 100, 1, 0.0, 0.0),
+            (10, 1000, 2, 0.375, 0.125),
+        ]
+        assert [(r.implied_fourth_moment, r.predicted_shift) for r in rows] == [(1.0, 0.1), (8.5, 0.1)]
+        assert [r.z for r in rows] == [None, (0.375 - 0.1) / 0.125]  # no spread, no z
+        for law in (None, DistributionSpec("student-t", df=4)):  # no law, or an infinite E X^4
+            assert [(r.predicted_shift, r.z) for r in diagonal_shift_report(recs, law)] == [(None, None)] * 2
+            assert [r.mean_shift for r in diagonal_shift_report(recs, law)] == [r.mean_shift for r in rows]
+
+    @pytest.mark.parametrize(
+        "law, implied",
+        [
+            ({"kind": "rademacher"}, ((1.0, 1.0), (1.0, 1.0))),
+            ({"kind": "gaussian"}, ((2.4, 4.3), (2.3, 4.5))),
+            ({"kind": "two-point", "q": 0.1}, ((7.2, 11.0), (7.6, 10.6))),
+            ({"kind": "centered-exponential"}, ((7.5, 13.5), (8.5, 12.5))),
+        ],
+        ids=["rademacher", "gaussian", "two-point", "centered-exponential"],
+    )
+    def test_implied_fourth_moment_on_real_sweeps(self, law, implied):
+        # E X^4 is 1, 3, 8.11 and 9.  Over seeds 101-112 (the pinned seed is
+        # 27) the implied E X^4 at p = 50 and 100 was 3.04-3.62 and 3.12-3.86
+        # (Gaussian), 8.50-9.94 and 8.45-9.82 (two-point) and 9.12-11.39 and
+        # 9.85-11.01 (exponential): about 5 of the seeds' standard deviations
+        # around their mean.  z is not asserted: where max D nears 1/2 the
+        # shift outgrows (E X^4 - 1)/(2p), and the exponential's z reached 4.5.
+        spec = distribution_from_json(law)
+        config = ExperimentConfig(
+            distribution=spec,
+            grid=(MatrixShape(50, 2500), MatrixShape(100, 10000)),
+            replicates=100,
+            master_seed=27,
+            tasks=(TaskSpec("lambda_max"),),
+        )
+        rows = diagonal_shift_report(run_experiment(config, threads=2), spec)
+        assert [(r.p, r.count) for r in rows] == [(50, 100), (100, 100)]
+        for row, (low, high) in zip(rows, implied):
+            assert low <= row.implied_fourth_moment <= high, row
+            assert row.predicted_shift == (spec.moment(4) - 1) / (2 * row.p)
+        if spec.kind == "rademacher":  # A = B bit for bit: the diagonal of A is exactly 0
+            assert [(r.mean_shift, r.z) for r in rows] == [(0.0, None)] * 2
+
+
+def test_every_example_config_parses():
+    paths = sorted((Path(__file__).parents[1] / "examples").glob("**/*.json"))
+    assert paths
+    for path in paths:
+        ExperimentConfig.from_json(json.loads(path.read_text()))
+
+
 class TestReportBlocks:
     @pytest.mark.parametrize("name", sorted(_BLOCKS))
     def test_no_records_give_no_rows(self, name):
@@ -789,7 +859,7 @@ class TestReportBlocks:
         )
         records = run_experiment(config, threads=1)
         for name, derive in _BLOCKS.items():
-            rows = derive(records)
+            rows = derive(records, config.distribution)
             assert rows, name
             (row_type,) = {type(row) for row in rows}
             assert row_type.__dataclass_params__.frozen, name
@@ -859,8 +929,9 @@ class TestReports:
         # the records are not written again: only their blocks are, and the
         # dense lambda_max rows carry lambda_max_b, so tail has rows too
         paths = emit_report(self._records(), "csv", str(tmp_path))
-        assert paths == [str(tmp_path / f"report_{name}.csv") for name in ("edge", "summary", "tail")]
-        tail = Path(paths[2]).read_text().splitlines()
+        names = ("diagonal_shift", "edge", "summary", "tail")
+        assert paths == [str(tmp_path / f"report_{name}.csv") for name in names]
+        tail = Path(paths[3]).read_text().splitlines()
         assert tail[0] == "p,n,ratio,exceed,total,frequency,wilson_low,wilson_high"
         assert [line.split(",")[:5] for line in tail[1:]] == [
             ["10", "100", "0.1", "0", "1"],
@@ -869,6 +940,7 @@ class TestReports:
         (json_path,) = emit_report(self._records(), "json", str(tmp_path))
         payload = json.loads(Path(json_path).read_text())
         assert payload == {
+            "diagonal_shift": [vars(row) for row in diagonal_shift_report(self._records())],
             "edge": [vars(row) for row in edge_report(self._records())],
             "summary": [vars(row) for row in summarize(self._records())],
             "tail": [vars(row) for row in tail_probability_report(self._records())],

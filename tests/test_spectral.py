@@ -163,6 +163,23 @@ class TestDiagMaxDev:
         assert diag_max_dev(x) == pytest.approx(2.0 * np.abs(np.diag(A)).max(), rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (3, 0)], ids=["no-rows", "no-columns"])
+@pytest.mark.parametrize(
+    "read",
+    [
+        spectral.lambda_max,
+        lambda_max_matfree,
+        diag_max_dev,
+        lambda X: covariance_error(X, covariance_from_json({"kind": "identity"})),
+    ],
+    ids=["lambda_max", "lambda_max_matfree", "diag_max_dev", "covariance_error"],
+)
+def test_empty_matrix_is_a_validation_error(read, shape):
+    # a numpy warning on the way there fails too: the tests turn warnings into errors
+    with pytest.raises(ValidationError, match="must be a positive integer"):
+        read(np.empty(shape))
+
+
 class TestCovarianceError:
     @pytest.mark.parametrize(
         "spec",
