@@ -18,10 +18,9 @@ validation error, 2 resource/convergence error or failed allocation, 3
 I/O error.  Every command that writes files takes its output directory
 from --out, defaulting to the current directory; a sweep config names no
 output directory.  sweep writes records.csv and, beside it, config.json:
-the bytes of its --config, unchanged.  report writes the diagonal_shift,
-edge, summary and tail blocks as csv or json, and reads the entry law from
-the config.json beside its --records, when there is one; the
-diagonal_shift block's predicted_shift and z need it.
+the bytes of its --config, unchanged.  report writes the edge and summary
+blocks as csv or json; edge's predicted_shift and z take the entry law from
+a config.json beside its --records, whose grid must hold each record's (p, n).
 """
 
 import argparse
@@ -146,10 +145,10 @@ def build_parser() -> _Parser:
     sp = sub.add_parser(
         "report",
         help="report blocks (csv, json) or plots (svg) from a records CSV",
-        description="Write the diagonal_shift, edge, summary and tail blocks of a records CSV as "
+        description="Write the edge and summary blocks of a records CSV as "
         "report_<block>.csv files (csv) or keys of report.json (json), or one plot per task (svg); a block "
         "with no rows is not written.  The entry law is read from the config.json that sweep writes beside "
-        "records.csv; without that file, diagonal_shift's predicted_shift and z are empty.",
+        "records.csv; without that file, edge's predicted_shift and z are empty.",
     )
     sp.add_argument("--records", required=True)
     sp.add_argument("--format", default="csv", choices=("csv", "json", "svg"))
@@ -238,11 +237,12 @@ def _cmd_sweep(args) -> None:
     print(json_text({"records": len(records), "failed": failed, "records_csv": os.path.join(args.out, "records.csv")}))
 
 
-def _sweep_law(records_path):
+def _sweep_law(records_path, records):
     """The entry law in the config.json beside a records file, or None without that file.
 
-    Only "distribution" is read: an explicit Sigma's path may be relative to
-    the directory the sweep ran in.
+    Only "distribution" and "grid" are read: an explicit Sigma's path may be
+    relative to the directory the sweep ran in.  A config whose grid misses a
+    record's (p, n) did not write the records, and is refused.
     """
     path = os.path.join(os.path.dirname(records_path), "config.json")
     try:
@@ -252,14 +252,19 @@ def _sweep_law(records_path):
     if not isinstance(obj, dict) or "distribution" not in obj:
         raise ValidationError(f"{path}: experiment config needs a 'distribution'")
     try:
-        return distribution_from_json(obj["distribution"])
+        law = distribution_from_json(obj["distribution"])
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    grid = obj.get("grid")
+    for rec in records:
+        if not (isinstance(grid, list) and [rec.p, rec.n] in grid):
+            raise ValidationError(f"{path}: (p, n) = ({rec.p}, {rec.n}) of {records_path} is not on the grid")
+    return law
 
 
 def _cmd_report(args) -> None:
     records = read_records(args.records)
-    law = _sweep_law(args.records)
+    law = _sweep_law(args.records, records)
     seen = set()
     try:  # every input error names the records file, as read_records's do
         for rec in records:  # reject what no sweep writes before a file is written

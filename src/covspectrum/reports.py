@@ -5,10 +5,14 @@ serialization is fully deterministic: floats use repr (shortest
 round-trip) and aux maps are canonical JSON.  A record is written as it
 is held, so reading a records file back gives the records that wrote it.
 Every per-group statistic reads its groups from one helper, ``_grouped``,
-and ``emit_report`` writes only plots and the ``_BLOCKS`` table: a block is
-a function of (records, law) to rows of one flat frozen dataclass, law the
-sweep's ``DistributionSpec`` or None when it is not known, and a block with
-no rows writes nothing.
+save the edge block's dense fields, which pair each dense record's
+lambda_max(B) with its shift.  ``emit_report`` writes only plots and the
+``_BLOCKS`` table: a block is a function of (records, law) to rows of one
+flat frozen dataclass, law the sweep's ``DistributionSpec`` or None when it
+is not known, and a block with no rows writes nothing.  There are two:
+``summary``, per (p, n, task), and ``edge``, per (p, n) of the lambda_max
+records; a new per-(p, n) diagnostic of those records is an ``edge``
+column, not a new block.
 All JSON the package writes goes through one strict encoder, ``json_text``,
 which writes a non-finite number as ``null``.
 """
@@ -29,16 +33,12 @@ __all__ = [
     "RunRecord",
     "SummaryRow",
     "RateFit",
-    "TailRow",
     "EdgeRow",
-    "DiagonalShiftRow",
     "records_to_csv",
     "read_records",
     "summarize",
     "fit_rate",
-    "tail_probability_report",
     "edge_report",
-    "diagonal_shift_report",
     "emit_report",
     "json_text",
 ]
@@ -245,18 +245,6 @@ def fit_rate(records) -> RateFit | None:
     return RateFit(slope=float(slope), intercept=float(intercept), r2=r2, points=tuple(points))
 
 
-@dataclass(frozen=True)
-class TailRow:
-    p: int
-    n: int
-    ratio: float
-    exceed: int
-    total: int
-    frequency: float
-    wilson_low: float
-    wilson_high: float
-
-
 def _wilson(successes: int, total: int):
     z = WILSON_Z
     phat = successes / total
@@ -273,38 +261,6 @@ def _lambda_max_b(rec) -> float:
     return float(value) if value is not None and abs(value) <= sys.float_info.max else math.inf
 
 
-def _dense_lambda_max(records):
-    """The lambda_max records that carry lambda_max_b: the dense runs."""
-    return (rec for rec in records if rec.task == "lambda_max" and "lambda_max_b" in rec.aux)
-
-
-def tail_probability_report(records, law=None) -> list:
-    """The ``tail`` block: frequency of {lambda_max(B) > 1 + eps}, eps fixed at ``TAIL_EPS``, with Wilson intervals.
-
-    Consumes lambda_max records (dense runs carry lambda_max_b in aux);
-    rows come back sorted by decreasing ratio, so the frequency column
-    should read nonincreasing when the tail event thins out.
-    """
-    rows = []
-    for (p, n), values in _grouped(_dense_lambda_max(records), lambda rec: (rec.p, rec.n), _lambda_max_b).items():
-        exceed = sum(1 for v in values if v > 1.0 + TAIL_EPS)
-        low, high = _wilson(exceed, len(values))
-        rows.append(
-            TailRow(
-                p=p,
-                n=n,
-                ratio=p / n,
-                exceed=exceed,
-                total=len(values),
-                frequency=exceed / len(values),
-                wilson_low=low,
-                wilson_high=high,
-            )
-        )
-    rows.sort(key=lambda r: -r.ratio)
-    return rows
-
-
 @dataclass(frozen=True)
 class EdgeRow:
     p: int
@@ -314,58 +270,59 @@ class EdgeRow:
     edge: float
     median_minus_edge: float
     median_minus_one: float
-
-
-def edge_report(records, law=None) -> list:
-    """The ``edge`` block: per (p, n), the lower median of lambda_max(A) against 1 and the edge 1 + sqrt(p/n)/2.
-
-    Records of both methods count, failed ones do not; rows come back
-    sorted by decreasing p/n, as the ``tail`` block's are.
-    """
-    rows = []
-    for (p, n), values in _grouped(
-        (rec for rec in records if rec.task == "lambda_max"), lambda rec: (rec.p, rec.n)
-    ).items():
-        median = _lower_median(values)
-        edge = 1.0 + math.sqrt(p / n) / 2
-        rows.append(EdgeRow(p, n, len(values), median, edge, median - edge, median - 1.0))
-    rows.sort(key=lambda r: -r.p / r.n)
-    return rows
-
-
-@dataclass(frozen=True)
-class DiagonalShiftRow:
-    p: int
-    n: int
-    count: int
-    mean_shift: float
-    std_error: float
-    implied_fourth_moment: float
+    dense: int
+    exceed: int
+    frequency: float | None
+    wilson_low: float | None
+    wilson_high: float | None
+    mean_shift: float | None
+    std_error: float | None
+    implied_fourth_moment: float | None
     predicted_shift: float | None
     z: float | None
 
 
-def diagonal_shift_report(records, law=None) -> list:
-    """The ``diagonal_shift`` block: per (p, n), the mean of lambda_max(A) - lambda_max(B)
-    against the fourth-moment heuristic E lambda_max(A) - E lambda_max(B) ~ (E X^4 - 1)/(2p).
+def _dense_fields(pairs, p: int, fourth: float) -> tuple:
+    """EdgeRow's fields from ``dense`` on, from one shape's (lambda_max(B), lambda_max(A) - lambda_max(B)) pairs."""
+    if not pairs:
+        return (0, 0) + (None,) * 8
+    total = len(pairs)
+    exceed = sum(1 for b, _ in pairs if b > 1.0 + TAIL_EPS)
+    mean, std = _mean_std(sorted(shift for _, shift in pairs))
+    std_error = std / math.sqrt(total)
+    predicted = (fourth - 1.0) / (2 * p) if math.isfinite(fourth) else None
+    z = (mean - predicted) / std_error if predicted is not None and std_error > 0 else None
+    return (total, exceed, exceed / total, *_wilson(exceed, total), mean, std_error, 1.0 + 2 * p * mean, predicted, z)
 
-    Reads the dense lambda_max records that did not fail, and gives their
-    count, the mean shift, its standard error and the E X^4 = 1 + 2p * mean
-    it implies.  ``predicted_shift`` is (law.moment(4) - 1)/(2p) and ``z``
-    is (mean - predicted_shift) / std_error; each is None without a law,
-    when E X^4 is infinite, or (z) when the standard error is 0.  Rows come
-    back sorted by decreasing p/n, as the ``edge`` block's are.
+
+def edge_report(records, law=None) -> list:
+    """The ``edge`` block: one row per (p, n) of the lambda_max records, by decreasing p/n.
+
+    ``count`` and the lower ``median`` of lambda_max(A), against 1 and the
+    edge 1 + sqrt(p/n)/2, cover both methods' records that did not fail.
+    The fields from ``dense`` on cover those whose value and lambda_max_b
+    are both finite: the frequency of {lambda_max(B) > 1 + TAIL_EPS} with
+    Wilson bounds, which should not grow down the rows, and the mean shift
+    lambda_max(A) - lambda_max(B), its standard error and the E X^4 =
+    1 + 2p * mean it implies by the heuristic shift (E X^4 - 1)/(2p).
+    ``predicted_shift`` is that heuristic at law.moment(4) and ``z`` is
+    (mean_shift - predicted_shift) / std_error; each is None without a law
+    or a finite E X^4, and z when the standard error is 0.
     """
     fourth = law.moment(4) if law is not None else math.inf  # no law predicts nothing, as an infinite E X^4 does
+    lambda_max = [rec for rec in records if rec.task == "lambda_max"]
+    pairs = {}
+    for rec in lambda_max:
+        if not rec.failed and "lambda_max_b" in rec.aux:
+            b = _lambda_max_b(rec)
+            if math.isfinite(b) and math.isfinite(rec.value):
+                pairs.setdefault((rec.p, rec.n), []).append((b, rec.value - b))
     rows = []
-    for (p, n), values in _grouped(
-        _dense_lambda_max(records), lambda rec: (rec.p, rec.n), lambda rec: rec.value - _lambda_max_b(rec)
-    ).items():
-        mean, std = _mean_std(values)
-        std_error = std / math.sqrt(len(values))
-        predicted = (fourth - 1.0) / (2 * p) if math.isfinite(fourth) else None
-        z = (mean - predicted) / std_error if predicted is not None and std_error > 0 else None
-        rows.append(DiagonalShiftRow(p, n, len(values), mean, std_error, 1.0 + 2 * p * mean, predicted, z))
+    for (p, n), values in _grouped(lambda_max, lambda rec: (rec.p, rec.n)).items():
+        median = _lower_median(values)
+        edge = 1.0 + math.sqrt(p / n) / 2
+        dense = _dense_fields(pairs.get((p, n)), p, fourth)
+        rows.append(EdgeRow(p, n, len(values), median, edge, median - edge, median - 1.0, *dense))
     rows.sort(key=lambda r: -r.p / r.n)
     return rows
 
@@ -420,10 +377,8 @@ def _svg_scatter(points, medians, title: str) -> str:
 
 
 _BLOCKS = {
-    "diagonal_shift": diagonal_shift_report,
     "edge": edge_report,
     "summary": summarize,
-    "tail": tail_probability_report,
 }
 
 

@@ -17,7 +17,7 @@ from covspectrum import cli, spectral
 from covspectrum.ensemble import DistributionSpec, load_matrix, save_matrix
 from covspectrum.errors import ConvergenceError
 from covspectrum.momentlab import exact_trace_moment
-from covspectrum.reports import _BLOCKS, read_records, tail_probability_report
+from covspectrum.reports import _BLOCKS, edge_report, read_records
 
 CLI = [sys.executable, "-m", "covspectrum"]
 SRC = str(Path(cli.__file__).resolve().parents[1])  # so a child run from any cwd imports this package
@@ -891,7 +891,7 @@ class TestSweepAndReport:
 
     @pytest.mark.parametrize(
         "tasks, blocks",
-        [(["lambda_max", "diag_dev"], ["diagonal_shift", "edge", "summary", "tail"]), (["diag_dev"], ["summary"])],
+        [(["lambda_max", "diag_dev"], ["edge", "summary"]), (["diag_dev"], ["summary"])],
         ids=["dense-lambda-max", "diag-dev-only"],
     )
     def test_report_writes_each_block_with_rows(self, tmp_path, tasks, blocks):
@@ -905,7 +905,8 @@ class TestSweepAndReport:
         assert rep.returncode == 0, rep.stderr
         payload = json.loads((tmp_path / "json" / "report.json").read_text())
         assert sorted(payload) == blocks
-        assert payload.get("tail", []) == [vars(row) for row in tail_probability_report(read_records(records))]
+        rows = edge_report(read_records(records), DistributionSpec("rademacher"))  # the law of config.json
+        assert payload.get("edge", []) == [vars(row) for row in rows]
         rep = run_cli("report", "--records", records, "--format", "csv", "--out", str(tmp_path / "csv"))
         assert rep.returncode == 0, rep.stderr
         names = [f"report_{block}.csv" for block in blocks]
@@ -919,9 +920,9 @@ class TestSweepAndReport:
         ids=["null", "int-past-the-doubles", "number", "bool", "string", "list", "object"],
     )
     def test_report_reads_lambda_max_b_only_as_a_number(self, tmp_path, value, usable):
-        # null is how json_text writes a non-finite value: the tail block
-        # leaves it out, as it does a number no double holds; a value that is
-        # not a number at all is rejected before anything is written
+        # null is how json_text writes a non-finite value: the edge block's
+        # dense fields leave it out, as they do a number no double holds; a
+        # value that is not a number at all is rejected before anything is written
         records = tmp_path / "records.csv"
         quoted = value.replace('"', '""')  # the aux column is a quoted CSV field
         records.write_text(
@@ -937,8 +938,8 @@ class TestSweepAndReport:
             assert not (tmp_path / "report").exists()
         else:
             assert res.returncode == 0, res.stderr
-            (tail,) = json.loads((tmp_path / "report" / "report.json").read_text())["tail"]
-            assert (tail["exceed"], tail["total"]) == ((1, 2) if usable else (0, 1))
+            (edge,) = json.loads((tmp_path / "report" / "report.json").read_text())["edge"]
+            assert (edge["count"], edge["exceed"], edge["dense"]) == ((2, 1, 2) if usable else (2, 0, 1))
 
     @pytest.mark.parametrize("fmt, names", [
         ("csv", ["report_edge.csv", "report_summary.csv"]),
@@ -1005,7 +1006,7 @@ class TestSweepAndReport:
         rep = run_cli("report", "--records", str(tmp_path / "run" / "records.csv"), "--format", "json",
                       "--out", str(tmp_path / "run"))
         assert rep.returncode == 0, rep.stderr
-        rows = json.loads((tmp_path / "run" / "report.json").read_text())["diagonal_shift"]
+        rows = json.loads((tmp_path / "run" / "report.json").read_text())["edge"]
         fourth = DistributionSpec("two-point", q=0.1).moment(4)
         assert [(row["p"], row["predicted_shift"]) for row in rows] == [(10, (fourth - 1) / 20), (20, (fourth - 1) / 40)]
         for row in rows:
@@ -1016,13 +1017,11 @@ class TestSweepAndReport:
         (alone / "records.csv").write_bytes((tmp_path / "run" / "records.csv").read_bytes())
         rep = run_cli("report", "--records", str(alone / "records.csv"), "--format", "csv", "--out", str(alone))
         assert rep.returncode == 0, rep.stderr
-        lines = (alone / "report_diagonal_shift.csv").read_text().splitlines()
-        assert lines[0] == "p,n,count,mean_shift,std_error,implied_fourth_moment,predicted_shift,z"
+        lines = (alone / "report_edge.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert header[-2:] == ["predicted_shift", "z"]
         assert [line.split(",")[-2:] for line in lines[1:]] == [["", ""]] * 2
-        assert [line.split(",")[:6] for line in lines[1:]] == [
-            [str(row[key]) for key in ("p", "n", "count", "mean_shift", "std_error", "implied_fourth_moment")]
-            for row in rows
-        ]
+        assert [line.split(",")[:-2] for line in lines[1:]] == [[str(row[key]) for key in header[:-2]] for row in rows]
 
     @pytest.mark.parametrize(
         "text, says",
@@ -1045,6 +1044,25 @@ class TestSweepAndReport:
         assert (res.returncode, res.stdout) == (1, "")
         assert res.stderr.startswith(f"error: {config}: ") and res.stderr.count("\n") == 1
         assert says in res.stderr and f"{records}:" not in res.stderr
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize(
+        "grid, stray",
+        [([[7, 9]], (10, 100)), ([[10, 100], [7, 9]], (20, 400)), (None, (10, 100)), ("10, 100", (10, 100))],
+        ids=["other-sweep", "one-shape-missing", "no-grid", "grid-not-a-list"],
+    )
+    def test_report_rejects_a_config_whose_grid_misses_a_record(self, tmp_path, grid, stray):
+        # another sweep's config beside these records would lend them its law
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"distribution": "gaussian", "grid": [[10, 100], [20, 400]],
+                                      "replicates": 2, "master_seed": 0, "tasks": ["lambda_max"]}))
+        sweep = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
+        assert sweep.returncode == 0, sweep.stderr
+        records, beside = tmp_path / "run" / "records.csv", tmp_path / "run" / "config.json"
+        beside.write_text(json.dumps({"distribution": "rademacher", **({} if grid is None else {"grid": grid})}))
+        res = run_cli("report", "--records", str(records), "--out", str(tmp_path / "report"))
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == f"error: {beside}: (p, n) = {stray} of {records} is not on the grid\n"
         assert not (tmp_path / "report").exists()
 
     def test_report_rejects_undecodable_bytes(self, tmp_path):

@@ -32,14 +32,12 @@ from covspectrum.reports import (
     _BLOCKS,
     CSV_COLUMNS,
     RunRecord,
-    diagonal_shift_report,
     edge_report,
     emit_report,
     fit_rate,
     read_records,
     records_to_csv,
     summarize,
-    tail_probability_report,
 )
 
 
@@ -708,25 +706,19 @@ class TestFitRate:
         assert fit_rate(recs).points[-1] == (math.log(0.1), math.log(0.3 * 1.1))
 
 
-class TestTailReport:
+class TestEdgeReport:
+    @staticmethod
+    def _rec(p, n, replicate, value, task="lambda_max", **aux):
+        return RunRecord(p=p, n=n, replicate=replicate, task=task, value=value, aux=aux)
+
     def test_wilson_and_ordering(self):
         recs = []
         for rep in range(20):
-            recs.append(
-                RunRecord(
-                    p=8, n=80, replicate=rep, task="lambda_max",
-                    value=1.0, aux={"lambda_max_b": 1.5 if rep < 4 else 0.9},
-                )
-            )
-            recs.append(
-                RunRecord(
-                    p=8, n=800, replicate=rep, task="lambda_max",
-                    value=1.0, aux={"lambda_max_b": 0.9},
-                )
-            )
-        rows = tail_probability_report(recs)
-        assert [r.ratio for r in rows] == [0.1, 0.01]
-        assert rows[0].exceed == 4 and rows[0].total == 20
+            recs.append(self._rec(8, 80, rep, 1.0, lambda_max_b=1.5 if rep < 4 else 0.9))
+            recs.append(self._rec(8, 800, rep, 1.0, lambda_max_b=0.9))
+        rows = edge_report(recs)
+        assert [r.p / r.n for r in rows] == [0.1, 0.01]
+        assert rows[0].exceed == 4 and rows[0].dense == 20
         assert rows[0].frequency == pytest.approx(0.2)
         assert rows[0].wilson_low < 0.2 < rows[0].wilson_high
         assert rows[1].frequency == 0.0
@@ -743,17 +735,13 @@ class TestTailReport:
             master_seed=7,
             tasks=(TaskSpec("lambda_max"),),
         )
-        rows = tail_probability_report(run_experiment(config, threads=2))
-        assert rows[0].ratio == 0.2
+        rows = edge_report(run_experiment(config, threads=2))
+        assert rows[0].p / rows[0].n == 0.2
         assert rows[0].exceed > 0
         assert rows[1].frequency < rows[0].frequency
 
-
-class TestEdgeReport:
     def test_lower_median_against_the_edge(self):
-        def rec(p, n, replicate, value, task="lambda_max", **aux):
-            return RunRecord(p=p, n=n, replicate=replicate, task=task, value=value, aux=aux)
-
+        rec = self._rec
         recs = [
             # both methods count; a failed row and other tasks do not
             rec(100, 10000, 0, 1.25, method="dense", lambda_max_b=1.0),
@@ -774,12 +762,6 @@ class TestEdgeReport:
             (1.0 - 1.05, 0.0),
         ]
 
-
-class TestDiagonalShiftReport:
-    @staticmethod
-    def _rec(p, n, replicate, value, task="lambda_max", **aux):
-        return RunRecord(p=p, n=n, replicate=replicate, task=task, value=value, aux=aux)
-
     def test_mean_shift_against_the_law(self):
         rec = self._rec
         recs = [
@@ -792,16 +774,36 @@ class TestDiagonalShiftReport:
             rec(10, 100, 0, 1.25, method="dense", lambda_max_b=1.25),
         ]
         gaussian = DistributionSpec("gaussian")
-        rows = diagonal_shift_report(recs, gaussian)
-        assert [(r.p, r.n, r.count, r.mean_shift, r.std_error) for r in rows] == [
-            (10, 100, 1, 0.0, 0.0),
-            (10, 1000, 2, 0.375, 0.125),
+        rows = edge_report(recs, gaussian)
+        assert [(r.p, r.n, r.count, r.dense, r.mean_shift, r.std_error) for r in rows] == [
+            (10, 100, 1, 1, 0.0, 0.0),
+            (10, 1000, 3, 2, 0.375, 0.125),
         ]
         assert [(r.implied_fourth_moment, r.predicted_shift) for r in rows] == [(1.0, 0.1), (8.5, 0.1)]
         assert [r.z for r in rows] == [None, (0.375 - 0.1) / 0.125]  # no spread, no z
         for law in (None, DistributionSpec("student-t", df=4)):  # no law, or an infinite E X^4
-            assert [(r.predicted_shift, r.z) for r in diagonal_shift_report(recs, law)] == [(None, None)] * 2
-            assert [r.mean_shift for r in diagonal_shift_report(recs, law)] == [r.mean_shift for r in rows]
+            assert [(r.predicted_shift, r.z) for r in edge_report(recs, law)] == [(None, None)] * 2
+            assert [r.mean_shift for r in edge_report(recs, law)] == [r.mean_shift for r in rows]
+
+    def test_dense_fields_read_only_records_with_both_eigenvalues_finite(self):
+        # a matrix-free shape has a median but no dense row: dense 0, exceed 0
+        # and None after them, law or no law; a non-finite value or
+        # lambda_max_b leaves its record out of the tail and the shift alike
+        rec = self._rec
+        recs = [
+            rec(10, 100, 0, 1.5, method="dense", lambda_max_b=1.5),
+            rec(10, 100, 1, math.nan, method="dense", lambda_max_b=1.5),
+            rec(10, 100, 2, 1.5, method="dense", lambda_max_b=None),
+            rec(2050, 4100, 0, 1.25, method="matfree", iterations=40),
+            rec(2050, 4100, 1, 1.5, method="matfree", iterations=41),
+        ]
+        rows = edge_report(recs, DistributionSpec("gaussian"))
+        assert [(r.p, r.count, r.median, r.dense, r.exceed) for r in rows] == [
+            (2050, 2, 1.25, 0, 0),
+            (10, 2, 1.5, 1, 1),
+        ]
+        assert list(vars(rows[0]).values())[9:] == [None] * 8
+        assert (rows[1].frequency, rows[1].mean_shift, rows[1].predicted_shift) == (1.0, 0.0, 0.1)
 
     @pytest.mark.parametrize(
         "law, implied",
@@ -828,8 +830,8 @@ class TestDiagonalShiftReport:
             master_seed=27,
             tasks=(TaskSpec("lambda_max"),),
         )
-        rows = diagonal_shift_report(run_experiment(config, threads=2), spec)
-        assert [(r.p, r.count) for r in rows] == [(50, 100), (100, 100)]
+        rows = edge_report(run_experiment(config, threads=2), spec)
+        assert [(r.p, r.count, r.dense) for r in rows] == [(50, 100, 100), (100, 100, 100)]
         for row, (low, high) in zip(rows, implied):
             assert low <= row.implied_fourth_moment <= high, row
             assert row.predicted_shift == (spec.moment(4) - 1) / (2 * row.p)
@@ -927,23 +929,24 @@ class TestReports:
 
     def test_emit_csv_and_json(self, tmp_path):
         # the records are not written again: only their blocks are, and the
-        # dense lambda_max rows carry lambda_max_b, so tail has rows too
+        # dense lambda_max rows carry lambda_max_b, so edge has its tail columns
         paths = emit_report(self._records(), "csv", str(tmp_path))
-        names = ("diagonal_shift", "edge", "summary", "tail")
+        names = ("edge", "summary")
         assert paths == [str(tmp_path / f"report_{name}.csv") for name in names]
-        tail = Path(paths[3]).read_text().splitlines()
-        assert tail[0] == "p,n,ratio,exceed,total,frequency,wilson_low,wilson_high"
-        assert [line.split(",")[:5] for line in tail[1:]] == [
-            ["10", "100", "0.1", "0", "1"],
-            ["10", "1000", "0.01", "0", "1"],
+        edge = Path(paths[0]).read_text().splitlines()
+        assert edge[0] == (
+            "p,n,count,median,edge,median_minus_edge,median_minus_one,dense,exceed,frequency,wilson_low,"
+            "wilson_high,mean_shift,std_error,implied_fourth_moment,predicted_shift,z"
+        )
+        assert [line.split(",")[:2] + line.split(",")[7:10] for line in edge[1:]] == [
+            ["10", "100", "1", "0", "0.0"],
+            ["10", "1000", "1", "0", "0.0"],
         ]
         (json_path,) = emit_report(self._records(), "json", str(tmp_path))
         payload = json.loads(Path(json_path).read_text())
         assert payload == {
-            "diagonal_shift": [vars(row) for row in diagonal_shift_report(self._records())],
             "edge": [vars(row) for row in edge_report(self._records())],
             "summary": [vars(row) for row in summarize(self._records())],
-            "tail": [vars(row) for row in tail_probability_report(self._records())],
         }
 
     def test_summary_golden(self, tmp_path):
