@@ -20,11 +20,11 @@ first appearances are the T2 edges (T21 when the class is headed by an
 innovation, T22 otherwise).
 
 On top of the classification the module offers an exact trace-moment
-evaluator (numpy visits only the star circuits with i_1 = 1, i_2 = 2 and
-j_1 = 1 and tallies them by their ordered class multiplicities;
-relabelling makes each pattern's count over all star circuits p (p - 1) n
-times that; one exact sum weights each pattern's exact moment product by
-its count and is rounded once when scaled, odd k then dividing by sqrt(np)),
+evaluator (a sum over relabelling classes: each star circuit whose I- and
+J-labels appear in first-use order stands for perm(p, #I) perm(n, #J)
+circuits with its ordered class multiplicities; one exact sum weights
+each multiplicity pattern's exact moment product by its count and is
+rounded once when scaled, odd k then dividing by sqrt(np)),
 a canonical W-graph enumerator with isomorphism-class sizes, a log-space
 evaluator of the sextuple-sum upper bound on E tr(B^k), and a
 feasibility checker for the h/k proof schedules.  The bound sums its
@@ -38,8 +38,6 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
-
-import numpy as np
 
 from .ensemble import DistributionSpec, _is_int, _reject_unknown, moment_sequence
 from .errors import ResourceError, ValidationError
@@ -60,8 +58,6 @@ __all__ = [
 ]
 
 ENUMERATION_BUDGET = 10**8
-# Working-memory target of one numpy chunk in trace_moment_unscaled.
-CHUNK_BYTES = 2**19
 BOUND_TERM_BUDGET = 2 * 10**7
 CANONICAL_K_LIMIT = 5
 
@@ -292,82 +288,6 @@ def _expectation_from_counts(multiplicities, moments):
     return term
 
 
-def _star_edge_chunks(p: int, n: int, k: int):
-    """Edge codes of the star circuits with i_1 = 1, i_2 = 2 and j_1 = 1.
-
-    Yields int32 arrays of shape (2k, c): column x holds the codes
-    (i - 1) n + (j - 1) of circuit x's edges e_1, ..., e_2k, so two edges
-    coincide exactly when their codes are equal.  Circuits come in
-    lexicographic order of (i_1..i_k, j_1..j_k), the order of the
-    brute-force circuit enumeration in tests/oracles.py, in chunks of
-    about CHUNK_BYTES.
-    i_3, ..., i_k are ranked in mixed radix, each i_{a+1} as one of the
-    p - 1 values other than i_a (which keeps lexicographic order), and
-    sequences with i_k = i_1 are dropped; j_2, ..., j_k are ranked in
-    base n.  That is (p - 1)^(k-2) n^(k-1) index pairs before the star
-    filter, and nothing for k < 2 or p < 2, where no star circuit exists.
-
-    Why that suffices: every star circuit has i_1 != i_2, and relabelling
-    the I-values by a permutation of [1, p] and the J-values by one of
-    [1, n] keeps a circuit's star property and multiplicity pattern.  Such
-    relabellings map the circuits with (i_1, i_2, j_1) = (1, 2, 1) one to
-    one onto those with any other of the p (p - 1) n admissible triples,
-    so each pattern's count over all star circuits is p (p - 1) n times
-    its count here.
-    """
-    if k < 2 or p < 2:
-        return
-    n_k = n ** (k - 1)
-    total = (p - 1) ** (k - 2) * n_k
-    step = max(1, CHUNK_BYTES // (24 * k + 64))  # 24k + 64: peak bytes per circuit
-    for start in range(0, total, step):
-        i_rank, j_rank = np.divmod(np.arange(start, min(start + step, total)), n_k)
-        i_seq = np.empty((k, i_rank.size), dtype=np.int64)
-        for a in range(k - 1, 1, -1):
-            i_rank, i_seq[a] = np.divmod(i_rank, p - 1)
-        i_seq[0], i_seq[1] = 0, 1
-        for a in range(2, k):
-            i_seq[a] += i_seq[a] >= i_seq[a - 1]
-        star = i_seq[-1] != i_seq[0]
-        i_seq, j_rank = i_seq[:, star], j_rank[star]
-        edges = np.empty((2 * k, j_rank.size), dtype=np.int32)
-        for a in range(k - 1, -1, -1):
-            j_rank, j = np.divmod(j_rank, n)  # j_rank < n^(k-1), so j_1 = 0
-            edges[2 * a] = i_seq[a] * n + j
-            edges[2 * a + 1] = i_seq[(a + 1) % k] * n + j
-        yield edges
-
-
-def _pattern_codes(edges):
-    """One int64 per circuit coding its ordered multiplicity pattern.
-
-    The pattern is the class multiplicities m_1, ..., m_r in
-    first-occurrence order, the order ``_expectation_from_counts`` reads
-    them.  They sum to 2k, and the code sets bit m_1 + ... + m_t for
-    each t, so distinct patterns get distinct codes while 2k < 63 (the
-    enumeration budget keeps 2k <= 52 wherever a star circuit exists).
-    """
-    mult = np.ones(edges.shape, dtype=np.uint8)
-    head = np.ones(edges.shape, dtype=bool)
-    for b in range(1, len(edges)):
-        same = edges[:b] == edges[b]
-        mult[:b] += same
-        mult[b] += same.sum(axis=0, dtype=np.uint8)
-        head[b] = ~same.any(axis=0)
-    reached = np.zeros(edges.shape[1], dtype=np.int64)
-    codes = np.zeros(edges.shape[1], dtype=np.int64)
-    for m, h in zip(mult, head):
-        reached += m * h
-        codes |= h << reached
-    return codes
-
-
-def _pattern(code: int) -> tuple:
-    """The multiplicities a pattern code stands for, in order."""
-    ends = [s for s in range(code.bit_length()) if code >> s & 1]
-    return tuple(b - a for a, b in zip([0] + ends, ends))
-
-
 def _check_budget(p: int, n: int, k: int) -> None:
     """p, n, k >= 1 and at most ENUMERATION_BUDGET nominal circuits (pn)^k.
 
@@ -386,45 +306,76 @@ def _check_budget(p: int, n: int, k: int) -> None:
 def trace_moment_unscaled(p: int, n: int, k: int, moments):
     """Exact sum over star circuits of the factorized expectation (no scaling).
 
-    numpy visits the star circuits with i_1 = 1, i_2 = 2 and j_1 = 1 and
-    tallies them by ordered multiplicity pattern, on which a circuit's
-    expectation depends alone.  Relabelling I- or J-values keeps the
-    pattern, so each pattern's count over all star circuits is the exact
-    integer p (p - 1) n times its count there (see ``_star_edge_chunks``).
+    A circuit's expectation depends on its ordered multiplicity pattern
+    alone: the class multiplicities in first-traversal order, the order
+    ``_expectation_from_counts`` reads them.  Relabelling I- or J-values
+    keeps the pattern, so the sum runs over the canonical star circuits
+    only, those whose I- and J-labels appear in first-use order, and
+    weights each by the size of its relabelling class,
+    perm(p, #I) perm(n, #J).  Each edge multiplicity is added as j_a
+    closes the edges i_a j_a and j_a i_{a+1}.
 
-    Each pattern's term is evaluated once, when it first occurs.  Take
-    the circuits in lexicographic order of (i_1..i_k, j_1..j_k), the
-    order in which the brute-force reference in tests/oracles.py sums
-    them one by one.  There i_1 = 1 and then i_2 = 2 are prefixes and the
-    j_1 = 1 block comes first within each I-sequence, so the visited
-    circuits keep their order, and the transpositions that move
-    (i_1, i_2, j_1) to (1, 2, 1) map any other circuit to an earlier one
-    with the same pattern.  So every pattern first occurs among the
-    visited circuits, in the same order, and the first error raised is
-    the full circuit loop's.
+    Each pattern's term is evaluated once, when it first occurs.  The
+    canonical circuits come in lexicographic order of (i_1..i_k,
+    j_1..j_k), the order in which the brute-force reference in
+    tests/oracles.py sums every circuit one by one, and the
+    lexicographically first circuit of each pattern is canonical (first-use
+    relabelling never makes a circuit later).  So every pattern first
+    occurs in the loop's order, and the first error raised is the loop's.
     Every term is an exact product (a float moment is read as a
-    Fraction), so the count-weighted sum is the exact int or Fraction,
-    rounded nowhere.
+    Fraction), so the weighted sum is the exact int or Fraction, rounded
+    nowhere.
     """
     _check_budget(p, n, k)
-    orbit = p * (p - 1) * n
+    if p < 2 or k < 2:
+        return 0
     terms, counts = {}, {}
-    for edges in _star_edge_chunks(p, n, k):
-        codes, first, number = np.unique(_pattern_codes(edges), return_index=True, return_counts=True)
-        for at in np.argsort(first):
-            code = int(codes[at])
-            if code not in terms:
-                terms[code] = _expectation_from_counts(_pattern(code), moments)
-            counts[code] = counts.get(code, 0) + orbit * int(number[at])
-    return sum((counts[code] * term for code, term in terms.items()), 0)
+    i_seq = [0] * (k + 1)  # labels from 0; i_seq[k] = i_seq[0] closes the circuit
+    mult = [0] * (k * k)  # multiplicity of the edge with labels (i, j) at i k + j
+    order = []  # the edges met so far, in first-traversal order
+
+    def choose_i(a, i_labels):
+        if a == k:
+            if i_seq[k - 1]:  # i_k != i_1
+                close_j(0, 0, math.perm(p, i_labels))
+            return
+        for iv in range(min(i_labels + 1, p)):
+            if iv != i_seq[a - 1]:
+                i_seq[a] = iv
+                choose_i(a + 1, i_labels + (iv == i_labels))
+
+    def close_j(a, j_labels, weight):
+        if a == k:
+            pattern = tuple([mult[e] for e in order])
+            if pattern not in terms:
+                terms[pattern] = _expectation_from_counts(pattern, moments)
+            counts[pattern] = counts.get(pattern, 0) + weight
+            return
+        for jv in range(min(j_labels + 1, n)):
+            edges = (i_seq[a] * k + jv, i_seq[a + 1] * k + jv)  # distinct: i_a != i_{a+1}
+            for e in edges:
+                if not mult[e]:
+                    order.append(e)
+                mult[e] += 1
+            if jv < j_labels:
+                close_j(a + 1, j_labels, weight)
+            else:
+                close_j(a + 1, j_labels + 1, weight * (n - j_labels))
+            for e in reversed(edges):
+                mult[e] -= 1
+                if not mult[e]:
+                    order.pop()
+
+    choose_i(1, 1)
+    return sum((counts[pattern] * term for pattern, term in terms.items()), 0)
 
 
 def exact_trace_moment(p: int, n: int, k: int, moments) -> float:
     """E tr(B^k) by enumeration: (2 sqrt(np))^{-k} * unscaled sum.
 
-    The unscaled sum enumerates the star circuits with i_1 = 1, i_2 = 2
-    and j_1 = 1 and weights their tally by p (p - 1) n; the budget still
-    caps the nominal (pn)^k.
+    The unscaled sum visits one star circuit per relabelling class and
+    weights it by the class size; the budget still caps the nominal
+    (pn)^k.
 
     The exact unscaled sum is divided exactly by the integer
     2^k (np)^{floor(k/2)} and rounded once to a double, or to +-inf with

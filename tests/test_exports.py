@@ -5,7 +5,8 @@ perfbench's tracer, which skips a missing name silently) rely on it.
 Imports sit at module level only, so an import cycle fails at import time
 instead of hiding inside a function, and every imported name is used in
 its module or re-exported through ``__all__``, so deleting the last use of
-a name cannot leave a stale import behind.  Only ``reports`` calls
+a name cannot leave a stale import behind.  ``momentlab`` is exact
+combinatorics in plain Python and imports no numpy.  Only ``reports`` calls
 ``json.dump``/``json.dumps``: every other module writes JSON through its
 strict encoder.  ``np.errstate`` is set only where a command or a sweep
 cell starts, and in ``reports._mean_std``.  ``reports.emit_report`` names no
@@ -45,6 +46,17 @@ def test_no_import_inside_a_function(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert nested == []
+
+
+def test_momentlab_imports_no_numpy():
+    path = pathlib.Path(covspectrum.__file__).parent / "momentlab.py"
+    modules = [
+        alias.name if isinstance(node, ast.Import) else node.module
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert [m for m in modules if m and m.split(".")[0] == "numpy"] == []
 
 
 def _exported(tree):

@@ -21,7 +21,6 @@ from covspectrum.momentlab import (
     IndexCircuit,
     _check_budget,
     _expectation_from_counts,
-    _star_edge_chunks,
     bound_rhs_a13,
     check_schedule,
     classify,
@@ -33,10 +32,15 @@ from covspectrum.momentlab import (
     trace_moment_unscaled,
 )
 
-from oracles import circuits, expectation_of_circuit
+from oracles import _star_edge_chunks, circuits, expectation_of_circuit, orbit_tally
 
 RADEMACHER_MOMENTS = (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
 GAUSSIAN_MOMENTS = (0.0, 1.0, 0.0, 3.0, 0.0, 15.0)
+
+
+def _m1_third_moments(order):
+    """E X^s, s = 1..order, of the law P(X = 2) = 4/9, P(X = -1) = 5/9: m1 = 1/3."""
+    return tuple(Fraction(4, 9) * 2**s + Fraction(5, 9) * (-1) ** s for s in range(1, order + 1))
 
 
 def _label_counts(labels):
@@ -319,6 +323,16 @@ class TestExactTraceMoment:
                 assert got == (p - 1) / 4, (p, n)
                 got_g = exact_trace_moment(p, n, 2, GAUSSIAN_MOMENTS)
                 assert got_g == (p - 1) / 4, (p, n)
+        # law-free: with m1 = 0 and m2 = 1 the unscaled sums are p (p-1) n at k = 2
+        # and p (p-1) (p-2) n at k = 3, exact ints, for every law
+        laws = [DistributionSpec(kind) for kind in ("gaussian", "rademacher", "uniform-symmetric", "centered-exponential")]
+        laws += [DistributionSpec("student-t", df=df) for df in (2.5, 3, 5)]
+        laws += [DistributionSpec("two-point", q=q) for q in (0.3, 0.001)]
+        for dist in laws:
+            for p, n in ((1, 9), (2, 7), (3, 1), (7, 60), (20, 23), (464, 1)):
+                for k, expected in ((2, p * (p - 1) * n), (3, p * (p - 1) * (p - 2) * n)):
+                    got = trace_moment_unscaled(p, n, k, moment_sequence(dist, 2 * k))
+                    assert got == expected and type(got) is int, (dist, p, n, k)
 
     def test_acceptance_case_exact(self):
         assert exact_trace_moment(3, 4, 2, (0.0, 1.0)) == 0.5
@@ -413,8 +427,9 @@ class TestExactTraceMoment:
 
 
 class TestPatternTally:
-    """trace_moment_unscaled against the circuit loop it replaced and
-    against the brute-force expectation_of_circuit summed over circuits()."""
+    """trace_moment_unscaled against the circuit loop it replaced, against
+    the brute-force expectation_of_circuit summed over circuits() and
+    against the orbit tally of tests/oracles.py."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -477,6 +492,24 @@ class TestPatternTally:
             assert got == 0
         assert got == expected
 
+    @pytest.mark.parametrize(
+        "dist, p, n, k",
+        [
+            (dist, *shape)
+            for shape in ((5, 2, 8), (3, 2, 10), (10, 10, 4), (21, 1, 6), (2, 50, 2))
+            for dist in (DistributionSpec("gaussian"), DistributionSpec("two-point", q=0.3), None)
+        ]
+        + [(None, 4, 1, 13)],  # about 1 s for each law there, so the m1 law alone
+        ids=lambda value: value.kind if isinstance(value, DistributionSpec) else "m1" if value is None else None,
+    )
+    def test_class_sum_equals_orbit_tally(self, dist, p, n, k):
+        # None is the law with m1 = 1/3, where every circuit contributes
+        moments = _m1_third_moments(2 * k) if dist is None else moment_sequence(dist, 2 * k)
+        expected = orbit_tally(p, n, k, moments)
+        got = trace_moment_unscaled(p, n, k, moments)
+        assert type(got) is type(expected)
+        assert got == expected
+
     @pytest.mark.parametrize("p, n, k", [(1, 3, 3), (4, 3, 1), (2, 3, 2), (3, 2, 3), (4, 25, 3), (3, 4, 5), (2, 2, 12)])
     def test_chunks_hold_only_circuits_from_1_2_1(self, p, n, k):
         chunks = list(_star_edge_chunks(p, n, k))
@@ -513,7 +546,8 @@ class TestPatternTally:
         finally:
             tracemalloc.stop()
         assert value > 0
-        # chunks are sized in bytes, whatever the circuit count and k
+        # the class sum holds one circuit, its edge multiplicities and one
+        # count per pattern, whatever the circuit count
         assert peak <= 2 * 2**20
 
 
