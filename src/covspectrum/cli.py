@@ -17,10 +17,11 @@ non-finite result, and maps what it raises to the exit code: 0 success, 1
 validation error, 2 resource/convergence error or failed allocation, 3
 I/O error.  Every command that writes files takes its output directory
 from --out, defaulting to the current directory; a sweep config names no
-output directory.  sweep writes records.csv and, beside it, config.json:
+output directory.  sweep writes records.csv, then config.json beside it:
 the bytes of its --config, unchanged.  report writes the edge and summary
 blocks as csv or json; edge's predicted_shift and z take the entry law from
-a config.json beside its --records, whose grid must hold each record's (p, n).
+the config.json beside its --records, parsed as sweep parses its --config
+(tasks aside), whose grid must hold each record's (p, n).
 """
 
 import argparse
@@ -45,7 +46,7 @@ from .errors import ConvergenceError, ResourceError, ValidationError
 from .harness import TASK_NAMES, ExperimentConfig, run_experiment
 from .momentlab import IndexCircuit, bound_rhs_a13, check_schedule, classify_json, law_trace_moment
 from .normalize import build_A, covariance_from_json
-from .reports import emit_report, fit_rate, json_text, read_records
+from .reports import emit_report, fit_rate, json_text, read_records, records_to_csv
 from .spectral import (
     DENSE_P_LIMIT,
     covariance_error,
@@ -145,10 +146,11 @@ def build_parser() -> _Parser:
     sp = sub.add_parser(
         "report",
         help="report blocks (csv, json) or plots (svg) from a records CSV",
-        description="Write the edge and summary blocks of a records CSV as "
-        "report_<block>.csv files (csv) or keys of report.json (json), or one plot per task (svg); a block "
-        "with no rows is not written.  The entry law is read from the config.json that sweep writes beside "
-        "records.csv; without that file, edge's predicted_shift and z are empty.",
+        description="Write the edge and summary blocks of a records CSV as report_<block>.csv files (csv) or "
+        "keys of report.json (json), or one plot per task (svg); a block with no rows is not written.  The entry "
+        "law is read from the config.json that sweep writes beside records.csv, parsed as sweep parses its "
+        "--config (tasks aside) and refused if its grid misses a record's (p, n); without that file, edge's "
+        "predicted_shift and z are empty.",
     )
     sp.add_argument("--records", required=True)
     sp.add_argument("--format", default="csv", choices=("csv", "json", "svg"))
@@ -228,38 +230,37 @@ def _read_config(path):
 
 def _cmd_sweep(args) -> None:
     data, obj = _read_config(args.config)
-    config = ExperimentConfig.from_json(obj)
-    records = run_experiment(config, threads=args.threads, out_dir=args.out)
+    records = run_experiment(ExperimentConfig.from_json(obj), threads=args.threads)
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "records.csv")
+    records_to_csv(records, path)
     # the config's own bytes identify the records: a sweep has no other settings
     with open(os.path.join(args.out, "config.json"), "wb") as fh:
         fh.write(data)
     failed = sum(1 for r in records if r.failed)
-    print(json_text({"records": len(records), "failed": failed, "records_csv": os.path.join(args.out, "records.csv")}))
+    print(json_text({"records": len(records), "failed": failed, "records_csv": path}))
 
 
 def _sweep_law(records_path, records):
     """The entry law in the config.json beside a records file, or None without that file.
 
-    Only "distribution" and "grid" are read: an explicit Sigma's path may be
-    relative to the directory the sweep ran in.  A config whose grid misses a
-    record's (p, n) did not write the records, and is refused.
+    Tasks aside, it is parsed as sweep parses its config: an explicit Sigma's
+    path may be relative to the directory the sweep ran in.  A config whose
+    grid misses a record's (p, n) did not write the records, and is refused.
     """
     path = os.path.join(os.path.dirname(records_path), "config.json")
     try:
         _, obj = _read_config(path)
     except FileNotFoundError:
         return None
-    if not isinstance(obj, dict) or "distribution" not in obj:
-        raise ValidationError(f"{path}: experiment config needs a 'distribution'")
     try:
-        law = distribution_from_json(obj["distribution"])
+        config = ExperimentConfig.from_json(dict(obj, tasks=[]) if isinstance(obj, dict) else obj)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    grid = obj.get("grid")
     for rec in records:
-        if not (isinstance(grid, list) and [rec.p, rec.n] in grid):
+        if MatrixShape(rec.p, rec.n) not in config.grid:
             raise ValidationError(f"{path}: (p, n) = ({rec.p}, {rec.n}) of {records_path} is not on the grid")
-    return law
+    return config.distribution
 
 
 def _cmd_report(args) -> None:

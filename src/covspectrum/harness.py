@@ -2,8 +2,8 @@
 
 A sweep runs a task set over a (p, n) grid with R replicates.  Each run
 seeds its own stream from (master_seed, p, n, replicate) by avalanche
-mixing, so results are independent of scheduling; the persisted CSV is
-byte-identical across reruns.  Each (p, n, replicate) cell gives its tasks
+mixing, so the records do not depend on scheduling; the CLI, not the
+harness, writes them.  Each (p, n, replicate) cell gives its tasks
 the law, shape, seed and X, drawn by the first task that reads it.  A task
 that fails becomes an error row, and a cell that cannot be sampled gives
 each task that reads X an error row; neither aborts the sweep.  A cell
@@ -53,7 +53,7 @@ from .normalize import (
     covariance_from_json,
     truncation_report,
 )
-from .reports import RunRecord, records_to_csv
+from .reports import RunRecord
 from .spectral import (
     covariance_error,
     diag_max_dev,
@@ -266,17 +266,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 0, out_dir: str | None = None) -> list:
-    """Execute every (shape, replicate, task); persist a canonical CSV.
+def run_experiment(config: ExperimentConfig, threads: int = 0) -> list:
+    """Execute every (shape, replicate, task) and return the records; write no file.
 
     threads = 0 picks one thread per CPU this process may run on
     (``os.sched_getaffinity``, or ``os.cpu_count()`` where the platform
     has no affinity call, as on macOS and Windows).  Each run is a pure
-    function of its derived seed and aggregation sorts by (p, n,
-    replicate, task), so the records do not depend on scheduling.  With threads >= 2 and more than
-    one job the cells run on a pool with numpy's OpenBLAS at one thread
-    (restored on return, also on error), so the records are the same bytes
-    at every threads >= 2 for a given BLAS build and CPU kernel.
+    function of its derived seed and the records are sorted by (p, n,
+    replicate, task), so they do not depend on scheduling.  With threads
+    >= 2 and more than one job the cells run on a pool with numpy's OpenBLAS
+    at one thread (restored on return, also on error), so the records are
+    the same at every threads >= 2 for a given BLAS build and CPU kernel.
     threads = 1 keeps BLAS's own threads; on a multi-core host its dense
     values may differ from pooled ones in the last bits.
     """
@@ -292,7 +292,4 @@ def run_experiment(config: ExperimentConfig, threads: int = 0, out_dir: str | No
             nested = list(pool.map(lambda job: _Cell(config, *job).records(), jobs))
     records = [rec for batch in nested for rec in batch]
     records.sort(key=RunRecord.sort_key)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        records_to_csv(records, os.path.join(out_dir, "records.csv"))
     return records

@@ -526,7 +526,7 @@ def bound_rhs_a13(p: int, n: int, k: int, delta: float) -> float:
         per_l.append(_log_binom(logfact, 2 * k - l, l) + pair_sum + t_sum)
     total = _log_sum_exp(per_l) + lp - k * math.log(2.0)
     if total > math.log(1.7976931348623157e308):
-        raise ResourceError("bound overflows double precision even in log space")
+        raise ResourceError(f"bound exceeds the largest double: its natural log is {total:.6g}")
     return math.exp(total)
 
 
@@ -535,9 +535,10 @@ def bound_rhs_a13(p: int, n: int, k: int, delta: float) -> float:
 
 
 def _safe_exp(x: float) -> float:
-    if x > 709.0:
+    try:
+        return math.exp(x)
+    except OverflowError:
         return math.inf
-    return math.exp(x)
 
 
 def check_schedule(p, delta: float, C1: float = 2.0) -> dict:

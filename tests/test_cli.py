@@ -529,10 +529,14 @@ class TestCovtestAndMoments:
     @pytest.mark.parametrize(
         "argv, null_at, passed",
         [
-            (["moments", "schedule", "--p", "100", "--delta", "1e300"], [("conditions", 2, "value")],
+            (["moments", "schedule", "--p", "100", "--delta", "1e300"],
+             [("conditions", 1, "value"), ("conditions", 2, "value"), ("conditions", 5, "value")],
              [False, False, True, False, False, True]),
             (["moments", "schedule", "--p", "1" + "0" * 700, "--delta", "0.5"], [("conditions", 2, "value")],
              [True, False, True, True, False, True]),
+            # h_tail = e^709.5 is below the largest double, e^709.78, so it prints as a number
+            (["moments", "schedule", "--p", "2", "--delta", "1.1765556589940544e+77"], [],
+             [False, False, True, False, False, True]),
             # E X^8 = (1 - q)^4 / q^3 overflows a double
             (["moments", "exact", "--p", "2", "--n", "1", "--k", "4", "--dist", '{"kind":"two-point","q":1e-200}'],
              [("exact",)], None),
@@ -540,7 +544,7 @@ class TestCovtestAndMoments:
             # and an infinite bound gives no verdict
             (["covtest", "--in", "DATA", "--sigma", "SIGMA"], [("factorized_bound",), ("within_bound",)], None),
         ],
-        ids=["huge-delta", "huge-p", "exact-overflow", "covtest-overflow"],
+        ids=["huge-delta", "huge-p", "h-tail-below-overflow", "exact-overflow", "covtest-overflow"],
     )
     def test_schedule_prints_strict_json(self, tmp_path, argv, null_at, passed):
         def reject(constant):
@@ -562,6 +566,9 @@ class TestCovtestAndMoments:
             for key in path:
                 value = value[key]
             assert value is None, path
+        if "conditions" in payload:  # null_at names every condition printed as null
+            nulls = [("conditions", i, "value") for i, c in enumerate(payload["conditions"]) if c["value"] is None]
+            assert nulls == null_at
         if passed is not None:
             assert [c["passed"] for c in payload["conditions"]] == passed
             assert payload["feasible"] is False
@@ -1028,12 +1035,16 @@ class TestSweepAndReport:
         [
             (b"{oops", "invalid experiment config JSON"),
             (b'{"distribution": "gaussian"}\xff', "not UTF-8 text"),
-            (b'["gaussian"]', "needs a 'distribution'"),
+            (b'["gaussian"]', "experiment config must be a JSON object"),
             (b'{"grid": [[10, 100]]}', "needs a 'distribution'"),
-            (b'{"distribution": "cauchy"}', "unknown distribution kind"),
-            (b'{"distribution": {"kind": "two-point", "q": 2}}', "two-point requires"),
+            (b'{"distribution": "cauchy", "grid": [[10, 100]]}', "unknown distribution kind"),
+            (b'{"distribution": {"kind": "two-point", "q": 2}, "grid": [[10, 100]]}', "two-point requires"),
+            (b'{"distribution": "gaussian", "grid": [[10, 100]], "replicates": 0}', "replicates must be an integer >= 1"),
+            (b'{"distribution": "gaussian", "grid": [[10, 100]], "seed": 1}', "unknown experiment config fields ['seed']"),
+            (b'{"distribution": "gaussian", "grid": [[10, 100], [10, 100]]}', "duplicate (p, n) shapes in grid"),
         ],
-        ids=["not-json", "not-utf8", "not-an-object", "no-distribution", "unknown-kind", "bad-parameter"],
+        ids=["not-json", "not-utf8", "not-an-object", "no-distribution", "unknown-kind", "bad-parameter",
+             "no-replicates", "unknown-field", "repeated-shape"],
     )
     def test_report_rejects_a_malformed_config_by_its_path(self, tmp_path, text, says):
         records = tmp_path / "records.csv"
@@ -1046,12 +1057,37 @@ class TestSweepAndReport:
         assert says in res.stderr and f"{records}:" not in res.stderr
         assert not (tmp_path / "report").exists()
 
+    def test_report_does_not_open_an_explicit_sigma_path(self, tmp_path):
+        # the path is relative to the directory the sweep ran in, not to report's
+        run = tmp_path / "run"
+        run.mkdir()
+        save_matrix(np.eye(4), run / "sigma.bin")
+        (run / "sweep.json").write_text(json.dumps({
+            "distribution": "gaussian",
+            "grid": [[4, 40]],
+            "replicates": 2,
+            "tasks": ["lambda_max", {"name": "cov_rate", "sigma": {"kind": "explicit", "path": "sigma.bin"}}],
+        }))
+        sweep = run_cli("sweep", "--config", "sweep.json", "--out", ".", cwd=run)
+        assert json.loads(sweep.stdout)["failed"] == 0, sweep.stderr
+        assert not (tmp_path / "sigma.bin").exists()
+        rep = run_cli("report", "--records", str(run / "records.csv"), "--format", "json",
+                      "--out", str(tmp_path / "report"), cwd=tmp_path)
+        assert rep.returncode == 0, rep.stderr
+        (row,) = json.loads((tmp_path / "report" / "report.json").read_text())["edge"]
+        assert row["predicted_shift"] == (3.0 - 1) / (2 * 4)  # (E X^4 - 1) / (2p), gaussian E X^4 = 3
+
     @pytest.mark.parametrize(
-        "grid, stray",
-        [([[7, 9]], (10, 100)), ([[10, 100], [7, 9]], (20, 400)), (None, (10, 100)), ("10, 100", (10, 100))],
+        "grid, says",
+        [
+            ([[7, 9]], "(p, n) = (10, 100) of {records} is not on the grid"),
+            ([[10, 100], [7, 9]], "(p, n) = (20, 400) of {records} is not on the grid"),
+            (None, "grid must be a list of [p, n] pairs"),
+            ("10, 100", "grid must be a list of [p, n] pairs"),
+        ],
         ids=["other-sweep", "one-shape-missing", "no-grid", "grid-not-a-list"],
     )
-    def test_report_rejects_a_config_whose_grid_misses_a_record(self, tmp_path, grid, stray):
+    def test_report_rejects_a_config_whose_grid_misses_a_record(self, tmp_path, grid, says):
         # another sweep's config beside these records would lend them its law
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"distribution": "gaussian", "grid": [[10, 100], [20, 400]],
@@ -1062,7 +1098,7 @@ class TestSweepAndReport:
         beside.write_text(json.dumps({"distribution": "rademacher", **({} if grid is None else {"grid": grid})}))
         res = run_cli("report", "--records", str(records), "--out", str(tmp_path / "report"))
         assert (res.returncode, res.stdout) == (1, "")
-        assert res.stderr == f"error: {beside}: (p, n) = {stray} of {records} is not on the grid\n"
+        assert res.stderr == f"error: {beside}: {says.format(records=records)}\n"
         assert not (tmp_path / "report").exists()
 
     def test_report_rejects_undecodable_bytes(self, tmp_path):

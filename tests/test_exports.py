@@ -11,7 +11,8 @@ combinatorics in plain Python and imports no numpy.  Only ``reports`` calls
 strict encoder.  ``np.errstate`` is set only where a command or a sweep
 cell starts, and in ``reports._mean_std``.  ``reports.emit_report`` names no
 block of ``reports._BLOCKS``, so a new block is one table row and one
-function, with no per-block branch in the writer.
+function, with no per-block branch in the writer.  Only ``cli`` names the
+files of a sweep directory, ``records.csv`` and ``config.json``.
 """
 
 import ast
@@ -80,12 +81,12 @@ def test_every_import_is_used_or_exported(path):
     assert sorted(imported - used - _exported(tree)) == []
 
 
-def _attribute_uses(module, attrs):
-    """(file, qualified name of the enclosing def or class) of each ``module.attr`` in the package."""
+def _uses(matches):
+    """(file, qualified name of the enclosing def or class) of each AST node in the package that matches."""
     found = []
 
     def visit(node, path, owner):
-        if isinstance(node, ast.Attribute) and node.attr in attrs and getattr(node.value, "id", None) == module:
+        if matches(node):
             found.append((path.name, owner))
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -98,10 +99,28 @@ def _attribute_uses(module, attrs):
     return found
 
 
+def _attribute_uses(module, attrs):
+    """Where each ``module.attr`` in the package sits, as ``_uses`` gives it."""
+    return _uses(
+        lambda node: isinstance(node, ast.Attribute) and node.attr in attrs and getattr(node.value, "id", None) == module
+    )
+
+
 def test_json_is_written_only_by_the_strict_encoder():
     # reports.json_text writes a non-finite number as null; a bare json.dump(s)
     # anywhere else would print NaN or Infinity again
     assert _attribute_uses("json", ("dump", "dumps")) == [("reports.py", "json_text")]
+
+
+def test_only_the_cli_names_the_sweep_directory_files():
+    # sweep writes both files and report reads config.json; a second module
+    # naming either would be a second writer or parser of the sweep directory
+    names = ("records.csv", "config.json")
+    assert _uses(lambda node: isinstance(node, ast.Constant) and node.value in names) == [
+        ("cli.py", "_cmd_sweep"),
+        ("cli.py", "_cmd_sweep"),
+        ("cli.py", "_sweep_law"),
+    ]
 
 
 def test_no_module_reads_the_environment():

@@ -139,8 +139,9 @@ class TestConfig:
 
 class TestRunExperiment:
     def test_empty_task_set_writes_header_only_csv(self, tmp_path):
-        records = run_experiment(_config(tasks=()), threads=1, out_dir=str(tmp_path))
+        records = run_experiment(_config(tasks=()), threads=1)
         assert records == []
+        records_to_csv(records, tmp_path / "records.csv")
         lines = (tmp_path / "records.csv").read_text().splitlines()
         assert lines == [",".join(CSV_COLUMNS)]
 
@@ -208,8 +209,9 @@ class TestRunExperiment:
                 TaskSpec("moment_check", k=2),
             ),
         )
-        records = run_experiment(config, threads=2, out_dir=str(tmp_path))
+        records = run_experiment(config, threads=2)
         assert len(records) == 20 and not any(r.failed for r in records)
+        records_to_csv(records, tmp_path / "records.csv")
         assert read_records(tmp_path / "records.csv") == records
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -218,7 +220,8 @@ class TestRunExperiment:
         # two tasks read X, so the failing cell's second one samples again and fails the same way
         tasks = (TaskSpec("diag_dev"), TaskSpec("lambda_max"), TaskSpec("moment_check", k=2))
         config = _config(grid=(MatrixShape(10, 100), MatrixShape(2**40, 2**40)), tasks=tasks)
-        records = run_experiment(config, threads=threads, out_dir=str(tmp_path))
+        records = run_experiment(config, threads=threads)
+        records_to_csv(records, tmp_path / "records.csv")
         good = [r for r in records if r.p == 10]
         bad = [r for r in records if r.p == 2**40]
         assert good == run_experiment(replace(config, grid=config.grid[:1]), threads=threads)
@@ -295,13 +298,12 @@ class TestRunExperiment:
 
     def test_two_replicates_distinct_and_rerun_identical(self, tmp_path):
         config = _config()
-        records = run_experiment(config, threads=1, out_dir=str(tmp_path / "a"))
+        records = run_experiment(config, threads=1)
         assert len(records) == 2
         assert records[0].value != records[1].value
-        again = run_experiment(config, threads=1, out_dir=str(tmp_path / "b"))
-        assert (tmp_path / "a" / "records.csv").read_bytes() == (
-            tmp_path / "b" / "records.csv"
-        ).read_bytes()
+        records_to_csv(records, tmp_path / "a.csv")
+        records_to_csv(run_experiment(config, threads=1), tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_thread_counts_do_not_change_bytes(self, tmp_path):
         # threads = 1 keeps BLAS's own threads and a pool caps them at one,
@@ -313,11 +315,9 @@ class TestRunExperiment:
             replicates=3,
             tasks=(TaskSpec("lambda_max"), TaskSpec("diag_dev")),
         )
-        run_experiment(config, threads=1, out_dir=str(tmp_path / "t1"))
-        run_experiment(config, threads=8, out_dir=str(tmp_path / "t8"))
-        assert (tmp_path / "t1" / "records.csv").read_bytes() == (
-            tmp_path / "t8" / "records.csv"
-        ).read_bytes()
+        records_to_csv(run_experiment(config, threads=1), tmp_path / "t1.csv")
+        records_to_csv(run_experiment(config, threads=8), tmp_path / "t8.csv")
+        assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t8.csv").read_bytes()
 
     def test_threads_zero_counts_the_cpus_it_may_use(self, monkeypatch):
         # four CPUs on the host but one in the affinity mask: threads = 0
@@ -451,9 +451,9 @@ class TestPoolBlasThreads:
             pytest.skip("numpy's bundled OpenBLAS thread-count symbols do not resolve")
         return blas
 
-    def _csv(self, out_dir, threads):
-        run_experiment(self._config(), threads=threads, out_dir=str(out_dir))
-        return (out_dir / "records.csv").read_bytes()
+    def _csv(self, path, threads):
+        records_to_csv(run_experiment(self._config(), threads=threads), path)
+        return path.read_bytes()
 
     def test_pool_sizes_give_the_same_bytes(self, tmp_path):
         assert self._csv(tmp_path / "t2", 2) == self._csv(tmp_path / "t3", 3)
@@ -553,11 +553,11 @@ class TestPoolBlasThreads:
         assert set(seen) == {1}
 
     def test_without_the_library_a_pool_still_runs(self, tmp_path, monkeypatch):
-        run_experiment(self._config(), threads=2, out_dir=str(tmp_path / "capped"))
+        records_to_csv(run_experiment(self._config(), threads=2), tmp_path / "capped.csv")
         monkeypatch.setattr(harness, "_openblas", lambda: None)
-        run_experiment(self._config(), threads=2, out_dir=str(tmp_path / "plain"))
-        capped = read_records(tmp_path / "capped" / "records.csv")
-        plain = read_records(tmp_path / "plain" / "records.csv")
+        records_to_csv(run_experiment(self._config(), threads=2), tmp_path / "plain.csv")
+        capped = read_records(tmp_path / "capped.csv")
+        plain = read_records(tmp_path / "plain.csv")
         assert [r.sort_key() for r in plain] == [r.sort_key() for r in capped]
         assert not any(r.failed for r in plain)
         for got, want in zip(plain, capped):
