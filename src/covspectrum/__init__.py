@@ -12,7 +12,7 @@ Modules:
 * ``spectral``  -- eigenvalues, the semicircle law and its exact KS distance;
 * ``momentlab`` -- exact combinatorial oracles for trace moments;
 * ``harness``   -- reproducible Monte Carlo sweeps;
-* ``reports``   -- sweep records, their CSV/JSON/SVG forms and statistics;
+* ``reports``   -- sweep records, their CSV and JSON forms and statistics;
 * ``cli``       -- the covspectrum command-line tool.
 """
 

@@ -1,15 +1,16 @@
 """Command-line harness.
 
-Subcommands: gen, spectrum, esd, covtest, moments, sweep, report.  Each
-declares only the flags it reads: --seed on gen, --threads on sweep,
---format on gen and report, --out on the commands that write files
-(gen, esd, sweep, report); each moments mode (classify, exact, bound,
-schedule) is its own subcommand with its own flags.  spectrum, esd and
-covtest print what a sweep records for the lambda_max, esd_ks and
-cov_rate tasks, through the same spectral functions: spectrum runs
-spectral.lambda_max, which picks dense LAPACK or Lanczos from p.  Every
-command but gen (which prints the path it wrote) prints one line of strict
-JSON: a non-finite number is printed as null, never as NaN or Infinity.
+Subcommands: gen, tasks, moments, sweep, report.  Each declares only the
+flags it reads: --seed on gen, --threads on sweep, --format on gen and
+report, --out on the commands that write files (gen, sweep, report); each
+moments mode (classify, exact, bound, schedule) is its own subcommand with
+its own flags.  tasks runs a list of sweep tasks, in a config's "tasks"
+form, on one matrix file through the sweep's own evaluators
+(harness.run_tasks), so it prints each task's value and aux as a sweep
+records them; moment_check needs a law, which a matrix file does not
+carry, and is refused.  Every command but gen (which prints the path it
+wrote) prints one line of strict JSON: a non-finite number is printed as
+null, never as NaN or Infinity.
 Each subcommand (each moments mode too) names its handler where it is
 declared; main runs it with numpy's overflow and invalid warnings off, so
 an overflow prints only the ``error:`` line of the check that rejects the
@@ -17,16 +18,16 @@ non-finite result, and maps what it raises to the exit code: 0 success, 1
 validation error, 2 resource/convergence error or failed allocation, 3
 I/O error.  Every command that writes files takes its output directory
 from --out, defaulting to the current directory; a sweep config names no
-output directory.  sweep writes records.csv, then config.json beside it:
-the bytes of its --config, unchanged.  report writes the edge and summary
-blocks as csv or json; edge's predicted_shift and z take the entry law from
-the config.json beside its --records, parsed as sweep parses its --config
+output directory, and gen's --name is a file name in it, never a path.
+sweep writes records.csv, then config.json beside it: the bytes of its
+--config, unchanged.  report writes the edge and summary blocks as csv or
+json; edge's predicted_shift and z take the entry law from the
+config.json beside its --records, parsed as sweep parses its --config
 (tasks aside), whose grid must hold each record's (p, n).
 """
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -43,19 +44,10 @@ from .ensemble import (
     save_matrix,
 )
 from .errors import ConvergenceError, ResourceError, ValidationError
-from .harness import TASK_NAMES, ExperimentConfig, run_experiment
+from .harness import TASK_NAMES, ExperimentConfig, run_experiment, run_tasks
 from .momentlab import IndexCircuit, bound_rhs_a13, check_schedule, classify_json, law_trace_moment
-from .normalize import build_A, covariance_from_json
 from .reports import emit_report, fit_rate, json_text, read_records, records_to_csv
-from .spectral import (
-    DENSE_P_LIMIT,
-    covariance_error,
-    diag_max_dev,
-    eigvals_sym,
-    ks_distance,
-    lambda_max,
-    spectrum_to_csv,
-)
+from .spectral import DENSE_P_LIMIT
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,23 +88,15 @@ def build_parser() -> _Parser:
     sp.set_defaults(run=_cmd_gen)
 
     sp = sub.add_parser(
-        "spectrum",
-        help="largest eigenvalue of one matrix, as a sweep's lambda_max record",
-        description=f"Print p, n, diag_max_dev and the lambda_max task's value and aux for one matrix: dense "
-        f"LAPACK up to p = {DENSE_P_LIMIT} (aux lambda_max_b), Lanczos above it (aux iterations).",
+        "tasks",
+        help="run sweep tasks on one matrix file",
+        description="Print p, n and each task's value and aux, as a sweep records them, for the matrix in --in.  "
+        "--tasks is a JSON list in a sweep config's tasks form; moment_check needs a law and is refused.  "
+        f"lambda_max is dense LAPACK up to p = {DENSE_P_LIMIT} (aux lambda_max_b), Lanczos above it (aux iterations).",
     )
     sp.add_argument("--in", dest="infile", required=True, help="matrix file from gen")
-    sp.set_defaults(run=_cmd_spectrum)
-
-    sp = sub.add_parser("esd", help="full spectrum plus KS distance to the semicircle law")
-    sp.add_argument("--in", dest="infile", required=True)
-    add_out(sp)
-    sp.set_defaults(run=_cmd_esd)
-
-    sp = sub.add_parser("covtest", help="operator-norm error of S2 against a population Sigma")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--sigma", required=True, help="covariance JSON spec")
-    sp.set_defaults(run=_cmd_covtest)
+    sp.add_argument("--tasks", required=True, help="JSON list of task names or dicts")
+    sp.set_defaults(run=_cmd_tasks)
 
     sp = sub.add_parser("moments", help="combinatorial oracles: classify, exact, bound, schedule")
     modes = sp.add_subparsers(dest="mode", required=True)
@@ -145,15 +129,15 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser(
         "report",
-        help="report blocks (csv, json) or plots (svg) from a records CSV",
+        help="report blocks (csv, json) from a records CSV",
         description="Write the edge and summary blocks of a records CSV as report_<block>.csv files (csv) or "
-        "keys of report.json (json), or one plot per task (svg); a block with no rows is not written.  The entry "
+        "keys of report.json (json); a block with no rows is not written.  The entry "
         "law is read from the config.json that sweep writes beside records.csv, parsed as sweep parses its "
         "--config (tasks aside) and refused if its grid misses a record's (p, n); without that file, edge's "
         "predicted_shift and z are empty.",
     )
     sp.add_argument("--records", required=True)
-    sp.add_argument("--format", default="csv", choices=("csv", "json", "svg"))
+    sp.add_argument("--format", default="csv", choices=("csv", "json"))
     add_out(sp)
     sp.set_defaults(run=_cmd_report)
 
@@ -161,10 +145,12 @@ def build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> None:
+    name = f"matrix_p{args.p}_n{args.n}_r{args.replicate}" if args.name is None else args.name
+    if name in ("", ".", "..") or name != os.path.basename(name):
+        raise ValidationError(f"--name {name!r} is not a file name: the file goes in --out")
     spec = _dist_arg(args.dist)
     X = sample_matrix(spec, MatrixShape(args.p, args.n), SeedSpec(args.seed), args.replicate)
     os.makedirs(args.out, exist_ok=True)
-    name = args.name or f"matrix_p{args.p}_n{args.n}_r{args.replicate}"
     if args.format == "csv":
         path = os.path.join(args.out, name + ".csv")
         matrix_to_csv(X, path)
@@ -174,28 +160,12 @@ def _cmd_gen(args) -> None:
     print(path)
 
 
-def _cmd_spectrum(args) -> None:
+def _cmd_tasks(args) -> None:
+    tasks = _json_arg(args.tasks, "tasks")
     X = load_matrix(args.infile)
-    lam, aux = lambda_max(X)
+    results = run_tasks(X, tasks)
     p, n = X.shape
-    print(json_text({"p": p, "n": n, "lambda_max": lam, "diag_max_dev": diag_max_dev(X), **aux}))
-
-
-def _cmd_esd(args) -> None:
-    X = load_matrix(args.infile)
-    eigs = eigvals_sym(build_A(X))
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "spectrum.csv")
-    spectrum_to_csv(eigs, path)
-    print(json_text({"spectrum_csv": path, "lambda_max": float(eigs[-1]), "ks_to_semicircle": ks_distance(eigs)}))
-
-
-def _cmd_covtest(args) -> None:
-    X = load_matrix(args.infile)
-    err, bound, sigma_norm = covariance_error(X, covariance_from_json(_json_arg(args.sigma, "covariance")))
-    # an overflowed bound bounds nothing: err <= inf would always hold
-    within = err <= bound + 1e-10 * max(1.0, bound) if math.isfinite(bound) else None
-    print(json_text({"norm_error": err, "factorized_bound": bound, "sigma_norm": sigma_norm, "within_bound": within}))
+    print(json_text({"p": p, "n": n, "tasks": {name: {"value": v, "aux": aux} for name, (v, aux) in results.items()}}))
 
 
 def _cmd_classify(args) -> None:

@@ -8,7 +8,8 @@ the law, shape, seed and X, drawn by the first task that reads it.  A task
 that fails becomes an error row, and a cell that cannot be sampled gives
 each task that reads X an error row; neither aborts the sweep.  A cell
 runs under the CLI's overflow rule itself: pool threads do not inherit
-numpy's error state.
+numpy's error state.  ``run_tasks`` runs the same task evaluators on a
+cell that already holds a user's X, as the CLI's ``tasks`` command does.
 
 Threads: with ``threads >= 2`` and more than one job, cells run on a
 thread pool and numpy's bundled OpenBLAS is capped at one thread while
@@ -67,6 +68,7 @@ __all__ = [
     "TaskSpec",
     "ExperimentConfig",
     "run_experiment",
+    "run_tasks",
 ]
 
 
@@ -149,6 +151,12 @@ class TaskSpec:
         return cls(obj["name"], sigma=sigma, k=obj.get("k"))
 
 
+def _task_list(obj) -> list:
+    if not isinstance(obj, list):
+        raise ValidationError("tasks must be a list of task names or dicts")
+    return obj
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     distribution: DistributionSpec
@@ -176,8 +184,7 @@ class ExperimentConfig:
         _reject_unknown(obj, [f.name for f in fields(cls)], "experiment config")
         if not (isinstance(obj.get("grid"), list) and all(isinstance(s, list) and len(s) == 2 for s in obj["grid"])):
             raise ValidationError("grid must be a list of [p, n] pairs")
-        if not isinstance(obj.get("tasks", []), list):
-            raise ValidationError("tasks must be a list of task names or dicts")
+        tasks = _task_list(obj.get("tasks", []))
         if "distribution" not in obj:
             raise ValidationError("experiment config needs a 'distribution'")
         return cls(
@@ -185,7 +192,7 @@ class ExperimentConfig:
             grid=tuple(MatrixShape(p, n) for p, n in obj["grid"]),
             replicates=obj.get("replicates", 1),
             master_seed=obj.get("master_seed", 0),
-            tasks=tuple(TaskSpec.from_json(t) for t in obj.get("tasks", [])),
+            tasks=tuple(TaskSpec.from_json(t) for t in tasks),
         )
 
 
@@ -293,3 +300,19 @@ def run_experiment(config: ExperimentConfig, threads: int = 0) -> list:
     records = [rec for batch in nested for rec in batch]
     records.sort(key=RunRecord.sort_key)
     return records
+
+
+def run_tasks(X, tasks) -> dict:
+    """name -> (value, aux) of each task on the data matrix X, as a sweep records them for a cell that drew X.
+
+    tasks is a list in an experiment config's "tasks" form, refused as a
+    config refuses it.  A matrix has no law, so moment_check is refused.
+    Unlike a sweep's, a task that raises ends the run.
+    """
+    specs = tuple(TaskSpec.from_json(t) for t in _task_list(tasks))
+    if any(spec.name == "moment_check" for spec in specs):
+        raise ValidationError("moment_check needs the entry law, which a matrix does not carry")
+    shape = MatrixShape(*X.shape)
+    cell = _Cell(ExperimentConfig(None, (shape,), 1, 0, specs), shape, 0)  # the config checks the task names
+    cell.__dict__["X"] = X
+    return {spec.name: _TASKS[spec.name].evaluate(spec, cell) for spec in specs}

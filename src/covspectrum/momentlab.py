@@ -313,7 +313,10 @@ def trace_moment_unscaled(p: int, n: int, k: int, moments):
     only, those whose I- and J-labels appear in first-use order, and
     weights each by the size of its relabelling class,
     perm(p, #I) perm(n, #J).  Each edge multiplicity is added as j_a
-    closes the edges i_a j_a and j_a i_{a+1}.
+    closes the edges i_a j_a and j_a i_{a+1}.  At n = 1 the one J-sequence
+    is all zeros, so an I-sequence with m labels has the pattern
+    (2 c_0, ..., 2 c_{m-1}), c_l the uses of label l, and weight perm(p, m):
+    it is tallied at once, with no walk over the J-values.
 
     Each pattern's term is evaluated once, when it first occurs.  The
     canonical circuits come in lexicographic order of (i_1..i_k,
@@ -333,23 +336,32 @@ def trace_moment_unscaled(p: int, n: int, k: int, moments):
     i_seq = [0] * (k + 1)  # labels from 0; i_seq[k] = i_seq[0] closes the circuit
     mult = [0] * (k * k)  # multiplicity of the edge with labels (i, j) at i k + j
     order = []  # the edges met so far, in first-traversal order
+    uses = [1] + [0] * (k - 1)  # uses of each I-label in i_1..i_a
+
+    def tally(pattern, weight):
+        if pattern not in terms:
+            terms[pattern] = _expectation_from_counts(pattern, moments)
+        counts[pattern] = counts.get(pattern, 0) + weight
 
     def choose_i(a, i_labels):
         if a == k:
-            if i_seq[k - 1]:  # i_k != i_1
+            if not i_seq[k - 1]:  # i_k = i_1
+                return
+            if n == 1:
+                tally(tuple(2 * c for c in uses[:i_labels]), math.perm(p, i_labels))
+            else:
                 close_j(0, 0, math.perm(p, i_labels))
             return
         for iv in range(min(i_labels + 1, p)):
             if iv != i_seq[a - 1]:
                 i_seq[a] = iv
+                uses[iv] += 1
                 choose_i(a + 1, i_labels + (iv == i_labels))
+                uses[iv] -= 1
 
     def close_j(a, j_labels, weight):
         if a == k:
-            pattern = tuple([mult[e] for e in order])
-            if pattern not in terms:
-                terms[pattern] = _expectation_from_counts(pattern, moments)
-            counts[pattern] = counts.get(pattern, 0) + weight
+            tally(tuple([mult[e] for e in order]), weight)
             return
         for jv in range(min(j_labels + 1, n)):
             edges = (i_seq[a] * k + jv, i_seq[a + 1] * k + jv)  # distinct: i_a != i_{a+1}

@@ -1,4 +1,4 @@
-"""Sweep records: the ``RunRecord`` type, its CSV/JSON/SVG forms and the statistics over records.
+"""Sweep records: the ``RunRecord`` type, its CSV and JSON forms and the statistics over records.
 
 The CSV schema is fixed (column set and order are golden-tested) and the
 serialization is fully deterministic: floats use repr (shortest
@@ -6,10 +6,10 @@ round-trip) and aux maps are canonical JSON.  A record is written as it
 is held, so reading a records file back gives the records that wrote it.
 Every per-group statistic reads its groups from one helper, ``_grouped``,
 save the edge block's dense fields, which pair each dense record's
-lambda_max(B) with its shift.  ``emit_report`` writes only plots and the
-``_BLOCKS`` table: a block is a function of (records, law) to rows of one
-flat frozen dataclass, law the sweep's ``DistributionSpec`` or None when it
-is not known, and a block with no rows writes nothing.  There are two:
+lambda_max(B) with its shift.  ``emit_report`` writes only the ``_BLOCKS``
+table: a block is a function of (records, law) to rows of one flat frozen
+dataclass, law the sweep's ``DistributionSpec`` or None when it is not
+known, and a block with no rows writes nothing.  There are two:
 ``summary``, per (p, n, task), and ``edge``, per (p, n) of the lambda_max
 records; a new per-(p, n) diagnostic of those records is an ``edge``
 column, not a new block.
@@ -327,55 +327,6 @@ def edge_report(records, law=None) -> list:
     return rows
 
 
-# ---------------------------------------------------------------------------
-# SVG: self-contained 800x600 documents with deterministic bytes.
-
-_W, _H = 800, 600
-_MARGIN = 70
-
-
-def _scale(vals, lo_px, hi_px):
-    # halved ends keep any span finite; equal values get a margin that scales with them
-    lo, hi = min(vals) / 2, max(vals) / 2
-    if hi == lo:
-        pad = max(0.25, abs(lo) / 2)
-        lo, hi = lo - pad, hi + pad
-    span = hi - lo
-
-    def to_px(v):
-        return lo_px + (v / 2 - lo) / span * (hi_px - lo_px)
-
-    top = sys.float_info.max  # a padded end near it doubles past the double range
-    return to_px, max(2 * lo, -top), min(2 * hi, top)
-
-
-def _svg_scatter(points, medians, title: str) -> str:
-    """Scatter of (ratio, value) with a median polyline, fixed viewBox."""
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    x_px, xmin, xmax = _scale(xs, _MARGIN, _W - _MARGIN)
-    y_px, ymin, ymax = _scale(ys, _H - _MARGIN, _MARGIN)  # y grows upward
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}">',
-        f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W // 2}" y="30" text-anchor="middle" font-size="18">{title}</text>',
-        f'<line x1="{_MARGIN}" y1="{_H - _MARGIN}" x2="{_W - _MARGIN}" y2="{_H - _MARGIN}" stroke="black"/>',
-        f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" y2="{_H - _MARGIN}" stroke="black"/>',
-        f'<text x="{_MARGIN}" y="{_H - _MARGIN + 25}" text-anchor="middle" font-size="12">{xmin:.4g}</text>',
-        f'<text x="{_W - _MARGIN}" y="{_H - _MARGIN + 25}" text-anchor="middle" font-size="12">{xmax:.4g}</text>',
-        f'<text x="{_MARGIN - 10}" y="{_H - _MARGIN}" text-anchor="end" font-size="12">{ymin:.4g}</text>',
-        f'<text x="{_MARGIN - 10}" y="{_MARGIN + 5}" text-anchor="end" font-size="12">{ymax:.4g}</text>',
-        f'<text x="{_W // 2}" y="{_H - 15}" text-anchor="middle" font-size="14">p/n</text>',
-    ]
-    if len(medians) >= 2:
-        coords = " ".join(f"{x_px(x):.2f},{y_px(y):.2f}" for x, y in medians)
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="#1f77b4" stroke-width="2"/>')
-    for x, y in points:
-        parts.append(f'<circle cx="{x_px(x):.2f}" cy="{y_px(y):.2f}" r="3" fill="#d62728"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
 _BLOCKS = {
     "edge": edge_report,
     "summary": summarize,
@@ -383,7 +334,7 @@ _BLOCKS = {
 
 
 def emit_report(records, fmt: str, out_dir, law=None) -> list:
-    """Write the blocks with rows, as report_<name>.csv or keys of report.json, or plots (svg); returns the paths.
+    """Write the blocks with rows, as report_<name>.csv or keys of report.json; returns the paths.
 
     law is the sweep's ``DistributionSpec``, or None when it is not known.
     """
@@ -404,16 +355,4 @@ def emit_report(records, fmt: str, out_dir, law=None) -> list:
         with open(path, "w") as fh:
             fh.write(json_text({name: [vars(row) for row in rows] for name, rows in blocks.items()}, indent=2) + "\n")
         return [path]
-    if fmt == "svg":
-        groups = _grouped(records, lambda rec: (rec.task, rec.ratio))
-        paths = []
-        for task in sorted({task for task, _ in groups}):
-            cells = [(ratio, values) for (t, ratio), values in groups.items() if t == task]
-            points = [(ratio, v) for ratio, values in cells for v in values]
-            medians = [(ratio, _lower_median(values)) for ratio, values in cells]
-            path = os.path.join(out_dir, f"report_{task}.svg")
-            with open(path, "w") as fh:
-                fh.write(_svg_scatter(points, medians, task))
-            paths.append(path)
-        return paths
-    raise ValidationError(f"unknown report format {fmt!r} (want csv, json, or svg)")
+    raise ValidationError(f"unknown report format {fmt!r} (want csv or json)")

@@ -5,7 +5,7 @@
 reject an empty one (p or n of 0) as ``MatrixShape`` does.  Dense
 spectra come from LAPACK at every p; memory is their only limit.
 ``lambda_max`` is the one path to the top eigenvalue of A = build_A(X),
-for the sweep's ``lambda_max`` task and the ``spectrum`` command alike,
+for the ``lambda_max`` task of a sweep and of the ``tasks`` command alike,
 and the only one that switches: to ``lambda_max_matfree`` (Lanczos) above
 ``DENSE_P_LIMIT`` rows.
 ``lambda_max_matfree`` gets the top eigenvalue of the normalized Gram
@@ -40,7 +40,6 @@ __all__ = [
     "covariance_error",
     "lambda_max",
     "lambda_max_matfree",
-    "spectrum_to_csv",
 ]
 
 DENSE_P_LIMIT = 2000
@@ -225,10 +224,3 @@ def lambda_max_matfree(X):
         residual=resid,
     )
 
-
-def spectrum_to_csv(eigenvalues, path) -> None:
-    """CSV export with columns (index, eigenvalue)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("index,eigenvalue\n")
-        for i, v in enumerate(np.asarray(eigenvalues, dtype=float)):
-            fh.write(f"{i},{float(v)!r}\n")

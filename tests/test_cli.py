@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -33,7 +34,11 @@ def run_cli(*args, env_extra=None, cwd=None, stdin=subprocess.DEVNULL):
     )
 
 
-class TestGenAndSpectrum:
+def tasks_argv(path, *tasks):
+    return ["tasks", "--in", str(path), "--tasks", json.dumps(list(tasks))]
+
+
+class TestGenAndTasks:
     def test_gen_writes_loadable_matrix(self, tmp_path):
         res = run_cli(
             "gen", "--dist", "rademacher", "--p", "4", "--n", "10",
@@ -87,55 +92,48 @@ class TestGenAndSpectrum:
         b = (tmp_path / "b" / "matrix_p5_n8_r0.bin").read_bytes()
         assert a == b
 
-    @pytest.mark.parametrize("limit, method", [(2000, "dense"), (19, "matfree")], ids=["dense", "matfree"])
-    def test_spectrum_prints_the_sweep_record(self, tmp_path, monkeypatch, capsys, limit, method):
-        # the limit is lowered in-process, for the sweep and spectrum alike
-        monkeypatch.setattr(spectral, "DENSE_P_LIMIT", limit)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(
-            {"distribution": "gaussian", "grid": [[20, 200]], "master_seed": 5, "tasks": ["lambda_max"]}
-        ))
-        assert cli.main(["sweep", "--config", str(config), "--threads", "1", "--out", str(tmp_path)]) == 0
-        (record,) = read_records(str(tmp_path / "records.csv"))
-        argv = ["gen", "--dist", "gaussian", "--p", "20", "--n", "200", "--seed", "5", "--out", str(tmp_path)]
-        assert cli.main(argv) == 0
-        path = capsys.readouterr().out.splitlines()[-1]
-        assert cli.main(["spectrum", "--in", path]) == 0
-        out = json.loads(capsys.readouterr().out)
-        aux = record.aux
-        assert aux["method"] == method
-        assert set(out) == {"p", "n", "lambda_max", "diag_max_dev", *aux}
-        assert {key: out[key] for key in ("lambda_max", *aux)} == {"lambda_max": record.value, **aux}
+    @pytest.mark.parametrize(
+        "name", ["../escaped", "ABSOLUTE", "", ".", "..", "sub/m"],
+        ids=["parent", "absolute", "empty", "dot", "dot-dot", "subdirectory"],
+    )
+    def test_gen_name_is_a_file_name_in_out(self, tmp_path, capsys, name):
+        # a path would escape --out, and an empty name fell back to the derived one
+        name = str(tmp_path / "absolute") if name == "ABSOLUTE" else name
+        argv = ["gen", "--dist", "gaussian", "--p", "2", "--n", "3", "--out", str(tmp_path / "outdir"), "--name", name]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: --name {name!r} is not a file name: the file goes in --out\n")
+        assert list(tmp_path.iterdir()) == []
 
-    def test_spectrum_max_iter_reaches_the_solver(self, tmp_path, monkeypatch, capsys):
+    def test_tasks_max_basis_reaches_the_solver(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(spectral, "DENSE_P_LIMIT", 10)
         monkeypatch.setattr(spectral, "MAX_BASIS", 3)
         path = tmp_path / "m.bin"
         save_matrix(np.random.default_rng(5).standard_normal((20, 200)), path)
-        assert cli.main(["spectrum", "--in", str(path)]) == 2
-        err = capsys.readouterr().err
+        assert cli.main(tasks_argv(path, "lambda_max")) == 2
+        out, err = capsys.readouterr()
         with pytest.raises(ConvergenceError) as exc:
             spectral.lambda_max_matfree(load_matrix(path))
         assert exc.value.iterations == 4  # three Lanczos steps and one true residual
+        assert out == ""
         assert "4 operator applications" in err
         assert f"best Ritz value {exc.value.best_value!r}, true residual {exc.value.residual!r}" in err
 
-    def test_spectrum_rejects_non_finite_matrix(self, tmp_path):
+    def test_tasks_rejects_non_finite_matrix(self, tmp_path):
         entries = np.ones((3, 5))
         entries[0, 1] = np.nan
         path = tmp_path / "nan.bin"
         save_matrix(entries, path)
-        res = run_cli("spectrum", "--in", str(path))
+        res = run_cli(*tasks_argv(path, "lambda_max"))
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and "non-finite" in res.stderr
 
-    def test_spectrum_rejects_truncated_header(self, tmp_path):
+    def test_tasks_rejects_truncated_header(self, tmp_path):
         good = tmp_path / "m.bin"
         save_matrix(np.ones((3, 5)), good)
         short = tmp_path / "short.bin"
         short.write_bytes(good.read_bytes()[:18])  # the magic plus 2 of the 16 header bytes
-        res = run_cli("spectrum", "--in", str(short))
+        res = run_cli(*tasks_argv(short, "lambda_max"))
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and "truncated matrix header" in res.stderr
@@ -145,32 +143,32 @@ class TestGenAndSpectrum:
         [(2**40, 2**40, b""), (2**20, 2**10, b"\x00" * 64)],
         ids=["overflowing-size", "oversized-header"],
     )
-    def test_spectrum_rejects_header_larger_than_file(self, tmp_path, p, n, payload):
+    def test_tasks_rejects_header_larger_than_file(self, tmp_path, p, n, payload):
         good = tmp_path / "m.bin"
         save_matrix(np.ones((1, 1)), good)
         forged = tmp_path / "forged.bin"
         forged.write_bytes(good.read_bytes()[:16] + p.to_bytes(8, "little") + n.to_bytes(8, "little") + payload)
-        res = run_cli("spectrum", "--in", str(forged))
+        res = run_cli(*tasks_argv(forged, "lambda_max"))
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
         assert f"header says {p} x {n}" in res.stderr and f"the file holds {len(payload)}" in res.stderr
 
-    def test_spectrum_rejects_forged_header_on_a_pipe(self, tmp_path):
+    def test_tasks_rejects_forged_header_on_a_pipe(self, tmp_path):
         good = tmp_path / "m.bin"
         save_matrix(np.ones((1, 1)), good)
         read_end, write_end = os.pipe()
         with os.fdopen(write_end, "wb") as fh:
             fh.write(good.read_bytes()[:16] + (2**40).to_bytes(8, "little") * 2)
         with os.fdopen(read_end, "rb") as stdin:
-            res = run_cli("spectrum", "--in", "/dev/stdin", stdin=stdin)
+            res = run_cli(*tasks_argv("/dev/stdin", "lambda_max"), stdin=stdin)
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
         assert "truncated matrix payload" in res.stderr
 
     @pytest.mark.parametrize("piped", [False, True], ids=["file", "pipe"])
-    def test_spectrum_rejects_bytes_after_the_payload(self, tmp_path, piped):
+    def test_tasks_rejects_bytes_after_the_payload(self, tmp_path, piped):
         # a header that undercounts its payload must not load the wrong matrix
         path = tmp_path / "m.bin"
         save_matrix(np.ones((3, 4)), path)
@@ -180,75 +178,96 @@ class TestGenAndSpectrum:
             with os.fdopen(write_end, "wb") as fh:
                 fh.write(path.read_bytes())
             with os.fdopen(read_end, "rb") as stdin:
-                res = run_cli("spectrum", "--in", "/dev/stdin", stdin=stdin)
+                res = run_cli(*tasks_argv("/dev/stdin", "lambda_max"), stdin=stdin)
         else:
-            res = run_cli("spectrum", "--in", str(path))
+            res = run_cli(*tasks_argv(path, "lambda_max"))
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
         assert "bytes after the matrix payload: the header says 3 x 4 (96 bytes)" in res.stderr
 
     def test_solver_flags_are_rejected_with_dense(self, tmp_path):
-        # spectrum picks its solver from p, so the old solver flags are unread
+        # lambda_max picks its solver from p, so the old solver flags are unread
         path = tmp_path / "m.bin"
         save_matrix(np.ones((2, 3)), path)
         for flags in (["--tol", "-1"], ["--max-iter", "-5"]):
-            res = run_cli("spectrum", "--in", str(path), "--method", "dense", *flags)
+            res = run_cli(*tasks_argv(path, "lambda_max"), "--method", "dense", *flags)
             assert res.returncode == 1
             assert res.stdout == ""
             assert res.stderr.startswith("error:")
             assert all(flag in res.stderr for flag in ("--method", flags[0]))
 
-    def test_only_spectrum_switches_above_the_dense_limit(self, tmp_path):
+    def test_only_lambda_max_switches_above_the_dense_limit(self, tmp_path, capsys):
         path = tmp_path / "tall.bin"
         save_matrix(np.zeros((2001, 1)), path)
-        res = run_cli("esd", "--in", str(path), "--out", str(tmp_path))
-        assert res.returncode == 0, res.stderr
-        assert len((tmp_path / "spectrum.csv").read_text().splitlines()) == 2001 + 1
-        res = run_cli("spectrum", "--in", str(path))
-        assert res.returncode == 0, res.stderr
-        assert json.loads(res.stdout)["method"] == "matfree"
+        assert cli.main(tasks_argv(path, "esd_ks", "lambda_max")) == 0
+        out = json.loads(capsys.readouterr().out)["tasks"]
+        assert out["esd_ks"]["aux"]["lambda_max"] == -1 / (2 * math.sqrt(2001))  # A = -I / (2 sqrt(np)), dense
+        assert out["lambda_max"]["aux"]["method"] == "matfree"
 
     @pytest.mark.parametrize(
-        "argv", [["covtest", "--sigma", '{"kind":"identity"}'], ["esd"]], ids=["covtest", "esd"]
+        "task", [{"name": "cov_rate", "sigma": {"kind": "identity"}}, "esd_ks"], ids=["cov_rate", "esd_ks"]
     )
-    def test_failed_allocation_exits_2(self, tmp_path, argv):
+    def test_failed_allocation_exits_2(self, tmp_path, task):
         # numpy refuses the 8 TiB p x p matrix up front, before touching memory
         path = tmp_path / "tall.bin"
         save_matrix(np.zeros((2**20, 1)), path)
-        res = run_cli(argv[0], "--in", str(path), *argv[1:], cwd=tmp_path)
+        res = run_cli(*tasks_argv(path, task), cwd=tmp_path)
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.startswith("error: Unable to allocate 8.00 TiB") and res.stderr.count("\n") == 1
-        assert not (tmp_path / "spectrum.csv").exists()
+        assert os.listdir(tmp_path) == ["tall.bin"]
 
-    def test_esd_writes_spectrum_csv(self, tmp_path):
-        gen = run_cli(
-            "gen", "--dist", "gaussian", "--p", "10", "--n", "100",
-            "--seed", "5", "--out", str(tmp_path),
-        )
-        res = run_cli("esd", "--in", gen.stdout.strip(), "--out", str(tmp_path))
-        assert res.returncode == 0, res.stderr
-        payload = json.loads(res.stdout)
-        lines = Path(payload["spectrum_csv"]).read_text().splitlines()
-        assert lines[0] == "index,eigenvalue"
-        assert len(lines) == 11
-        assert 0.0 <= payload["ks_to_semicircle"] <= 1.0
+    def test_tasks_refuses_moment_check(self, tmp_path, capsys):
+        # the exact E tr(B^k) needs the entry law, and a matrix file carries none
+        path = tmp_path / "m.bin"
+        save_matrix(np.ones((3, 5)), path)
+        assert cli.main(tasks_argv(path, "diag_dev", {"name": "moment_check", "k": 4})) == 1
+        assert capsys.readouterr() == ("", "error: moment_check needs the entry law, which a matrix does not carry\n")
+
+    @pytest.mark.parametrize(
+        "tasks, says",
+        [
+            (["diag_dev", "lambda_max", "diag_dev"], "duplicate task names"),
+            (["lambda_min"], "unknown task 'lambda_min'"),
+            ([{"name": "cov_rate"}], "cov_rate requires sigma"),
+            ([{"name": "diag_dev", "k": 3}], "unknown task fields"),
+            ([7], "task must be a name or a dict"),
+            ("lambda_max", "tasks must be a list of task names or dicts"),
+            ({"name": "lambda_max"}, "tasks must be a list of task names or dicts"),
+        ],
+        ids=["duplicate", "unknown", "no-sigma", "unknown-field", "not-a-task", "string", "dict"],
+    )
+    def test_tasks_refuses_what_a_sweep_config_refuses(self, tmp_path, capsys, tasks, says):
+        path = tmp_path / "m.bin"
+        save_matrix(np.ones((3, 5)), path)
+        assert cli.main(["tasks", "--in", str(path), "--tasks", json.dumps(tasks)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and says in err and err.count("\n") == 1
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"distribution": "gaussian", "grid": [[3, 5]], "tasks": tasks}))
+        assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr() == ("", err)
+
+    def test_tasks_refuses_text_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "m.bin"
+        save_matrix(np.ones((3, 5)), path)
+        assert cli.main(["tasks", "--in", str(path), "--tasks", "[lambda_max]"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: invalid tasks JSON:")
 
 
-class TestCovtestAndMoments:
-    def test_covtest_reports_factorized_bound(self, tmp_path):
+class TestCovRateAndMoments:
+    def test_cov_rate_error_is_within_its_factorized_bound(self, tmp_path):
         gen = run_cli(
             "gen", "--dist", "gaussian", "--p", "8", "--n", "400",
             "--seed", "9", "--out", str(tmp_path),
         )
-        res = run_cli(
-            "covtest", "--in", gen.stdout.strip(), "--sigma", '{"kind": "toeplitz", "rho": 0.5}'
-        )
+        res = run_cli(*tasks_argv(gen.stdout.strip(), {"name": "cov_rate", "sigma": {"kind": "toeplitz", "rho": 0.5}}))
         assert res.returncode == 0, res.stderr
-        payload = json.loads(res.stdout)
-        assert payload["within_bound"] is True
-        assert payload["norm_error"] <= payload["factorized_bound"] + 1e-10
+        rate = json.loads(res.stdout)["tasks"]["cov_rate"]
+        assert rate["value"] <= rate["aux"]["bound"] + 1e-10
 
     def test_moments_classify(self):
         res = run_cli("moments", "classify", "--circuit", '{"k": 2, "i": [1, 2], "j": [1, 1]}')
@@ -280,14 +299,14 @@ class TestCovtestAndMoments:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["covtest", "--sigma", '{"kind": "toeplitz"}'],
-            ["covtest", "--sigma", '{"kind": "toeplitz", "rho": "0.5"}'],
-            ["covtest", "--sigma", '{"kind": "diagonal", "d": ["x", 1, 1, 1]}'],
-            ["covtest", "--sigma", '{"kind": "diagonal", "d": 5}'],
-            ["covtest", "--sigma", '{"kind": "diagonal", "d": [1, 1, 1, NaN]}'],
+            ["tasks", "--tasks", '[{"name": "cov_rate", "sigma": {"kind": "toeplitz"}}]'],
+            ["tasks", "--tasks", '[{"name": "cov_rate", "sigma": {"kind": "toeplitz", "rho": "0.5"}}]'],
+            ["tasks", "--tasks", '[{"name": "cov_rate", "sigma": {"kind": "diagonal", "d": ["x", 1, 1, 1]}}]'],
+            ["tasks", "--tasks", '[{"name": "cov_rate", "sigma": {"kind": "diagonal", "d": 5}}]'],
+            ["tasks", "--tasks", '[{"name": "cov_rate", "sigma": {"kind": "diagonal", "d": [1, 1, 1, NaN]}}]'],
             ["gen", "--dist", '{"kind": "student-t", "df": "x"}', "--p", "4", "--n", "10"],
             ["gen", "--dist", '{"kind": "two-point", "q": "0.3"}', "--p", "4", "--n", "10"],
-            ["covtest", "--sigma", '{"kind": "toeplitz", "rho": 0.5, "d": [1, 2]}'],
+            ["tasks", "--tasks", '[{"name": "cov_rate", "sigma": {"kind": "toeplitz", "rho": 0.5, "d": [1, 2]}}]'],
             ["moments", "classify", "--circuit", '{"k": 1, "i": [1], "j": [1], "zzz": 9}'],
         ],
         ids=[
@@ -305,49 +324,50 @@ class TestCovtestAndMoments:
     def test_malformed_spec_is_validation_error(self, tmp_path, argv):
         path = tmp_path / "m.bin"
         save_matrix(np.ones((4, 10)), path)
-        where = {"covtest": ["--in", str(path)], "gen": ["--out", str(tmp_path / "gen")]}.get(argv[0], [])
+        where = {"tasks": ["--in", str(path)], "gen": ["--out", str(tmp_path / "gen")]}.get(argv[0], [])
         res = run_cli(*argv, *where)
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
-    def test_covtest_explicit_path_must_be_a_string(self, tmp_path):
+    def test_cov_rate_explicit_path_must_be_a_string(self, tmp_path):
         # open(0) would read Sigma from stdin, so stdin holds a valid Sigma
         data, sigma = tmp_path / "m.bin", tmp_path / "sigma.bin"
         save_matrix(np.ones((4, 10)), data)
         save_matrix(np.eye(4), sigma)
         with open(sigma, "rb") as fh:
-            res = run_cli("covtest", "--in", str(data), "--sigma", '{"kind": "explicit", "path": 0}', stdin=fh)
+            res = run_cli(*tasks_argv(data, {"name": "cov_rate", "sigma": {"kind": "explicit", "path": 0}}), stdin=fh)
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and "'path' string" in res.stderr
 
     _OVERFLOW_ERROR = "error: matrix has non-finite entries; did the input overflow?"
-    # above DENSE_P_LIMIT rows spectrum runs Lanczos, which forms no Gram and has its own check
+    # above DENSE_P_LIMIT rows lambda_max runs Lanczos, which forms no Gram and has its own check
     _LANCZOS_ERROR = "error: non-finite Lanczos coefficient in lambda_max_matfree; did the input overflow?"
     _OVERFLOWS = pytest.mark.parametrize(
-        "argv, huge_shape, error",
+        "task, huge_shape, error",
         [
-            (["spectrum"], (3, 5), _OVERFLOW_ERROR),
-            (["spectrum"], (spectral.DENSE_P_LIMIT + 1, 3), _LANCZOS_ERROR),
-            (["esd"], (3, 5), _OVERFLOW_ERROR),
-            (["covtest", "--sigma", '{"kind": "identity"}'], (3, 5), _OVERFLOW_ERROR),
-            (["covtest", "--sigma", '{"kind": "diagonal", "d": [1.7e308, 1, 1]}'], None, _OVERFLOW_ERROR),
-            (["covtest", "--sigma", '{"kind": "explicit", "path": SIGMA}'], None, _OVERFLOW_ERROR),
+            ("lambda_max", (3, 5), _OVERFLOW_ERROR),
+            ("lambda_max", (spectral.DENSE_P_LIMIT + 1, 3), _LANCZOS_ERROR),
+            ("esd_ks", (3, 5), _OVERFLOW_ERROR),
+            ({"name": "cov_rate", "sigma": {"kind": "identity"}}, (3, 5), _OVERFLOW_ERROR),
+            ({"name": "cov_rate", "sigma": {"kind": "diagonal", "d": [1.7e308, 1, 1]}}, None, _OVERFLOW_ERROR),
+            ({"name": "cov_rate", "sigma": {"kind": "explicit", "path": "SIGMA"}}, None, _OVERFLOW_ERROR),
         ],
         ids=[
-            "spectrum", "spectrum-lanczos", "esd", "covtest-identity", "covtest-huge-diagonal", "covtest-huge-explicit"
+            "lambda_max", "lambda_max-lanczos", "esd_ks", "cov_rate-identity", "cov_rate-huge-diagonal",
+            "cov_rate-huge-explicit",
         ],
     )
 
     @staticmethod
-    def _overflow_argv(tmp_path, argv, huge_shape):
-        """argv on finite entries whose Gram, Lanczos step or Sigma^{1/2} S1 Sigma^{1/2} overflows to inf.
+    def _overflow_argv(tmp_path, task, huge_shape):
+        """tasks argv for task on finite entries whose Gram, Lanczos step or S2 overflows to inf.
 
         The matrix is of shape huge_shape with entries +-1e200, or 3 x 50
         Gaussian with standard deviation 4 if huge_shape is None, so that
         S2 = Sigma^{1/2} S1 Sigma^{1/2} has (1, 1) entry 1.7e308 * S1_11
-        with S1_11 ~ 12, past the doubles; SIGMA in argv names a file holding
+        with S1_11 ~ 12, past the doubles; a SIGMA path names a file holding
         diag(1.7e308, 1, 1).
         """
         data, sigma = tmp_path / "m.bin", tmp_path / "sigma.bin"
@@ -357,42 +377,43 @@ class TestCovtestAndMoments:
         else:
             save_matrix(4.0 * np.random.default_rng(1).standard_normal((3, 50)), data)
         save_matrix(np.diag([1.7e308, 1.0, 1.0]), sigma)
-        return [argv[0], "--in", str(data), *(a.replace("SIGMA", json.dumps(str(sigma))) for a in argv[1:])]
+        return [a.replace('"SIGMA"', json.dumps(str(sigma))) for a in tasks_argv(data, task)]
 
     @_OVERFLOWS
-    def test_overflow_to_non_finite_is_validation_error(self, tmp_path, argv, huge_shape, error):
-        res = run_cli(*self._overflow_argv(tmp_path, argv, huge_shape), cwd=tmp_path)
+    def test_overflow_to_non_finite_is_validation_error(self, tmp_path, task, huge_shape, error):
+        res = run_cli(*self._overflow_argv(tmp_path, task, huge_shape), cwd=tmp_path)
         assert res.returncode == 1
         assert res.stdout == ""
         # numpy's RuntimeWarning lines would come ahead of the error
         assert res.stderr.splitlines() == [error]
-        assert not (tmp_path / "spectrum.csv").exists()
 
     @_OVERFLOWS
-    def test_overflow_warns_nothing_in_process(self, tmp_path, monkeypatch, capsys, argv, huge_shape, error):
+    def test_overflow_warns_nothing_in_process(self, tmp_path, monkeypatch, capsys, task, huge_shape, error):
         # the test run turns warnings into errors, so a RuntimeWarning would escape main
         monkeypatch.chdir(tmp_path)
-        assert cli.main(self._overflow_argv(tmp_path, argv, huge_shape)) == 1
+        assert cli.main(self._overflow_argv(tmp_path, task, huge_shape)) == 1
         assert capsys.readouterr() == ("", error + "\n")
 
     def test_gram_near_the_double_range_is_not_overflow(self, tmp_path, capsys):
         # X X' = [[1e308, 1e154], [1e154, 1]] is finite, and at n = 1 S1 = S - sbar sbar' is exactly 0
         data = tmp_path / "m.bin"
         save_matrix(np.array([[1e154], [1.0]]), data)
-        assert cli.main(["covtest", "--in", str(data), "--sigma", '{"kind": "identity"}']) == 0
+        assert cli.main(tasks_argv(data, {"name": "cov_rate", "sigma": {"kind": "identity"}})) == 0
         out, err = capsys.readouterr()
         assert err == ""
-        assert json.loads(out) == {"norm_error": 1.0, "factorized_bound": 1.0, "sigma_norm": 1.0, "within_bound": True}
+        assert json.loads(out) == {
+            "p": 2, "n": 1, "tasks": {"cov_rate": {"value": 1.0, "aux": {"bound": 1.0, "sigma_norm": 1.0}}}
+        }
 
     @staticmethod
-    def _covtest_explicit(tmp_path, matrix, p=None):
+    def _cov_rate_explicit(tmp_path, matrix, p=None):
         data, sigma = tmp_path / "m.bin", tmp_path / "sigma.bin"
         save_matrix(np.random.default_rng(2).standard_normal((p or len(matrix), 200)), data)
         save_matrix(np.asarray(matrix, dtype=float), sigma)
-        return run_cli("covtest", "--in", str(data), "--sigma", json.dumps({"kind": "explicit", "path": str(sigma)}))
+        return run_cli(*tasks_argv(data, {"name": "cov_rate", "sigma": {"kind": "explicit", "path": str(sigma)}}))
 
     @pytest.mark.parametrize("case", ["bdb", "rank-deficient"])
-    def test_covtest_tolerances_scale_with_sigma(self, tmp_path, case):
+    def test_cov_rate_tolerances_scale_with_sigma(self, tmp_path, case):
         # an absolute 1e-10 rejected both: B D B' for its rounding asymmetry
         # (~1e-8 at ||Sigma|| ~ 4e9), B B' of rank 3 for its eigenvalues near -1e-7
         rng = np.random.default_rng(2 if case == "bdb" else 3)
@@ -402,9 +423,10 @@ class TestCovtestAndMoments:
         else:
             B = rng.standard_normal((6, 3)) * 1e4
             matrix = B @ B.T
-        res = self._covtest_explicit(tmp_path, matrix)
+        res = self._cov_rate_explicit(tmp_path, matrix)
         assert res.returncode == 0, res.stderr
-        assert json.loads(res.stdout)["within_bound"] is True
+        rate = json.loads(res.stdout)["tasks"]["cov_rate"]
+        assert rate["value"] <= rate["aux"]["bound"] + 1e-10 * max(1.0, rate["aux"]["bound"])
 
     @pytest.mark.parametrize(
         "matrix, p, said",
@@ -416,22 +438,11 @@ class TestCovtestAndMoments:
         ],
         ids=["asymmetric", "indefinite", "not-square", "wrong-size"],
     )
-    def test_covtest_rejects_invalid_explicit_sigma(self, tmp_path, matrix, p, said):
-        res = self._covtest_explicit(tmp_path, matrix, p)
+    def test_cov_rate_rejects_invalid_explicit_sigma(self, tmp_path, matrix, p, said):
+        res = self._cov_rate_explicit(tmp_path, matrix, p)
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and said in res.stderr
-
-    def test_covtest_within_bound_scales_with_sigma(self, tmp_path):
-        # Sigma = 1e9 I: the error and the bound agree in exact arithmetic, and
-        # differ by ~1e-7 in floating point
-        data = tmp_path / "m.bin"
-        save_matrix(np.random.default_rng(0).standard_normal((4, 40)), data)
-        res = run_cli("covtest", "--in", str(data), "--sigma", '{"kind": "diagonal", "d": [1e9, 1e9, 1e9, 1e9]}')
-        assert res.returncode == 0, res.stderr
-        payload = json.loads(res.stdout)
-        assert payload["norm_error"] > payload["factorized_bound"] + 1e-10
-        assert payload["within_bound"] is True
 
     def test_moments_exact(self):
         res = run_cli("moments", "exact", "--p", "3", "--n", "4", "--k", "2")
@@ -540,11 +551,10 @@ class TestCovtestAndMoments:
             # E X^8 = (1 - q)^4 / q^3 overflows a double
             (["moments", "exact", "--p", "2", "--n", "1", "--k", "4", "--dist", '{"kind":"two-point","q":1e-200}'],
              [("exact",)], None),
-            # the factorized bound ||Sigma|| (1 + ||S1 - I||) overflows, the error itself does not,
-            # and an infinite bound gives no verdict
-            (["covtest", "--in", "DATA", "--sigma", "SIGMA"], [("factorized_bound",), ("within_bound",)], None),
+            # the factorized bound ||Sigma|| (1 + ||S1 - I||) overflows, the error itself does not
+            (["tasks", "--in", "DATA", "--tasks", "SIGMA"], [("tasks", "cov_rate", "aux", "bound")], None),
         ],
-        ids=["huge-delta", "huge-p", "h-tail-below-overflow", "exact-overflow", "covtest-overflow"],
+        ids=["huge-delta", "huge-p", "h-tail-below-overflow", "exact-overflow", "cov_rate-overflow"],
     )
     def test_schedule_prints_strict_json(self, tmp_path, argv, null_at, passed):
         def reject(constant):
@@ -557,7 +567,8 @@ class TestCovtestAndMoments:
             assert gen.returncode == 0, gen.stderr
             save_matrix(np.full((4, 4), 2e307), sigma)
         argv = [a.replace("DATA", str(data)) for a in argv]
-        argv = [a.replace("SIGMA", json.dumps({"kind": "explicit", "path": str(sigma)})) for a in argv]
+        task = {"name": "cov_rate", "sigma": {"kind": "explicit", "path": str(sigma)}}
+        argv = [a.replace("SIGMA", json.dumps([task])) for a in argv]
         res = run_cli(*argv)
         assert res.returncode == 0, res.stderr
         payload = json.loads(res.stdout, parse_constant=reject)
@@ -580,49 +591,36 @@ class TestCovtestAndMoments:
 
 
 class TestOneCodePath:
-    @staticmethod
-    def _assert_cli_matches_sweep(tmp_path, sigma):
-        seed = 9
-        gen = run_cli(
-            "gen", "--dist", "gaussian", "--p", "8", "--n", "400",
-            "--seed", str(seed), "--out", str(tmp_path),
-        )
-        path = gen.stdout.strip()
+    @pytest.mark.parametrize(
+        "limit, method, sigma",
+        [(2000, "dense", "toeplitz"), (2000, "dense", "explicit"), (7, "matfree", "toeplitz")],
+        ids=["dense", "dense-explicit-sigma", "matfree"],
+    )
+    def test_tasks_prints_the_sweep_records(self, tmp_path, monkeypatch, capsys, limit, method, sigma):
+        # the limit is lowered in-process, for the sweep and tasks alike
+        monkeypatch.setattr(spectral, "DENSE_P_LIMIT", limit)
+        if sigma == "explicit":
+            B = np.random.default_rng(6).standard_normal((8, 8))
+            save_matrix(B @ B.T + np.eye(8), tmp_path / "sigma.bin")
+            sigma = {"kind": "explicit", "path": str(tmp_path / "sigma.bin")}
+        else:
+            sigma = {"kind": "toeplitz", "rho": 0.5}
+        tasks = ["lambda_max", "lambda_max_centered", "esd_ks", "diag_dev", {"name": "cov_rate", "sigma": sigma},
+                 "truncation_report"]
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "distribution": "gaussian",
-            "grid": [[8, 400]],
-            "replicates": 1,
-            "master_seed": seed,
-            "tasks": ["lambda_max", "esd_ks", {"name": "cov_rate", "sigma": sigma}],
-        }))
-        sweep = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "run"))
-        assert sweep.returncode == 0, sweep.stderr
-        records = {r.task: r for r in read_records(json.loads(sweep.stdout)["records_csv"])}
-        assert not any(r.failed for r in records.values())
-
-        cov = json.loads(run_cli("covtest", "--in", path, "--sigma", json.dumps(sigma)).stdout)
-        rate = records["cov_rate"]
-        assert (cov["norm_error"], cov["factorized_bound"], cov["sigma_norm"]) == (
-            rate.value, rate.aux["bound"], rate.aux["sigma_norm"]
-        )
-        spectrum = json.loads(run_cli("spectrum", "--in", path).stdout)
-        lam = records["lambda_max"]
-        assert (spectrum["lambda_max"], spectrum["method"], spectrum["lambda_max_b"]) == (
-            lam.value, lam.aux["method"], lam.aux["lambda_max_b"]
-        )
-        esd = json.loads(run_cli("esd", "--in", path, "--out", str(tmp_path / "esd")).stdout)
-        ks = records["esd_ks"]
-        assert (esd["lambda_max"], esd["ks_to_semicircle"]) == (ks.aux["lambda_max"], ks.value)
-
-    def test_cli_and_sweep_give_identical_numbers(self, tmp_path):
-        self._assert_cli_matches_sweep(tmp_path, {"kind": "toeplitz", "rho": 0.5})
-
-    def test_cli_and_sweep_give_identical_numbers_for_explicit_sigma(self, tmp_path):
-        B = np.random.default_rng(6).standard_normal((8, 8))
-        sigma = tmp_path / "sigma.bin"
-        save_matrix(B @ B.T + np.eye(8), sigma)
-        self._assert_cli_matches_sweep(tmp_path, {"kind": "explicit", "path": str(sigma)})
+        config.write_text(json.dumps(
+            {"distribution": "gaussian", "grid": [[8, 400]], "master_seed": 9, "tasks": tasks}
+        ))
+        assert cli.main(["sweep", "--config", str(config), "--threads", "1", "--out", str(tmp_path / "run")]) == 0
+        records = read_records(str(tmp_path / "run" / "records.csv"))
+        assert len(records) == 6 and not any(r.failed for r in records)
+        argv = ["gen", "--dist", "gaussian", "--p", "8", "--n", "400", "--seed", "9", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        path = capsys.readouterr().out.splitlines()[-1]
+        assert cli.main(tasks_argv(path, *tasks)) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"p": 8, "n": 400, "tasks": {r.task: {"value": r.value, "aux": r.aux} for r in records}}
+        assert out["tasks"]["lambda_max"]["aux"]["method"] == method
 
     @pytest.mark.parametrize(
         "dist",
@@ -665,13 +663,19 @@ class TestSweepAndReport:
         assert payload["records"] == 8 and payload["failed"] == 0
         rep = run_cli(
             "report", "--records", payload["records_csv"],
-            "--format", "svg", "--out", str(tmp_path / "plots"),
+            "--format", "json", "--out", str(tmp_path / "report"),
         )
         assert rep.returncode == 0, rep.stderr
-        paths = json.loads(rep.stdout)["paths"]
-        assert len(paths) == 2  # one svg per task
-        for p in paths:
-            assert Path(p).read_text().startswith("<svg")
+        (path,) = json.loads(rep.stdout)["paths"]
+        assert sorted(json.loads(Path(path).read_text())) == ["edge", "summary"]
+        # report draws no plots: svg is refused before anything is written
+        rep = run_cli(
+            "report", "--records", payload["records_csv"],
+            "--format", "svg", "--out", str(tmp_path / "plots"),
+        )
+        assert (rep.returncode, rep.stdout) == (1, "")
+        assert rep.stderr.startswith("error:") and "'svg'" in rep.stderr and rep.stderr.count("\n") == 1
+        assert not (tmp_path / "plots").exists()
 
     def test_unsampleable_cell_is_error_rows_not_an_abort(self, tmp_path):
         config = tmp_path / "config.json"
@@ -951,8 +955,7 @@ class TestSweepAndReport:
     @pytest.mark.parametrize("fmt, names", [
         ("csv", ["report_edge.csv", "report_summary.csv"]),
         ("json", ["report.json"]),
-        ("svg", ["report_diag_dev.svg", "report_lambda_max.svg"]),
-    ], ids=["csv", "json", "svg"])
+    ], ids=["csv", "json"])
     def test_report_writes_exactly_the_paths_it_prints(self, tmp_path, capsys, fmt, names):
         records = tmp_path / "records.csv"
         records.write_text(
@@ -967,25 +970,6 @@ class TestSweepAndReport:
         paths = json.loads(capsys.readouterr().out)["paths"]
         assert sorted(os.listdir(out)) == names
         assert sorted(paths) == [str(out / name) for name in names]
-
-    @pytest.mark.parametrize(
-        "values", [[1e20], [1e308, -1e308], [1.7e308]],
-        ids=["equal-beyond-2**53", "span-beyond-double", "equal-near-the-top"],
-    )
-    def test_svg_circles_stay_in_the_view_box(self, tmp_path, capsys, values):
-        records = tmp_path / "records.csv"
-        records.write_text("p,n,ratio,replicate,task,value,aux\n" + "".join(
-            f'10,100,0.1,{rep},diag_dev,{value!r},"{{}}"\n' for rep, value in enumerate(values)
-        ))
-        argv = ["report", "--records", str(records), "--format", "svg", "--out", str(tmp_path / "report")]
-        assert cli.main(argv) == 0
-        (path,) = json.loads(capsys.readouterr().out)["paths"]
-        body = Path(path).read_text()
-        assert "inf" not in body  # the axis labels stay finite
-        circles = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', body)
-        assert len(circles) == len(values)
-        for cx, cy in circles:
-            assert 0.0 <= float(cx) <= 800.0 and 0.0 <= float(cy) <= 600.0
 
     def test_sweep_keeps_the_config_bytes_beside_the_records(self, tmp_path):
         # CRLF line ends, unsorted keys and loose spacing: the copy is the
@@ -1174,9 +1158,7 @@ def _declared_options(parser, prefix=""):
 class TestParser:
     OPTIONS = {
         "gen": {"--dist", "--p", "--n", "--replicate", "--name", "--seed", "--format", "--out"},
-        "spectrum": {"--in"},
-        "esd": {"--in", "--out"},
-        "covtest": {"--in", "--sigma"},
+        "tasks": {"--in", "--tasks"},
         "moments": set(),
         "moments classify": {"--circuit"},
         "moments exact": {"--p", "--n", "--k", "--dist"},
@@ -1198,7 +1180,7 @@ class TestParser:
         assert "config.json" in text
 
     def test_flag_a_subcommand_does_not_read_is_rejected(self, tmp_path):
-        res = run_cli("spectrum", "--in", str(tmp_path / "missing.bin"), "--threads", "2")
+        res = run_cli(*tasks_argv(tmp_path / "missing.bin", "lambda_max"), "--threads", "2")
         assert res.returncode == 1
         assert res.stderr.startswith("error:") and "--threads" in res.stderr
 

@@ -12,19 +12,27 @@ strict encoder.  ``np.errstate`` is set only where a command or a sweep
 cell starts, and in ``reports._mean_std``.  ``reports.emit_report`` names no
 block of ``reports._BLOCKS``, so a new block is one table row and one
 function, with no per-block branch in the writer.  Only ``cli`` names the
-files of a sweep directory, ``records.csv`` and ``config.json``.
+files of a sweep directory, ``records.csv`` and ``config.json``.  The CI
+workflow installs the package with its ``test`` extra and runs the tier-1
+command of ROADMAP.md, so every package that ``tests/`` and ``perfbench/``
+import must be declared in pyproject.toml.
 """
 
 import ast
 import importlib
+import importlib.metadata
 import pathlib
 import pkgutil
+import re
+import sys
+import tomllib
 
 import pytest
 
 import covspectrum
 from covspectrum import reports
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = ["covspectrum"] + [
     f"covspectrum.{info.name}" for info in pkgutil.iter_modules(covspectrum.__path__) if info.name != "__main__"
 ]
@@ -148,3 +156,39 @@ def test_emit_report_names_no_block():
         if isinstance(node, ast.Constant) and node.value in reports._BLOCKS
     ]
     assert named == []
+
+
+def _distribution(requirement):
+    return re.match(r"[A-Za-z0-9._-]+", requirement).group().lower().replace("_", "-")
+
+
+def _top_level_imports(path):
+    """The top-level name of each absolute import in a file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_tests_and_benchmark_import_only_declared_packages():
+    # CI installs ".[test]" alone, so an undeclared import fails there at collection
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {_distribution(r) for r in project["dependencies"] + project["optional-dependencies"]["test"]}
+    paths = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    local = {"covspectrum", "perfbench", *(path.stem for path in paths)}
+    owners = importlib.metadata.packages_distributions()
+    undeclared = sorted(
+        f"{path.parent.name}/{path.name}: {top}"
+        for path in paths
+        for top in set(_top_level_imports(path)) - local - sys.stdlib_module_names
+        if not any(_distribution(owner) in declared for owner in owners.get(top, [top]))
+    )
+    assert undeclared == []
+
+
+def test_ci_workflow_installs_the_test_extra_and_runs_tier1():
+    (command,) = re.findall(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    runs = [line.strip().removeprefix("run: ") for line in workflow.splitlines() if line.strip().startswith("run: ")]
+    assert 'pip install ".[test]"' in runs and command in runs

@@ -24,7 +24,6 @@ from covspectrum.spectral import (
     ks_distance,
     lambda_max_matfree,
     semicircle_cdf,
-    spectrum_to_csv,
     symmetric_operator_norm,
 )
 
@@ -354,12 +353,3 @@ class TestSpectralIdentities:
             lam_b = eigvals_sym(A)[-1]
             assert abs(lam_a - lam_b) <= diag_max_dev(X) / 2 + 1e-10
 
-
-class TestSummaryAndExport:
-    def test_spectrum_csv(self, tmp_path):
-        path = tmp_path / "spec.csv"
-        spectrum_to_csv(np.array([-1.0, 0.5]), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "index,eigenvalue"
-        assert lines[1] == "0,-1.0"
-        assert lines[2] == "1,0.5"
